@@ -108,13 +108,9 @@ class GRingElement:
         return out
 
 
-_degree_cache: dict[tuple[int, int, int], GRingElement] = {}
-
-
 def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
     """Equivariant degree of -id on the unit ball of W_k (x) V_l."""
-    cache_key = (id(ctx), k, l)
-    cached = _degree_cache.get(cache_key)
+    cached = ctx._degrees.get((k, l))
     if cached is not None:
         return cached
     if k == 0:
@@ -127,7 +123,7 @@ def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
             result = GRingElement(
                 ctx, {fold(c, k): v for c, v in base.coeffs.items()}
             )
-    _degree_cache[cache_key] = result
+    ctx._degrees[(k, l)] = result
     return result
 
 

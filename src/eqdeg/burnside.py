@@ -18,9 +18,6 @@ class LatticeMismatchError(ValueError):
     pass
 
 
-_product_cache: dict[int, dict[tuple[int, int], dict[int, int]]] = {}
-
-
 def _cosets(lattice: SubgroupClassLattice, idx: int) -> list[frozenset[Perm]]:
     group = lattice.group
     sub = lattice.classes[idx].rep_set
@@ -36,12 +33,11 @@ def _cosets(lattice: SubgroupClassLattice, idx: int) -> list[frozenset[Perm]]:
 
 
 def mult_classes(lattice: SubgroupClassLattice, h: int, k: int) -> "BurnsideElement":
-    cache = _product_cache.setdefault(id(lattice), {})
     key = (min(h, k), max(h, k))
-    coeffs = cache.get(key)
+    coeffs = lattice.products.get(key)
     if coeffs is None:
         coeffs = _orbit_count(lattice, *key)
-        cache[key] = coeffs
+        lattice.products[key] = coeffs
     return BurnsideElement(lattice, dict(coeffs))
 
 
@@ -150,14 +146,6 @@ class BurnsideElement:
         return json.dumps(
             {self.lattice.classes[i].name: c for i, c in sorted(self.coeffs.items())}
         )
-
-
-def ring_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    return a * b
-
-
-def coeff(a: BurnsideElement, idx: int) -> int:
-    return a.coeff(idx)
 
 
 def marks_row(lattice: SubgroupClassLattice, h: int) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import Cyc
 from .permgroup import Group, Perm, parse_cycles
@@ -45,8 +46,18 @@ class CharacterTable:
         return tuple(row[0].as_integer() for row in self.rows)
 
     def class_of(self, g: Perm) -> int:
-        lut = _class_lookup(self)
-        return lut[g]
+        return self._class_lookup[g]
+
+    @cached_property
+    def _class_lookup(self) -> dict:
+        group = self.group
+        lut = {}
+        for idx, rep in enumerate(self.class_reps):
+            for g in group.elements:
+                lut[group.conj(g, rep)] = idx
+        if len(lut) != group.order:
+            raise CharacterError("class representatives do not cover the group")
+        return lut
 
     def value(self, irrep: int, g: Perm) -> Cyc:
         return self.rows[irrep][self.class_of(g)]
@@ -69,24 +80,6 @@ class CharacterTable:
                 expected = Fraction(1 if i == j else 0)
                 if self.inner(self.rows[i], self.rows[j]) != expected:
                     raise CharacterError(f"rows {i}, {j} are not orthonormal")
-
-
-_class_lookup_cache: dict[int, dict] = {}
-
-
-def _class_lookup(table: CharacterTable) -> dict:
-    key = id(table)
-    lut = _class_lookup_cache.get(key)
-    if lut is None:
-        group = table.group
-        lut = {}
-        for idx, rep in enumerate(table.class_reps):
-            for g in group.elements:
-                lut[group.conj(g, rep)] = idx
-        if len(lut) != group.order:
-            raise CharacterError("class representatives do not cover the group")
-        _class_lookup_cache[key] = lut
-    return lut
 
 
 @dataclass(frozen=True)
@@ -323,8 +316,6 @@ class SignedGroup:
     """
 
     def __init__(self, table: CharacterTable):
-        from .permgroup import direct_product
-
         gamma = table.group
         self.gamma = gamma
         self.gamma_table = table

@@ -284,26 +284,40 @@ class AnalysisResult:
         return "\n".join(lines) + "\n"
 
 
-def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
+# The front half of the pipeline, shared by `analyze` and `spectrum`, in two
+# steps: `analyze` rejects components of complex type between them, before
+# the linearization is projected onto them.
+
+
+def _decompose(config):
+    """Character table of a config and the isotypic decomposition of its
+    representation."""
     group, table = _build_group_and_table(config)
-    action = _representation_action(config, group)
-    chi = permutation_character(table, action)
-    decomposition = isotypic_multiplicities(chi, table)
-    for l, mult in enumerate(decomposition.multiplicities):
-        if mult:
-            if not table.real_type[l]:
-                raise ConfigError(
-                    f"component {l + 1} is not of real type; unsupported"
-                )
+    chi = permutation_character(table, _representation_action(config, group))
+    return table, isotypic_multiplicities(chi, table)
+
+
+def _spectral_table(config, table, decomposition, k_max=None, tol=None):
+    """Linearization data and block sign table of a config."""
     lin = _build_linearization(config, table, decomposition)
     options = config.get("options", {})
     k_max = k_max or options.get("k_max") or default_k_max(lin)
     tol = tol or float(options.get("tol", 1e-9))
-    spectral = SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
+    return lin, SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
+
+
+def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
+    table, decomposition = _decompose(config)
+    for l, mult in enumerate(decomposition.multiplicities):
+        if mult and not table.real_type[l]:
+            raise ConfigError(
+                f"component {l + 1} is not of real type; unsupported"
+            )
+    lin, spectral = _spectral_table(config, table, decomposition, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)
     _bind_d6_names(ctx)
-    s = s or options.get("s")
+    s = s or config.get("options", {}).get("s")
     if spectral.zero_spectrum() and not s:
         return AnalysisResult(
             config, table, ctx, decomposition, lin, spectral, None,
@@ -473,8 +487,6 @@ def main(argv=None) -> int:
         prog="eqdeg",
         description="Equivariant degree analysis of reversible coupled delay networks",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all stages are deterministic and sequential")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="full pipeline on a JSON config")
@@ -562,8 +574,12 @@ def _dispatch(args) -> int:
 
     if args.command == "spectrum":
         config = load_config(args.config)
-        result = run_analyze_spectrum_only(config, args.kmax)
-        print(result)
+        _, spectral = _spectral_table(config, *_decompose(config), args.kmax)
+        print("block eigenvalue signs (columns l = %s):" % ", ".join(
+            str(l + 1) for l in spectral.components
+        ))
+        for k, row in enumerate(spectral.sign_grid()):
+            print(f"  k={k:<2d}  " + "  ".join(row))
         return EXIT_OK
 
     if args.command == "verify":
@@ -573,22 +589,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command}")
-
-
-def run_analyze_spectrum_only(config, k_max=None) -> str:
-    group, table = _build_group_and_table(config)
-    action = _representation_action(config, group)
-    chi = permutation_character(table, action)
-    decomposition = isotypic_multiplicities(chi, table)
-    lin = _build_linearization(config, table, decomposition)
-    k_max = k_max or config.get("options", {}).get("k_max") or default_k_max(lin)
-    spectral = SpectralTable(lin, decomposition, k_max=k_max).build()
-    lines = ["block eigenvalue signs (columns l = %s):" % ", ".join(
-        str(l + 1) for l in spectral.components
-    )]
-    for k, row in enumerate(spectral.sign_grid()):
-        lines.append(f"  k={k:<2d}  " + "  ".join(row))
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":

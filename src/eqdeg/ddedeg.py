@@ -239,8 +239,10 @@ class SpectralTable:
                     f"k_max={self.k_max} too small: negative blocks may be missed"
                 )
         for (k, l), sign in self.signs.items():
-            if k == self.k_max:
-                assert sign > 0, "tail bound violated"
+            if k == self.k_max and sign <= 0:
+                raise ValueError(
+                    f"tail bound violated: block (k={k}, l={l + 1}) is not positive"
+                )
 
     def zero_spectrum(self) -> bool:
         return bool(self.degenerate)
@@ -400,13 +402,6 @@ def _mode1_base(ctx, cls, k):
             if fold(base, k) == cls:
                 return base
     return cls
-
-
-def theorem_conclusions_nondegenerate(
-    ctx: GammaContext, spectral: SpectralTable
-) -> DegreeReport:
-    """Existence report for the nondegenerate case (0 not in the spectrum)."""
-    return assemble_omega(ctx, spectral)
 
 
 def theorem_conclusions_resonant(

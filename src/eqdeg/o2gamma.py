@@ -29,8 +29,6 @@ from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc
 from .permgroup import Group, subgroup_lattice
 
-DEBUG_CHECK_SUBGROUPS = False
-
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
@@ -55,7 +53,6 @@ class GammaContext:
         self.n = group.order
         self.elems = list(group.elements)
         idx = {g: i for i, g in enumerate(self.elems)}
-        self._idx = idx
         self.identity = idx[group.identity]
         self.mult = [
             [idx[group.mul(a, b)] for b in self.elems] for a in self.elems
@@ -83,6 +80,7 @@ class GammaContext:
         self._ncount: dict = {}
         self._products: dict = {}
         self._key_of_set: dict = {}
+        self._degrees: dict = {}  # basic degrees, filled in by basicdeg
 
     @staticmethod
     def from_character_table(table: CharacterTable) -> "GammaContext":
@@ -102,26 +100,8 @@ class GammaContext:
         ctx.signed = signed
         return ctx
 
-    def exponent(self) -> int:
-        e = 1
-        for i in range(self.n):
-            k, x = 1, i
-            while x != self.identity:
-                x = self.mult[x][i]
-                k += 1
-            e = lcm(e, k)
-        return e
-
     def subgroup_class_index(self, kset: frozenset) -> int:
         return self._class_of_set[frozenset(kset)]
-
-    def subgroup_conjugates(self, kset: frozenset) -> list[frozenset]:
-        ci = self.subgroup_class_index(kset)
-        out = {
-            frozenset(self.conj[g][x] for x in kset) for g in range(self.n)
-        }
-        assert len(out) == self.lattice.classes[ci].class_size
-        return sorted(out, key=sorted)
 
     def class_sets(self) -> list[frozenset]:
         return list(self._set_of_class)
@@ -204,10 +184,9 @@ class GammaContext:
 class AmalgamatedClass:
     """One conjugacy class of closed subgroups of O(2) x Gamma'.
 
-    kind "fin": finite subgroup, elems = frozenset of (t, s, g).
-    kind "o2":  O(2) x K (isotropy shapes of mode-0 vectors; "G" itself is
-                the case K = Gamma').
-    kind "so2": SO(2) x K (only order/containment queries).
+    kind "fin": finite subgroup, elems = frozenset of (t, s, g), K = None.
+    kind "o2":  O(2) x K, elems = None (isotropy shapes of mode-0 vectors;
+                "G" itself is the case K = Gamma').
     """
 
     ctx: GammaContext
@@ -240,38 +219,36 @@ class AmalgamatedClass:
         """O(2)-projection as (kind, rotation order)."""
         if self.kind == "o2":
             return ("O2", 0)
-        if self.kind == "so2":
-            return ("SO2", 0)
         rot = {t for (t, s, g) in self.elems if s == 1}
         d = len(rot)
         return ("D", d) if self.is_dihedral() else ("Z", d)
 
     def k_part(self) -> frozenset:
-        if self.kind in ("o2", "so2"):
+        if self.kind == "o2":
             return self.K
         return frozenset(g for (_, _, g) in self.elems)
 
     def z_part(self) -> frozenset:
         """Elements of the O(2)-side kernel {h : (h, identity) in Sigma}."""
         e = self.ctx.identity
-        if self.kind in ("o2", "so2"):
+        if self.kind == "o2":
             return frozenset({"all"})
         return frozenset((t, s) for (t, s, g) in self.elems if g == e)
 
     def r_part(self) -> frozenset:
         """The Gamma'-side kernel {x : (identity_O2, x) in Sigma}."""
-        if self.kind in ("o2", "so2"):
+        if self.kind == "o2":
             return self.K
         return frozenset(g for (t, s, g) in self.elems if s == 1 and t == 0)
 
     def l_order(self) -> int:
-        if self.kind in ("o2", "so2"):
+        if self.kind == "o2":
             return 1
         return len(self.k_part()) // len(self.r_part())
 
     def fingerprint(self) -> tuple:
         """Structural identity used for acceptance matching and reports."""
-        if self.kind in ("o2", "so2"):
+        if self.kind == "o2":
             return (self.kind, len(self.K))
         hk, d = self.h_part()
         return (hk, 2 * d if hk == "D" else d, len(self.z_part()),
@@ -281,8 +258,6 @@ class AmalgamatedClass:
         ctx = self.ctx
         if self.kind == "o2":
             return f"O(2) x {ctx.subgroup_name(self.K)}" if len(self.K) < ctx.n else "G"
-        if self.kind == "so2":
-            return f"SO(2) x {ctx.subgroup_name(self.K)}"
         hk, d = self.h_part()
         hname = f"{hk}{d}"
         z = self.z_part()
@@ -334,39 +309,32 @@ def _serialize(elems) -> tuple:
     return tuple(sorted((t.numerator, t.denominator, s, g) for (t, s, g) in elems))
 
 
+def _aligned_conjugates(ctx: GammaContext, elems: frozenset, a: Fraction):
+    """The conjugates of a finite subgroup, moved so a reflection axis sits at a.
+
+    One conjugate per (kappa twist, reflection axis b, g in Gamma'): twist,
+    shift axis b onto a, conjugate by g.  A rotation-only subgroup has no
+    axis and is taken as is.  The twist and shift loops sit outside the
+    Gamma' loop, so each call shifts only 2 * |axes| element sets.
+    """
+    for base in (elems, _kappa_conj(elems)):
+        for b in sorted({t for (t, s, _) in base if s == -1}) or [a]:
+            aligned = _shift_refl(base, a - b)
+            for g in range(ctx.n):
+                yield _gamma_conj(ctx, aligned, g)
+
+
 def _fin_key(ctx: GammaContext, elems: frozenset) -> tuple:
     cached = ctx._key_of_set.get(elems)
     if cached is not None:
         return cached
-    best = None
-    for kappa in (False, True):
-        base = _kappa_conj(elems) if kappa else elems
-        axes = sorted({t for (t, s, g) in base if s == -1}) or [ZERO]
-        for a in axes:
-            aligned = _shift_refl(base, -a)
-            for g in range(ctx.n):
-                cand = _serialize(_gamma_conj(ctx, aligned, g))
-                if best is None or cand < best:
-                    best = cand
-    key = ("fin", best)
+    key = ("fin", min(map(_serialize, _aligned_conjugates(ctx, elems, ZERO))))
     ctx._key_of_set[elems] = key
     return key
 
 
-def _assert_subgroup(ctx, elems):
-    if not DEBUG_CHECK_SUBGROUPS:
-        return
-    ident = (ZERO, 1, ctx.identity)
-    assert ident in elems
-    for a in elems:
-        assert elem_inv(ctx, a) in elems
-        for b in elems:
-            assert elem_mul(ctx, a, b) in elems
-
-
 def make_fin(ctx: GammaContext, elems) -> AmalgamatedClass:
     elems = frozenset(elems)
-    _assert_subgroup(ctx, elems)
     key = _fin_key(ctx, elems)
     cached = ctx._interned.get(key)
     if cached is None:
@@ -377,22 +345,12 @@ def make_fin(ctx: GammaContext, elems) -> AmalgamatedClass:
 
 def make_o2(ctx: GammaContext, kset) -> AmalgamatedClass:
     kset = frozenset(kset)
-    members = ctx.subgroup_conjugates(kset)
-    key = ("o2", tuple(sorted(min(members, key=sorted))))
+    # the lattice's representative is the least conjugate in element order
+    rep = ctx._set_of_class[ctx.subgroup_class_index(kset)]
+    key = ("o2", tuple(sorted(rep)))
     cached = ctx._interned.get(key)
     if cached is None:
         cached = AmalgamatedClass(ctx, "o2", None, kset, key)
-        ctx._interned[key] = cached
-    return cached
-
-
-def make_so2(ctx: GammaContext, kset) -> AmalgamatedClass:
-    kset = frozenset(kset)
-    members = ctx.subgroup_conjugates(kset)
-    key = ("so2", tuple(sorted(min(members, key=sorted))))
-    cached = ctx._interned.get(key)
-    if cached is None:
-        cached = AmalgamatedClass(ctx, "so2", None, kset, key)
         ctx._interned[key] = cached
     return cached
 
@@ -413,7 +371,7 @@ def fold(cls: AmalgamatedClass, p: int) -> AmalgamatedClass:
     """
     if p < 1:
         raise ValueError("fold index must be >= 1")
-    if p == 1 or cls.kind in ("o2", "so2"):
+    if p == 1 or cls.kind == "o2":
         return cls
     ctx = cls.ctx
     out = set()
@@ -440,7 +398,7 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     cached = ctx._fixdim.get(cache_key)
     if cached is not None:
         return cached
-    if cls.kind in ("o2", "so2"):
+    if cls.kind == "o2":
         if k >= 1:
             dim = 0
         else:
@@ -476,7 +434,7 @@ def _avg_char(ctx: GammaContext, l: int, kset) -> int:
 
 
 def weyl_is_finite(cls: AmalgamatedClass) -> bool:
-    if cls.kind in ("o2", "so2"):
+    if cls.kind == "o2":
         return True
     return cls.is_dihedral()
 
@@ -487,37 +445,16 @@ def weyl_order(cls: AmalgamatedClass) -> int:
     if cached is not None:
         return cached
     if cls.kind == "o2":
-        kset = frozenset(cls.K)
-        norm = sum(
-            1
-            for g in range(ctx.n)
-            if all(ctx.conj[g][x] in kset for x in kset)
-        )
-        w = norm // len(kset)
-    elif cls.kind == "so2":
-        kset = frozenset(cls.K)
-        norm = sum(
-            1
-            for g in range(ctx.n)
-            if all(ctx.conj[g][x] in kset for x in kset)
-        )
-        w = 2 * norm // len(kset)
+        w = ctx.lattice.weyl_order(ctx.subgroup_class_index(cls.K))
     else:
         if not cls.is_dihedral():
             raise InfiniteWeylError(
                 "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
             )
         elems = cls.elems
-        axes = cls.axes()
-        count = 0
-        for g in range(ctx.n):
-            base = _gamma_conj(ctx, elems, g)
-            for kappa in (False, True):
-                twisted = _kappa_conj(base) if kappa else base
-                tw_axes = {t for (t, s, _) in twisted if s == -1}
-                for delta in {(a - b) % 1 for a in axes for b in tw_axes}:
-                    if _shift_refl(twisted, delta) == elems:
-                        count += 1
+        count = sum(
+            1 for x in _aligned_conjugates(ctx, elems, cls.axes()[0]) if x == elems
+        )
         # each (shift, twist, gamma) action is realised by exactly two rotations
         w = 2 * count // len(elems)
     ctx._weyl[cls.key] = w
@@ -548,33 +485,18 @@ def _containment_count(c1, c2, count_all: bool) -> int:
 
 def _containment_count_raw(ctx, c1, c2, count_all):
     if c2.kind == "o2":
-        k1 = c1.k_part()
-        hits = [K for K in ctx.subgroup_conjugates(c2.K) if k1 <= K]
-        return len(hits)
-    if c2.kind == "so2":
-        if c1.kind == "o2" or (c1.kind == "fin" and c1.is_dihedral()):
-            return 0
-        k1 = c1.k_part()
-        return len([K for K in ctx.subgroup_conjugates(c2.K) if k1 <= K])
-    if c1.kind in ("o2", "so2"):
+        ci = ctx.subgroup_class_index
+        return ctx.lattice.n_count(ci(c1.k_part()), ci(c2.K))
+    if c1.kind == "o2":
         return 0
     if not c1.is_dihedral():
         raise InfiniteWeylError("containment counts need a reflection in the smaller class")
     if c2.order % c1.order:
         return 0
-    a1 = c1.axes()[0]
-    targets = set()
-    for g in range(ctx.n):
-        base = _gamma_conj(ctx, c2.elems, g)
-        for kappa in (False, True):
-            twisted = _kappa_conj(base) if kappa else base
-            for b in sorted({t for (t, s, _) in twisted if s == -1}):
-                cand = _shift_refl(twisted, a1 - b)
-                if c1.elems <= cand:
-                    if not count_all:
-                        return 1
-                    targets.add(cand)
-    return len(targets)
+    hits = (x for x in _aligned_conjugates(ctx, c2.elems, c1.axes()[0]) if c1.elems <= x)
+    if count_all:
+        return len(set(hits))
+    return int(any(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +603,14 @@ def group_isomorphisms(ea, mula, eb, mulb) -> list[dict]:
 
 
 def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
-    out = []
-    for sub in ctx.lattice.group.subgroups():
-        sidx = frozenset(ctx._idx[g] for g in sub)
-        if sidx <= kset and all(
-            ctx.conj[g][x] in sidx for g in kset for x in sidx
-        ):
-            out.append(sidx)
-    return out
+    out = [
+        sub
+        for sub in ctx._class_of_set
+        if sub <= kset and all(ctx.conj[g][x] in sub for g in kset for x in sub)
+    ]
+    # the order of Group.subgroups(), so that candidates are found, and their
+    # element sets interned, in a fixed order
+    return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 
 
 def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
@@ -701,7 +623,7 @@ def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
         ctx._mode1 = cached
         return cached
     found: dict = {}
-    exp = ctx.exponent()
+    exp = ctx.group.exponent()
 
     def record(elems):
         cls = make_fin(ctx, elems)
@@ -991,7 +913,10 @@ def _product_fin_fin(ctx, c1, c2) -> dict:
                 for cand in (phi, (phi + HALF) % 1):
                     buckets.setdefault(cand, []).append((alpha, -1, c))
         for phi, refls in buckets.items():
-            assert (phi * m_grid).denominator == 1
+            if (phi * m_grid).denominator != 1:
+                raise ArithmeticError(
+                    f"reflection offset {phi} is off the 1/{m_grid} grid"
+                )
             inter = rot_part | frozenset(refls)
             weights[inter] = weights.get(inter, 0) + len(inter)
     total = len(a_elems) * len(b_elems)

@@ -221,17 +221,6 @@ class Group:
     def normalizer_order(self, sub: frozenset[Perm]) -> int:
         return sum(1 for g in self.elements if all(self.conj(g, x) in sub for x in sub))
 
-    def is_subgroup_set(self, sub: frozenset[Perm]) -> bool:
-        return self.identity in sub and all(p_mul(a, b) in sub for a in sub for b in sub)
-
-
-def direct_product(a: Group, b: Group) -> Group:
-    """Direct product acting on the disjoint union of the two point sets."""
-    da, db = a.degree, b.degree
-    gens = [g + tuple(range(da, da + db)) for g in a.generators]
-    gens += [tuple(range(da)) + tuple(x + da for x in g) for g in b.generators]
-    return Group.make(gens, cap=DEFAULT_ORDER_CAP)
-
 
 @dataclass(frozen=True)
 class SubgroupClass:
@@ -262,6 +251,8 @@ class SubgroupClassLattice:
     leq: list[list[bool]] = field(default_factory=list)
     nHK: list[list[int]] = field(default_factory=list)
     _class_of: dict[frozenset, int] = field(default_factory=dict)
+    # Burnside products of class pairs, filled in by burnside.mult_classes
+    products: dict = field(default_factory=dict, repr=False, compare=False)
 
     def class_of(self, sub: frozenset[Perm]) -> int:
         return self._class_of[frozenset(sub)]
@@ -341,11 +332,3 @@ def _class_names(classes: list[SubgroupClass]) -> list[str]:
         else:
             names.append(base)
     return names
-
-
-def n_count(lattice: SubgroupClassLattice, h: int, k: int) -> int:
-    return lattice.n_count(h, k)
-
-
-def weyl_order(lattice: SubgroupClassLattice, h: int) -> int:
-    return lattice.weyl_order(h)

@@ -155,3 +155,13 @@ def test_signed_group_real_type_guard():
     sg.require_real_type(0)
     with pytest.raises(CharacterError):
         sg.require_real_type(1)
+
+
+def test_class_lookup_survives_freed_tables():
+    # tables are built and freed in turn, so a new table may take the
+    # address of a freed one; its class lookup must still be its own
+    for i in range(100):
+        table = bundled_table("D4" if i % 2 == 0 else "Z8")
+        for g in table.group.elements:
+            assert 0 <= table.class_of(g) < table.n_classes
+        del table

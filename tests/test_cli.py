@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,12 @@ from eqdeg.cli import (
     run_analyze,
     validate_report,
 )
+
+
+def report_sha256(result):
+    """sha256 of the report.json bytes that ``eqdeg analyze`` writes."""
+    data = json.dumps(result.report_json(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(data.encode()).hexdigest()
 
 
 def d1_config(mu_values=("-2", "-2")):
@@ -62,6 +69,9 @@ def test_degenerate_with_s_runs_parity_route():
     assert result2.exit_code == EXIT_OK
     assert result2.report.omega is None
     assert all(c.mode % 2 == 1 for c in result2.report.conclusions)
+    assert report_sha256(result2) == (
+        "4b7ba9ae904b071d7c7afdb673157a2b6463377504f2b835a76fe0a90ef5b914"
+    )
 
 
 def test_malformed_json_exit_code(tmp_path):
@@ -125,6 +135,10 @@ def test_reports_are_byte_stable(tmp_path):
         assert main(["analyze", str(path), "--out", str(out), "--json-only"]) == EXIT_OK
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
+    # the bytes are also pinned across versions of the engine
+    assert hashlib.sha256(outs[0]).hexdigest() == (
+        "c05073bf3696cef54ebdbc4a849b30ecd29fd46348ffbf063019216a2cfa5581"
+    )
 
 
 def test_console_script_help():
@@ -144,6 +158,9 @@ def test_bundled_example_full_run():
     payload = result.report_json()
     assert validate_report(payload) == []
     assert len(payload["spectrum"]["negative_blocks"]) == 11
+    assert report_sha256(result) == (
+        "62288c5e51f52e737983e886e163e04719c7e86f8e4381fe4c7438164779d03b"
+    )
 
 
 def test_verify_subcommand_small(tmp_path, capsys):
@@ -184,3 +201,6 @@ def test_triangle_network_pipeline():
     assert modes == {1}
     for c in result.report.conclusions:
         assert abs(c.coefficient) == c.x_o != 0
+    assert report_sha256(result) == (
+        "bd0606081e97b371c44bb734ee60a4512d1c2b1eda0cc3fbff16f0d680be6abf"
+    )

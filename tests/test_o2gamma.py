@@ -17,7 +17,6 @@ from eqdeg.o2gamma import (
     full_group,
     make_fin,
     make_o2,
-    make_so2,
     maximal_orbit_types,
     mode1_candidates,
     n_count_amalgam,
@@ -63,8 +62,6 @@ def test_full_group_and_so2_weyl(d6ctx):
     g = full_group(d6ctx)
     assert weyl_order(g) == 1
     assert weyl_is_finite(g)
-    so2 = make_so2(d6ctx, frozenset(range(d6ctx.n)))
-    assert weyl_order(so2) == 2
     assert fixed_dim(g, 1, 4) == 0
 
 
