@@ -36,6 +36,7 @@ from .ddedeg import (
     SpectralTable,
     assemble_omega,
     default_k_max,
+    require_real_components,
     theorem_conclusions_resonant,
 )
 from .o2gamma import GammaContext, weyl_order
@@ -285,8 +286,8 @@ class AnalysisResult:
 
 
 # The front half of the pipeline, shared by `analyze` and `spectrum`, in two
-# steps: `analyze` rejects components of complex type between them, before
-# the linearization is projected onto them.
+# steps: `analyze` rejects components of complex type between them, also
+# when the linearization is given as mu values, which `spectrum` accepts.
 
 
 def _decompose(config):
@@ -308,11 +309,7 @@ def _spectral_table(config, table, decomposition, k_max=None, tol=None):
 
 def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
     table, decomposition = _decompose(config)
-    for l, mult in enumerate(decomposition.multiplicities):
-        if mult and not table.real_type[l]:
-            raise ConfigError(
-                f"component {l + 1} is not of real type; unsupported"
-            )
+    require_real_components(table, decomposition)
     lin, spectral = _spectral_table(config, table, decomposition, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)

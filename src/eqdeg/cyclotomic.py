@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -85,19 +85,11 @@ class Cyc:
         if n <= 0:
             raise ValueError("order must be positive")
         k %= n
-        from math import gcd
-
         g = gcd(k, n)
         k, n = k // g, n // g
         poly = [Fraction(0)] * (k + 1)
         poly[k] = Fraction(1)
         return Cyc(n, _reduce(poly, n))
-
-    @staticmethod
-    def root_turn(t: Fraction) -> "Cyc":
-        """exp(2*pi*i*t) for rational t."""
-        t = Fraction(t) % 1
-        return Cyc.root_of_unity(t.numerator, t.denominator)
 
     @staticmethod
     def cos_turn(t: Fraction) -> "Cyc":
@@ -179,9 +171,24 @@ class Cyc:
         return self._lift(n) == other._lift(n)
 
     def __hash__(self):
-        # values are only hash-stable once rational; irrational values hash
-        # by their minimal stored form, which is unique per order
-        return hash((self.order, self.coeffs))
+        # equal values stored at different orders must hash alike, so hash
+        # an invariant of the value: its mean over the Galois conjugates,
+        # which is the value itself when it is rational
+        return hash(self._galois_mean())
+
+    def _galois_mean(self) -> Fraction:
+        """Trace over Q divided by the degree phi(order).
+
+        The trace of zeta_n^i is mu(m) * phi(n) / phi(m) with
+        m = n / gcd(i, n), and mu(m) = -(coefficient of x^(phi(m) - 1) in
+        Phi_m), so the mean is the same at every order the value lifts to.
+        """
+        total = Fraction(0)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                cp = cyclotomic_polynomial(self.order // gcd(i, self.order))
+                total += c * Fraction(-cp[-2], len(cp) - 1)
+        return total
 
     def __repr__(self):
         if self.is_rational():

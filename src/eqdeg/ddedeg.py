@@ -45,6 +45,18 @@ class DegenerateSpectrumError(ValueError):
     """0 is an eigenvalue of the linearized operator."""
 
 
+class ComplexTypeError(ValueError):
+    """An isotypic component of the network is not of real type."""
+
+
+def require_real_components(table: CharacterTable, decomposition: IsotypicDecomposition):
+    """Reject a network with a component of complex type; the theory and
+    the exact projectors cover real-type components only."""
+    for l, mult in enumerate(decomposition.multiplicities):
+        if mult and not table.real_type[l]:
+            raise ComplexTypeError(f"component {l + 1} is not of real type; unsupported")
+
+
 @dataclass
 class LinearizationData:
     """Scalar values mu_j^l of the linearization on each isotypic component.
@@ -83,7 +95,8 @@ class LinearizationData:
         """Extract mu_j^l from raw matrices by isotypic projection.
 
         Each matrix must act as a scalar on every component present in the
-        decomposition; a non-scalar block is rejected.
+        decomposition; a non-scalar block is rejected, and so is a component
+        of complex type, whose projector has no rational entries.
         """
         exact = all(
             isinstance(v, (int, Fraction)) for mat in matrices for row in mat for v in row
@@ -93,6 +106,7 @@ class LinearizationData:
         for mat in matrices:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError("linearization matrices must match the network size")
+        require_real_components(table, decomposition)
         mu: dict[int, tuple] = {}
         for l, mult in enumerate(decomposition.multiplicities):
             if mult == 0:

@@ -8,37 +8,33 @@ H/Z ~ K/R realised as an explicit element set
     Sigma = {(h, x) in H x K : pairing matches}.
 
 O(2) elements are handled symbolically and exactly: (t, +1) is the
-rotation by 2*pi*t and (t, -1) the reflection r_t * kappa, with t a
-Fraction mod 1.  Conjugation rules in O(2): rotations are central on
-rotations; conjugating by a rotation r_phi shifts every reflection
-parameter by 2*phi; conjugating by kappa negates parameters.  That makes
-all Dn with the same n conjugate, and Zn, SO(2), O(2) normal.
+rotation by 2*pi*t and (t, -1) the reflection r_t * kappa.  A finite
+subgroup lives on a grid of M points of the circle, so each class stores
+its elements as (u, s, g) with an integer 0 <= u < M and t = u/M, on the
+smallest grid M that holds them.  Conjugation rules in O(2): rotations are
+central on rotations; conjugating by a rotation r_phi shifts every
+reflection parameter by 2*phi; conjugating by kappa negates parameters.
+That makes all Dn with the same n conjugate, and Zn, SO(2), O(2) normal.
 
 Everything downstream (orbit types, Weyl orders, containment counts,
 Burnside products) reduces to finite exact computations on these element
-sets.
+sets; two classes on different grids are first lifted to the lcm grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from .burnside import mult_classes
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc
 from .permgroup import Group, subgroup_lattice
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
 
 class InfiniteWeylError(ValueError):
     pass
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +180,10 @@ class GammaContext:
 class AmalgamatedClass:
     """One conjugacy class of closed subgroups of O(2) x Gamma'.
 
-    kind "fin": finite subgroup, elems = frozenset of (t, s, g), K = None.
-    kind "o2":  O(2) x K, elems = None (isotropy shapes of mode-0 vectors;
-                "G" itself is the case K = Gamma').
+    kind "fin": finite subgroup, elems = frozenset of (u, s, g) on the grid
+                of `grid` points (t = u/grid), K = None.
+    kind "o2":  O(2) x K, elems = None, grid = 1 (isotropy shapes of mode-0
+                vectors; "G" itself is the case K = Gamma').
     """
 
     ctx: GammaContext
@@ -194,6 +191,7 @@ class AmalgamatedClass:
     elems: frozenset | None
     K: frozenset | None
     key: tuple
+    grid: int
 
     def __eq__(self, other):
         return isinstance(other, AmalgamatedClass) and self.key == other.key
@@ -209,8 +207,8 @@ class AmalgamatedClass:
             return len(self.elems)
         raise InfiniteWeylError("infinite subgroup has no order")
 
-    def axes(self) -> list[Fraction]:
-        return sorted({t for (t, s, g) in self.elems if s == -1})
+    def axes(self) -> list[int]:
+        return sorted({u for (u, s, g) in self.elems if s == -1})
 
     def is_dihedral(self) -> bool:
         return self.kind == "fin" and any(s == -1 for (_, s, _) in self.elems)
@@ -219,7 +217,7 @@ class AmalgamatedClass:
         """O(2)-projection as (kind, rotation order)."""
         if self.kind == "o2":
             return ("O2", 0)
-        rot = {t for (t, s, g) in self.elems if s == 1}
+        rot = {u for (u, s, g) in self.elems if s == 1}
         d = len(rot)
         return ("D", d) if self.is_dihedral() else ("Z", d)
 
@@ -233,13 +231,13 @@ class AmalgamatedClass:
         e = self.ctx.identity
         if self.kind == "o2":
             return frozenset({"all"})
-        return frozenset((t, s) for (t, s, g) in self.elems if g == e)
+        return frozenset((u, s) for (u, s, g) in self.elems if g == e)
 
     def r_part(self) -> frozenset:
         """The Gamma'-side kernel {x : (identity_O2, x) in Sigma}."""
         if self.kind == "o2":
             return self.K
-        return frozenset(g for (t, s, g) in self.elems if s == 1 and t == 0)
+        return frozenset(g for (u, s, g) in self.elems if s == 1 and u == 0)
 
     def l_order(self) -> int:
         if self.kind == "o2":
@@ -261,7 +259,7 @@ class AmalgamatedClass:
         hk, d = self.h_part()
         hname = f"{hk}{d}"
         z = self.z_part()
-        rz = sum(1 for (t, s) in z if s == 1)
+        rz = sum(1 for (u, s) in z if s == 1)
         fz = len(z) - rz
         if fz:
             zname = f"D{rz}"
@@ -276,40 +274,42 @@ class AmalgamatedClass:
         return f"{hname} ^{zname} x_{lname} ^{rname} {kname}"
 
 
-# -- O(2) x Gamma' element algebra (t, s, g) --------------------------------
+# -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --
 
 
-def elem_mul(ctx: GammaContext, a, b):
-    t1, s1, g1 = a
-    t2, s2, g2 = b
-    return ((t1 + t2 if s1 == 1 else t1 - t2) % 1, s1 * s2, ctx.mult[g1][g2])
+def _common_grid(c1: AmalgamatedClass, c2: AmalgamatedClass):
+    """Both element sets on the lcm of their grids, and that grid."""
+    m = lcm(c1.grid, c2.grid)
+
+    def lift(cls):
+        f = m // cls.grid
+        return cls.elems if f == 1 else frozenset((u * f, s, g) for (u, s, g) in cls.elems)
+
+    return lift(c1), lift(c2), m
 
 
-def elem_inv(ctx: GammaContext, a):
-    t, s, g = a
-    return ((-t) % 1 if s == 1 else t, s, ctx.inv[g])
+def _kappa_conj(elems, grid):
+    return frozenset(((-u) % grid, s, g) for (u, s, g) in elems)
 
 
-def _kappa_conj(elems):
-    return frozenset(((-t) % 1, s, g) for (t, s, g) in elems)
-
-
-def _shift_refl(elems, delta):
+def _shift_refl(elems, delta, grid):
     return frozenset(
-        ((t + delta) % 1, s, g) if s == -1 else (t, s, g) for (t, s, g) in elems
+        ((u + delta) % grid, s, g) if s == -1 else (u, s, g) for (u, s, g) in elems
     )
 
 
 def _gamma_conj(ctx, elems, g):
     tab = ctx.conj[g]
-    return frozenset((t, s, tab[x]) for (t, s, x) in elems)
+    return frozenset((u, s, tab[x]) for (u, s, x) in elems)
 
 
-def _serialize(elems) -> tuple:
-    return tuple(sorted((t.numerator, t.denominator, s, g) for (t, s, g) in elems))
+def _serialize(elems, turns) -> tuple:
+    """Elements as sorted (numerator, denominator, s, g), where turns[u] is
+    t = u/M in lowest terms; independent of the grid M the set is on."""
+    return tuple(sorted((*turns[u], s, g) for (u, s, g) in elems))
 
 
-def _aligned_conjugates(ctx: GammaContext, elems: frozenset, a: Fraction):
+def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int, a: int):
     """The conjugates of a finite subgroup, moved so a reflection axis sits at a.
 
     One conjugate per (kappa twist, reflection axis b, g in Gamma'): twist,
@@ -317,28 +317,33 @@ def _aligned_conjugates(ctx: GammaContext, elems: frozenset, a: Fraction):
     axis and is taken as is.  The twist and shift loops sit outside the
     Gamma' loop, so each call shifts only 2 * |axes| element sets.
     """
-    for base in (elems, _kappa_conj(elems)):
-        for b in sorted({t for (t, s, _) in base if s == -1}) or [a]:
-            aligned = _shift_refl(base, a - b)
+    for base in (elems, _kappa_conj(elems, grid)):
+        for b in sorted({u for (u, s, _) in base if s == -1}) or [a]:
+            aligned = _shift_refl(base, a - b, grid)
             for g in range(ctx.n):
                 yield _gamma_conj(ctx, aligned, g)
 
 
-def _fin_key(ctx: GammaContext, elems: frozenset) -> tuple:
-    cached = ctx._key_of_set.get(elems)
+def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
+    cached = ctx._key_of_set.get((elems, grid))
     if cached is not None:
         return cached
-    key = ("fin", min(map(_serialize, _aligned_conjugates(ctx, elems, ZERO))))
-    ctx._key_of_set[elems] = key
+    turns = [(u // gcd(u, grid), grid // gcd(u, grid)) for u in range(grid)]
+    conjugates = _aligned_conjugates(ctx, elems, grid, 0)
+    key = ("fin", min(_serialize(x, turns) for x in conjugates))
+    ctx._key_of_set[(elems, grid)] = key
     return key
 
 
-def make_fin(ctx: GammaContext, elems) -> AmalgamatedClass:
-    elems = frozenset(elems)
-    key = _fin_key(ctx, elems)
+def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
+    """The class of the finite subgroup with elements (u, s, g), t = u/grid."""
+    c = gcd(grid, *(u for (u, _, _) in elems))
+    elems = frozenset((u // c, s, g) for (u, s, g) in elems)
+    grid //= c
+    key = _fin_key(ctx, elems, grid)
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = AmalgamatedClass(ctx, "fin", elems, None, key)
+        cached = AmalgamatedClass(ctx, "fin", elems, None, key, grid)
         ctx._interned[key] = cached
     return cached
 
@@ -350,7 +355,7 @@ def make_o2(ctx: GammaContext, kset) -> AmalgamatedClass:
     key = ("o2", tuple(sorted(rep)))
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = AmalgamatedClass(ctx, "o2", None, kset, key)
+        cached = AmalgamatedClass(ctx, "o2", None, kset, key, 1)
         ctx._interned[key] = cached
     return cached
 
@@ -373,12 +378,10 @@ def fold(cls: AmalgamatedClass, p: int) -> AmalgamatedClass:
         raise ValueError("fold index must be >= 1")
     if p == 1 or cls.kind == "o2":
         return cls
-    ctx = cls.ctx
-    out = set()
-    for (t, s, g) in cls.elems:
-        for j in range(p):
-            out.add(((t + j) / p % 1, s, g))
-    return make_fin(ctx, out)
+    # t -> (t + j)/p for every j: u on grid M -> u + j*M on grid p*M
+    m = cls.grid
+    out = {(u + j * m, s, g) for (u, s, g) in cls.elems for j in range(p)}
+    return make_fin(cls.ctx, out, p * m)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +409,10 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     elif k == 0:
         dim = _avg_char(ctx, l, cls.k_part())
     else:
-        rot = [(t, g) for (t, s, g) in cls.elems if s == 1]
+        rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
         total = Cyc.rational(0)
-        for (t, g) in rot:
-            total = total + Cyc.root_turn((-k * t) % 1) * ctx.char_value(l, g)
+        for (u, g) in rot:
+            total = total + Cyc.root_of_unity(-k * u, cls.grid) * ctx.char_value(l, g)
         total = total * Fraction(1, len(rot))
         cdim = total.as_fraction()
         if cdim.denominator != 1:
@@ -452,9 +455,8 @@ def weyl_order(cls: AmalgamatedClass) -> int:
                 "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
             )
         elems = cls.elems
-        count = sum(
-            1 for x in _aligned_conjugates(ctx, elems, cls.axes()[0]) if x == elems
-        )
+        conjugates = _aligned_conjugates(ctx, elems, cls.grid, cls.axes()[0])
+        count = sum(1 for x in conjugates if x == elems)
         # each (shift, twist, gamma) action is realised by exactly two rotations
         w = 2 * count // len(elems)
     ctx._weyl[cls.key] = w
@@ -493,7 +495,9 @@ def _containment_count_raw(ctx, c1, c2, count_all):
         raise InfiniteWeylError("containment counts need a reflection in the smaller class")
     if c2.order % c1.order:
         return 0
-    hits = (x for x in _aligned_conjugates(ctx, c2.elems, c1.axes()[0]) if c1.elems <= x)
+    small, big, grid = _common_grid(c1, c2)
+    axis = c1.axes()[0] * (grid // c1.grid)
+    hits = (x for x in _aligned_conjugates(ctx, big, grid, axis) if small <= x)
     if count_all:
         return len(set(hits))
     return int(any(hits))
@@ -501,105 +505,6 @@ def _containment_count_raw(ctx, c1, c2, count_all):
 
 # ---------------------------------------------------------------------------
 # candidate enumeration at the base Fourier mode
-
-
-def _dihedral_o2_group(d: int) -> tuple[list, dict]:
-    elems = [(Fraction(j, d) % 1, s) for j in range(d) for s in (1, -1)]
-
-    def mul(a, b):
-        t1, s1 = a
-        t2, s2 = b
-        return ((t1 + t2 if s1 == 1 else t1 - t2) % 1, s1 * s2)
-
-    return elems, mul
-
-
-def group_isomorphisms(ea, mula, eb, mulb) -> list[dict]:
-    """All isomorphisms between two small finite groups given elementwise."""
-    if len(ea) != len(eb):
-        return []
-
-    def find_identity(elems, mul):
-        return next(e for e in elems if all(mul(e, x) == x for x in elems))
-
-    ida, idb = find_identity(ea, mula), find_identity(eb, mulb)
-
-    def order_of(x, mul, ident):
-        k, y = 1, x
-        while y != ident:
-            y = mul(y, x)
-            k += 1
-        return k
-
-    orda = {x: order_of(x, mula, ida) for x in ea}
-    ordb = {x: order_of(x, mulb, idb) for x in eb}
-    if sorted(orda.values()) != sorted(ordb.values()):
-        return []
-
-    def closure(gens, elems, mul, ident):
-        out = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mul(x, g)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
-
-    gens = []
-    generated = {ida}
-    for x in sorted(ea, key=lambda x: -orda[x]):
-        if x not in generated:
-            gens.append(x)
-            generated = closure(gens, ea, mula, ida)
-            if len(generated) == len(ea):
-                break
-
-    # express every element as a word reachable from the generators
-    parents = {ida: None}
-    order_bfs = [ida]
-    i = 0
-    while i < len(order_bfs):
-        x = order_bfs[i]
-        i += 1
-        for gi, g in enumerate(gens):
-            y = mula(x, g)
-            if y not in parents:
-                parents[y] = (x, gi)
-                order_bfs.append(y)
-
-    isos = []
-
-    def assign(maps):
-        image = {ida: idb}
-        for x in order_bfs[1:]:
-            px, gi = parents[x]
-            image[x] = mulb(image[px], maps[gi])
-        if len(set(image.values())) != len(eb):
-            return None
-        for a in ea:
-            for b in ea:
-                if image[mula(a, b)] != mulb(image[a], image[b]):
-                    return None
-        return image
-
-    def backtrack(pos, chosen):
-        if pos == len(gens):
-            image = assign(chosen)
-            if image is not None:
-                isos.append(image)
-            return
-        want = orda[gens[pos]]
-        for cand in eb:
-            if ordb[cand] == want:
-                backtrack(pos + 1, chosen + [cand])
-
-    backtrack(0, [])
-    return isos
 
 
 def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
@@ -611,108 +516,6 @@ def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
     # the order of Group.subgroups(), so that candidates are found, and their
     # element sets interned, in a fixed order
     return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
-
-
-def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
-    """All classes that can be isotropy of a nonzero mode-1 vector and have
-    a reflection in the O(2)-part (equivalently, finite Weyl group)."""
-    if ctx._mode1 is not None:
-        return ctx._mode1
-    cached = _load_candidate_cache(ctx)
-    if cached is not None:
-        ctx._mode1 = cached
-        return cached
-    found: dict = {}
-    exp = ctx.group.exponent()
-
-    def record(elems):
-        cls = make_fin(ctx, elems)
-        found[cls.key] = cls
-
-    class_sets = ctx.class_sets()
-    normal_cache = {kset: _normal_subgroups_of(ctx, kset) for kset in class_sets}
-
-    # pattern A: trivial O(2)-side kernel, L isomorphic to the dihedral part
-    for d in divisors(exp):
-        h_elems, h_mul = _dihedral_o2_group(d)
-        for kset in class_sets:
-            for rset in normal_cache[kset]:
-                if len(kset) != 2 * d * len(rset):
-                    continue
-                cosets = _cosets_of(ctx, kset, rset)
-                qmul = _coset_mul(ctx, cosets)
-                for iso in group_isomorphisms(
-                    h_elems, h_mul, list(cosets), qmul
-                ):
-                    elems = set()
-                    for h, coset in iso.items():
-                        t, s = h
-                        for x in coset:
-                            elems.add((t, s, x))
-                    record(elems)
-
-    # pattern B: O(2)-side kernel D1 = {1, kappa}; forces H in {D1, D2}
-    for kset in class_sets:
-        record({(ZERO, s, x) for s in (1, -1) for x in kset})
-        for rset in normal_cache[kset]:
-            if len(kset) != 2 * len(rset):
-                continue
-            elems = {(ZERO, s, x) for s in (1, -1) for x in rset}
-            elems |= {(HALF, s, x) for s in (1, -1) for x in kset - rset}
-            record(elems)
-
-    out = sorted(found.values(), key=lambda c: (-c.order, c.key))
-    ctx._mode1 = out
-    _store_candidate_cache(ctx, out)
-    return out
-
-
-def _cache_path(ctx):
-    import hashlib
-    import os
-    from pathlib import Path
-
-    cache_dir = os.environ.get("EQDEG_CACHE_DIR")
-    if not cache_dir:
-        return None
-    blob = repr((ctx.group.elements, [tuple(map(repr, row)) for row in ctx.chars]))
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
-    return Path(cache_dir) / f"mode1-{digest}.json"
-
-
-def _load_candidate_cache(ctx):
-    import json
-
-    path = _cache_path(ctx)
-    if path is None or not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    out = []
-    for elems in payload:
-        out.append(
-            make_fin(
-                ctx,
-                {(Fraction(num, den), s, g) for (num, den, s, g) in elems},
-            )
-        )
-    return out
-
-
-def _store_candidate_cache(ctx, classes) -> None:
-    import json
-
-    path = _cache_path(ctx)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [
-        sorted((t.numerator, t.denominator, s, g) for (t, s, g) in cls.elems)
-        for cls in classes
-    ]
-    path.write_text(json.dumps(payload))
 
 
 def _cosets_of(ctx, kset, rset) -> list[frozenset]:
@@ -727,16 +530,72 @@ def _cosets_of(ctx, kset, rset) -> list[frozenset]:
     return cosets
 
 
-def _coset_mul(ctx, cosets):
-    lookup = {}
-    for c in cosets:
-        for x in c:
-            lookup[x] = c
+def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
+    """Every isomorphism D_d -> K/R with |K/R| = 2d, as an element set on
+    the grid d.
 
-    def mul(a, b):
-        return lookup[ctx.mult[min(a)][min(b)]]
+    An isomorphism is fixed by the images rho of the rotation r_{1/d} and
+    sigma of kappa: rho of order d, sigma an involution outside <rho> with
+    sigma rho sigma = rho^-1.  The rotation r_{j/d} pairs with the coset
+    rho^j and the reflection r_{j/d} kappa with rho^j sigma.
+    """
+    cosets = _cosets_of(ctx, kset, rset)
+    d, odd = divmod(len(cosets), 2)
+    if odd:
+        return
+    coset_of = {x: ci for ci, coset in enumerate(cosets) for x in coset}
+    mult, unit = ctx.mult, coset_of[ctx.identity]
+    reps = [min(coset) for coset in cosets]
+    for rho in reps:
+        powers = [ctx.identity]  # representatives of rho^0, rho^1, ...
+        while coset_of[mult[powers[-1]][rho]] != unit:
+            powers.append(mult[powers[-1]][rho])
+        if len(powers) != d:
+            continue
+        cyclic = {coset_of[x] for x in powers}
+        for sigma in reps:
+            if (
+                coset_of[sigma] in cyclic
+                or coset_of[mult[sigma][sigma]] != unit
+                or coset_of[mult[mult[sigma][rho]][mult[sigma][rho]]] != unit
+            ):
+                continue
+            elems = set()
+            for j, x in enumerate(powers):
+                elems |= {(j, 1, y) for y in cosets[coset_of[x]]}
+                elems |= {(j, -1, y) for y in cosets[coset_of[mult[x][sigma]]]}
+            yield elems, d
 
-    return mul
+
+def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
+    """All classes that can be isotropy of a nonzero mode-1 vector and have
+    a reflection in the O(2)-part (equivalently, finite Weyl group)."""
+    if ctx._mode1 is not None:
+        return ctx._mode1
+    found: dict = {}
+
+    def record(elems, grid):
+        cls = make_fin(ctx, elems, grid)
+        found[cls.key] = cls
+
+    for kset in ctx.class_sets():
+        normal = _normal_subgroups_of(ctx, kset)
+        # pattern A: trivial O(2)-side kernel, H = D_d paired with K/R
+        for rset in normal:
+            for elems, d in _dihedral_pairings(ctx, kset, rset):
+                record(elems, d)
+        # pattern B: O(2)-side kernel D1 = {1, kappa}; forces H in {D1, D2}
+        record({(0, s, x) for s in (1, -1) for x in kset}, 1)
+        for rset in normal:
+            if len(kset) != 2 * len(rset):
+                continue
+            elems = {(0, s, x) for s in (1, -1) for x in rset}
+            elems |= {(1, s, x) for s in (1, -1) for x in kset - rset}
+            record(elems, 2)
+
+    out = sorted(found.values(), key=lambda c: (-c.order, c.key))
+    ctx._mode1 = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -852,20 +711,10 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
 
 
 def _product_o2_o2(ctx, c1, c2) -> dict:
-    out: dict = {}
-    k1, k2 = c1.K, c2.K
-    seen = set()
-    for g in range(ctx.n):
-        coset_id = frozenset(
-            ctx.mult[a][ctx.mult[g][b]] for a in k1 for b in k2
-        )
-        if coset_id in seen:
-            continue
-        seen.add(coset_id)
-        inter = frozenset(x for x in k1 if ctx.conj[ctx.inv[g]][x] in k2)
-        cls = make_o2(ctx, inter)
-        out[cls] = out.get(cls, 0) + 1
-    return out
+    # (O(2) x K1) * (O(2) x K2) is the Burnside product (K1) * (K2) of Gamma'
+    ci = ctx.subgroup_class_index
+    prod = mult_classes(ctx.lattice, ci(c1.K), ci(c2.K))
+    return {make_o2(ctx, ctx._set_of_class[k]): m for k, m in prod.coeffs.items()}
 
 
 def _product_o2_fin(ctx, c_o2, c_fin) -> dict:
@@ -882,47 +731,42 @@ def _product_o2_fin(ctx, c_o2, c_fin) -> dict:
         seen.add(coset_id)
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
         inter = frozenset(
-            (t, s, x) for (t, s, x) in c_fin.elems if x in target
+            (u, s, x) for (u, s, x) in c_fin.elems if x in target
         )
         if any(s == -1 for (_, s, _) in inter):
-            cls = make_fin(ctx, inter)
+            cls = make_fin(ctx, inter, c_fin.grid)
             out[cls] = out.get(cls, 0) + 1
     return out
 
 
 def _product_fin_fin(ctx, c1, c2) -> dict:
-    a_elems, b_elems = c1.elems, c2.elems
-    a_rot = {(t, g) for (t, s, g) in a_elems if s == 1}
-    a_refl = [(t, g) for (t, s, g) in a_elems if s == -1]
-    b_rot = {(t, g) for (t, s, g) in b_elems if s == 1}
-    b_refl = [(t, g) for (t, s, g) in b_elems if s == -1]
-    m_grid = 2 * lcm(*[t.denominator for (t, _, _) in a_elems | b_elems])
+    a_elems, b_elems, grid = _common_grid(c1, c2)
+    a_rot = {(u, g) for (u, s, g) in a_elems if s == 1}
+    a_refl = [(u, g) for (u, s, g) in a_elems if s == -1]
+    b_rot = {(u, g) for (u, s, g) in b_elems if s == 1}
+    b_refl = [(u, g) for (u, s, g) in b_elems if s == -1]
     weights: dict = {}
     for g in range(ctx.n):
         conj_g = ctx.conj[g]
         inv_tab = ctx.conj[ctx.inv[g]]
         rot_part = frozenset(
-            (t, 1, x) for (t, x) in a_rot if (t, inv_tab[x]) in b_rot
+            (u, 1, x) for (u, x) in a_rot if (u, inv_tab[x]) in b_rot
         )
+        # a reflection of the first class meets a rotated copy of the second
+        # one's by the offset delta = alpha - beta; the rotations by delta/2
+        # and delta/2 + 1/2 give the same intersection, hence weight 2
         buckets: dict = {}
         for (alpha, c) in a_refl:
             for (beta, b) in b_refl:
-                if conj_g[b] != c:
-                    continue
-                phi = (alpha - beta) / 2 % 1
-                for cand in (phi, (phi + HALF) % 1):
-                    buckets.setdefault(cand, []).append((alpha, -1, c))
-        for phi, refls in buckets.items():
-            if (phi * m_grid).denominator != 1:
-                raise ArithmeticError(
-                    f"reflection offset {phi} is off the 1/{m_grid} grid"
-                )
+                if conj_g[b] == c:
+                    buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
+        for refls in buckets.values():
             inter = rot_part | frozenset(refls)
-            weights[inter] = weights.get(inter, 0) + len(inter)
+            weights[inter] = weights.get(inter, 0) + 2 * len(inter)
     total = len(a_elems) * len(b_elems)
     out: dict = {}
     for inter, weight in weights.items():
-        cls = make_fin(ctx, inter)
+        cls = make_fin(ctx, inter, grid)
         out[cls] = out.get(cls, 0) + weight
     result = {}
     for cls, weight in out.items():

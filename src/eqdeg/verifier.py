@@ -499,9 +499,9 @@ def class_matches_symmetries(
     found = {
         (sym.theta_turns, sym.reverse, sym.gamma, sym.sign) for sym in detected
     }
-    for (t, s, gidx) in cls.elems:
+    for (u, s, gidx) in cls.elems:
         perm, eps = perm_of_gamma_index(gidx)
-        key = (Fraction(t) % 1, s == -1, tuple(perm), eps)
+        key = (Fraction(u, cls.grid), s == -1, tuple(perm), eps)
         if key not in found:
             return False
     return True

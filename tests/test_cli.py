@@ -113,6 +113,22 @@ def test_spectrum_subcommand(tmp_path, capsys):
     assert "k=0" in out and "-" in out
 
 
+def test_spectrum_rejects_complex_type_matrices(tmp_path, capsys):
+    # Z3 on three nodes: the two nontrivial characters are of complex type
+    config = {
+        "group": "Z3",
+        "representation": "natural",
+        "delays": 1,
+        "linearization": {
+            "matrices": [[["-2", "0", "0"], ["0", "-2", "0"], ["0", "0", "-2"]]]
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["spectrum", str(path)]) == EXIT_INVALID
+    assert "not of real type" in capsys.readouterr().err
+
+
 def test_bundled_example_spectrum(capsys):
     path = bundled_example_path()
     assert path.exists()
@@ -204,3 +220,39 @@ def test_triangle_network_pipeline():
     assert report_sha256(result) == (
         "bd0606081e97b371c44bb734ee60a4512d1c2b1eda0cc3fbff16f0d680be6abf"
     )
+
+
+def three_delay_config(group, leading):
+    """mu[l] = [v_l, -1, -1] on every character row l of a preset group."""
+    mu = {str(l + 1): [v, "-1", "-1"] for l, v in enumerate(leading)}
+    return {
+        "group": group,
+        "representation": "natural",
+        "delays": 3,
+        "linearization": {"mu": mu},
+    }
+
+
+@pytest.mark.parametrize(
+    "group, leading, digest",
+    [
+        (
+            "D4",
+            ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2"],
+            "fbfb85fb726023739d0bf80d0b017991bc5910631315ab361549ffd8fcc508db",
+        ),
+        (
+            "S3",
+            ["-15/2", "-17/3", "-13/4"],
+            "ba8254f07d87c7c0041efa1fcc6895105828d03541adc9b6ac65a43d38eef9af",
+        ),
+    ],
+)
+def test_negative_blocks_at_modes_up_to_three_are_byte_stable(group, leading, digest):
+    # negative blocks at modes 0-3 fold classes by 3 and multiply classes
+    # whose reflection axes sit on grids of 2 and 3 points
+    result = run_analyze(three_delay_config(group, leading))
+    assert result.exit_code == EXIT_OK
+    modes = {k for (k, _, _) in result.spectral.negative_factors()}
+    assert {0, 1, 2, 3} <= modes
+    assert report_sha256(result) == digest

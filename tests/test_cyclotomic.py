@@ -62,3 +62,20 @@ def test_rational_cos_table_matches_symbolic():
             t = Fraction(num, den)
             assert Cyc.cos_turn(t) == Cyc.rational(rational_cos_turn(t))
     assert rational_cos_turn(Fraction(1, 5)) is None
+
+
+def test_hash_agrees_with_equality_across_orders():
+    z12 = Cyc.root_of_unity(1, 12)
+    i4 = Cyc.root_of_unity(1, 4)
+    mixed = z12 + (i4 - z12)  # equal to i, but stored at order 12
+    assert mixed == i4 and mixed.order != i4.order
+    assert hash(mixed) == hash(i4)
+    half = Fraction(1, 2)
+    assert Cyc.rational(half) == half and hash(Cyc.rational(half)) == hash(half)
+    assert hash(Cyc.rational(3)) == hash(3)
+    # every value written at a multiple of its order hashes as it did
+    for n in (3, 4, 5, 6, 8):
+        x = Cyc.root_of_unity(1, n) * 2 + Cyc.root_of_unity(n - 1, n) * Fraction(1, 3)
+        for m in (2, 3, 4):
+            lifted = Cyc(n * m, x._lift(n * m))
+            assert lifted == x and hash(lifted) == hash(x), (n, m)

@@ -1,16 +1,14 @@
-from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from eqdeg import o2gamma as og
-from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.chartab import bundled_table
 from eqdeg.o2gamma import (
     GammaContext,
     InfiniteWeylError,
     class_product,
-    elem_inv,
-    elem_mul,
     enumerate_candidate_classes,
     fixed_dim,
     fold,
@@ -26,26 +24,24 @@ from eqdeg.o2gamma import (
     weyl_order,
 )
 
-F = Fraction
-ZERO = F(0)
-
-
 @pytest.fixture(scope="module")
 def trivctx():
     # a bare trivial finite factor: the ambient group is just O(2)
     return GammaContext.from_character_table(bundled_table("Z1"))
 
 
-def test_o2_element_algebra(trivctx):
-    e = trivctx.identity
-    a = (F(1, 3), 1, e)
-    b = (F(1, 4), -1, e)
-    # rotation * rotation adds angles; reflection conjugation flips
-    assert elem_mul(trivctx, a, a) == (F(2, 3), 1, e)
-    assert elem_mul(trivctx, b, b) == (ZERO, 1, e)  # reflections are involutions
-    ident = (ZERO, 1, e)
-    for x in (a, b, elem_mul(trivctx, a, b)):
-        assert elem_mul(trivctx, x, elem_inv(trivctx, x)) == ident
+def test_o2_element_algebra(d6ctx):
+    # every stored element set is a subgroup of O(2) x Gamma' on the
+    # smallest grid that holds it: (u1, s1)(u2, s2) = (u1 + s1 * u2, s1 * s2)
+    classes = list(mode1_candidates(d6ctx))
+    classes += [fold(c, 3) for c in maximal_orbit_types(d6ctx, 1, 4)]
+    for cls in classes:
+        m, elems = cls.grid, cls.elems
+        assert gcd(m, *(u for (u, _, _) in elems)) == 1
+        for (u1, s1, g1) in elems:
+            for (u2, s2, g2) in elems:
+                prod = ((u1 + s1 * u2) % m, s1 * s2, d6ctx.mult[g1][g2])
+                assert prod in elems, cls.name()
 
 
 def test_trivial_gamma_mode1_candidates(trivctx):
@@ -67,7 +63,7 @@ def test_full_group_and_so2_weyl(d6ctx):
 
 def test_rotation_only_class_has_infinite_weyl(d6ctx):
     e = d6ctx.identity
-    cyc = make_fin(d6ctx, {(ZERO, 1, e), (F(1, 2), 1, e)})
+    cyc = make_fin(d6ctx, {(0, 1, e), (1, 1, e)}, 2)
     assert not weyl_is_finite(cyc)
     with pytest.raises(InfiniteWeylError):
         weyl_order(cyc)
@@ -211,9 +207,10 @@ def _component_basis(table, l):
     return u[:, :rank]
 
 
-def _real_action(ctx, table, basis, elem, k, l):
-    """Real 2d x 2d matrix of (t, s, gamma') on the complexified component."""
-    t, s, gidx = elem
+def _real_action(ctx, table, basis, elem, grid, k):
+    """Real 2d x 2d matrix of (u, s, gamma') on the complexified component,
+    where the O(2)-part turns by t = u/grid."""
+    u, s, gidx = elem
     gamma_part, eps = ctx.signed.parts(ctx.elems[gidx])
     n = table.group.degree
     perm = np.zeros((n, n))
@@ -221,7 +218,7 @@ def _real_action(ctx, table, basis, elem, k, l):
         perm[gamma_part[col], col] = 1.0
     m = basis.T @ perm @ basis * eps
     d = basis.shape[1]
-    angle = -2 * np.pi * k * float(t)
+    angle = -2 * np.pi * k * u / grid
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     big = np.kron(rot, m)
     if s == -1:
@@ -230,66 +227,77 @@ def _real_action(ctx, table, basis, elem, k, l):
     return big
 
 
+def _action_table(ctx, table, basis, k):
+    """Memoised _real_action for one block, keyed by (element, grid)."""
+    actions = {}
+
+    def act(elem, grid):
+        mat = actions.get((elem, grid))
+        if mat is None:
+            mat = _real_action(ctx, table, basis, elem, grid, k)
+            actions[(elem, grid)] = mat
+        return mat
+
+    return act
+
+
+def _realized_by_sampling(ctx, act, cls, cands, rng, samples):
+    """Sample points fixed by cls; a point is realised when no larger
+    candidate containing a conjugate of cls fixes it too."""
+    mats = [act(e, cls.grid) for e in cls.elems]
+    proj = sum(mats) / len(mats)
+    hits = []
+    for _ in range(samples):
+        x = proj @ rng.standard_normal(proj.shape[0])
+        if np.linalg.norm(x) < 1e-9:
+            continue
+        fixed_by_larger = False
+        for other in cands:
+            if other is cls or not subconjugate(cls, other):
+                continue
+            grid, conjugates = _conjugates_containing(ctx, cls, other)
+            for om in conjugates:
+                if all(
+                    np.linalg.norm(act(e, grid) @ x - x) < 1e-7 * max(1, np.linalg.norm(x))
+                    for e in om
+                ):
+                    fixed_by_larger = True
+                    break
+            if fixed_by_larger:
+                break
+        hits.append(not fixed_by_larger)
+    return any(hits)
+
+
 def test_numeric_isotropy_oracle_matches_orbit_types(d6ctx):
     table = bundled_table("D6")
     rng = np.random.default_rng(7)
     for l in (0, 4):
-        basis = _component_basis(table, l)
+        act = _action_table(d6ctx, table, _component_basis(table, l), 1)
         cands = [c for c in mode1_candidates(d6ctx) if fixed_dim(c, 1, l) > 0]
         realized = set(orbit_types(d6ctx, 1, l))
         for cls in cands:
-            mats = [_real_action(d6ctx, table, basis, e, 1, l) for e in cls.elems]
-            proj = sum(mats) / len(mats)
-            hits = []
-            for _ in range(4):
-                x = proj @ rng.standard_normal(proj.shape[0])
-                if np.linalg.norm(x) < 1e-9:
-                    continue
-                fixed_by_larger = False
-                for other in cands:
-                    if other is cls or not subconjugate(cls, other):
-                        continue
-                    for om in _conjugates_containing(d6ctx, cls, other):
-                        omats = [
-                            _real_action(d6ctx, table, basis, e, 1, l) for e in om
-                        ]
-                        if all(
-                            np.linalg.norm(m @ x - x) < 1e-7 * max(1, np.linalg.norm(x))
-                            for m in omats
-                        ):
-                            fixed_by_larger = True
-                            break
-                    if fixed_by_larger:
-                        break
-                hits.append(not fixed_by_larger)
-            sample_realized = any(hits)
+            sample_realized = _realized_by_sampling(d6ctx, act, cls, cands, rng, 4)
             assert sample_realized == (cls in realized), (l, cls.name())
 
 
 def _conjugates_containing(ctx, small, big):
+    """The conjugates of big that contain small, with both written on the
+    lcm of their grids; returns that grid and the conjugates."""
+    grid = lcm(small.grid, big.grid)
+    small_elems = {(u * grid // small.grid, s, g) for (u, s, g) in small.elems}
+    big_elems = {(u * grid // big.grid, s, g) for (u, s, g) in big.elems}
+    a1 = small.axes()[0] * grid // small.grid
     out = []
-    a1 = small.axes()[0]
     for g in range(ctx.n):
-        base = og._gamma_conj(ctx, big.elems, g)
+        base = og._gamma_conj(ctx, big_elems, g)
         for kappa in (False, True):
-            tw = og._kappa_conj(base) if kappa else base
-            for b in sorted({t for (t, s, _) in tw if s == -1}):
-                cand = og._shift_refl(tw, a1 - b)
-                if small.elems <= cand:
+            tw = og._kappa_conj(base, grid) if kappa else base
+            for b in sorted({u for (u, s, _) in tw if s == -1}):
+                cand = og._shift_refl(tw, a1 - b, grid)
+                if small_elems <= cand:
                     out.append(cand)
-    return out
-
-
-def test_candidate_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQDEG_CACHE_DIR", str(tmp_path))
-    table = bundled_table("D3")
-    ctx1 = GammaContext.from_signed_group(SignedGroup(table))
-    first = mode1_candidates(ctx1)
-    files = list(tmp_path.glob("mode1-*.json"))
-    assert len(files) == 1
-    ctx2 = GammaContext.from_signed_group(SignedGroup(table))
-    second = mode1_candidates(ctx2)
-    assert sorted(c.key for c in first) == sorted(c.key for c in second)
+    return grid, out
 
 
 def test_numeric_isotropy_oracle_mode_two(d6ctx):
@@ -297,30 +305,9 @@ def test_numeric_isotropy_oracle_mode_two(d6ctx):
     table = bundled_table("D6")
     rng = np.random.default_rng(13)
     l = 4
-    basis = _component_basis(table, l)
+    act = _action_table(d6ctx, table, _component_basis(table, l), 2)
     cands = [c for c in enumerate_candidate_classes(d6ctx, 2, l)]
     realized = set(orbit_types(d6ctx, 2, l))
     for cls in cands:
-        mats = [_real_action(d6ctx, table, basis, e, 2, l) for e in cls.elems]
-        proj = sum(mats) / len(mats)
-        hits = []
-        for _ in range(3):
-            x = proj @ rng.standard_normal(proj.shape[0])
-            if np.linalg.norm(x) < 1e-9:
-                continue
-            fixed_by_larger = False
-            for other in cands:
-                if other is cls or not subconjugate(cls, other):
-                    continue
-                for om in _conjugates_containing(d6ctx, cls, other):
-                    omats = [_real_action(d6ctx, table, basis, e, 2, l) for e in om]
-                    if all(
-                        np.linalg.norm(m @ x - x) < 1e-7 * max(1, np.linalg.norm(x))
-                        for m in omats
-                    ):
-                        fixed_by_larger = True
-                        break
-                if fixed_by_larger:
-                    break
-            hits.append(not fixed_by_larger)
-        assert any(hits) == (cls in realized), (l, cls.name())
+        sample_realized = _realized_by_sampling(d6ctx, act, cls, cands, rng, 3)
+        assert sample_realized == (cls in realized), (l, cls.name())
