@@ -191,10 +191,10 @@ class FourierSolution:
 
     def derivative(self) -> "FourierSolution":
         K = self.K
+        k = np.arange(1, K + 1)[:, None]
         out = np.zeros_like(self.coeffs)
-        for k in range(1, K + 1):
-            out[k] = k * self.coeffs[K + k]
-            out[K + k] = -k * self.coeffs[k]
+        out[1 : K + 1] = k * self.coeffs[K + 1 :]
+        out[K + 1 :] = -k * self.coeffs[1 : K + 1]
         return FourierSolution(K, out)
 
     def sup_norm(self, samples: int = 512) -> float:
@@ -234,17 +234,13 @@ class FourierSolution:
     def transformed(self, theta: float, reverse: bool, perm=None, sign: int = 1) -> "FourierSolution":
         """sign * perm applied to x(t + theta) (or x(-t + theta))."""
         K = self.K
-        out = np.zeros_like(self.coeffs)
+        k = np.arange(1, K + 1)[:, None]
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        u, v = self.coeffs[1 : K + 1], self.coeffs[K + 1 :]
+        out = np.empty_like(self.coeffs)
         out[0] = self.coeffs[0]
-        for k in range(1, K + 1):
-            u, v = self.coeffs[k], self.coeffs[K + k]
-            c, s = np.cos(k * theta), np.sin(k * theta)
-            if not reverse:
-                out[k] = c * u + s * v
-                out[K + k] = -s * u + c * v
-            else:
-                out[k] = c * u + s * v
-                out[K + k] = s * u - c * v
+        out[1 : K + 1] = c * u + s * v
+        out[K + 1 :] = s * u - c * v if reverse else c * v - s * u
         if perm is not None:
             out = out[:, perm_inverse_columns(perm)]
         return FourierSolution(K, sign * out)
@@ -314,6 +310,46 @@ class NewtonReport:
     message: str = ""
 
 
+# A solve counts as converged only if its 4K+1-grid sup residual is at most
+# this, whatever the mode-space norm says.
+SUP_RESIDUAL_TOL = 1e-6
+
+
+def _collocation(spec: SystemSpec, K: int):
+    """Projection P, P @ D2 and the m shifted bases stacked row-wise, on the
+    4K+1-point grid of a spec with period 2*pi."""
+    t = np.linspace(0, 2 * pi, 4 * K + 1, endpoint=False)
+    P = projection_matrix(K, t)
+    PD2 = P @ second_derivative_matrix(K, t)
+    Bs = np.concatenate(
+        [basis_matrix(K, t, shift=2 * pi * j / spec.m) for j in range(spec.m)]
+    )
+    return P, PD2, Bs
+
+
+def _mode_jacobian(
+    jac_pointwise: np.ndarray, P: np.ndarray, PD2: np.ndarray, Bs: np.ndarray
+) -> np.ndarray:
+    """Mode-space Jacobian J[:, c, :, d] = PD2 [c == d] - sum_j P diag(Df_j[c, d]) B_j.
+
+    jac_pointwise is d f / d args on the grid, shape (N, n, m*n).  The sum
+    over delay blocks j and grid points is one GEMM per (c, d) over the
+    stacked grid of length m*N, so no temporary is larger than P tiled m
+    times.
+    """
+    N, n, mn = jac_pointwise.shape
+    m = mn // n
+    M = P.shape[0]
+    Df = jac_pointwise.reshape(N, n, m, n).transpose(1, 3, 2, 0).reshape(n, n, m * N)
+    Ps = np.tile(P, m)
+    J = np.empty((M, n, M, n))
+    for c in range(n):
+        for d in range(n):
+            J[:, c, :, d] = -((Ps * Df[c, d]) @ Bs)
+        J[:, c, :, c] += PD2
+    return J
+
+
 def newton_solve(
     spec: SystemSpec,
     initial: FourierSolution,
@@ -325,18 +361,15 @@ def newton_solve(
     """Newton iteration on the mode-space projection of x'' - f(x_t) (+g).
 
     Returns the refined solution and a convergence report; non-convergence
-    is reported, never raised.
+    is reported, never raised.  Convergence needs both the mode-space norm
+    below tol and a grid sup residual of at most SUP_RESIDUAL_TOL.
     """
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
     K = initial.K
     n = spec.n
-    N = 4 * K + 1
-    t = np.linspace(0, 2 * pi, N, endpoint=False)
-    P = projection_matrix(K, t)
-    D2 = second_derivative_matrix(K, t)
-    PD2 = P @ D2
-    B = [basis_matrix(K, t, shift=2 * pi * j / spec.m) for j in range(spec.m)]
+    M = 2 * K + 1
+    P, PD2, Bs = _collocation(spec, K)
     g_modes = 0.0
     if forcing is not None:
         g_modes = P @ forcing
@@ -345,7 +378,7 @@ def newton_solve(
     history = []
 
     def mode_residual(c):
-        args = np.concatenate([B[j] @ c for j in range(spec.m)], axis=1)
+        args = np.hstack(np.split(Bs @ c, spec.m))
         return PD2 @ c - P @ spec.rhs(args) - g_modes, args
 
     for it in range(max_iter):
@@ -354,21 +387,18 @@ def newton_solve(
         history.append(norm)
         if norm < tol:
             sup = residual_with_forcing(spec, sol, forcing)
+            ok = sup <= SUP_RESIDUAL_TOL
+            message = "" if ok else (
+                f"mode-space norm {norm:.3g} < tol but grid sup residual "
+                f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
+            )
             return (
                 FourierSolution(K, sol.coeffs, sup),
-                NewtonReport(True, it, sup, history),
+                NewtonReport(ok, it, sup, history, message),
             )
-        jac_pointwise = spec.rhs_jacobian(args)
-        M = 2 * K + 1
-        J = np.zeros((M, n, M, n))
-        idx = np.arange(n)
-        J[:, idx, :, idx] += PD2[None, :, :]
-        for j in range(spec.m):
-            Df_j = jac_pointwise[:, :, j * n : (j + 1) * n]
-            J -= np.einsum("mi,icd,iv->mcvd", P, Df_j, B[j])
-        Jflat = J.reshape(M * n, M * n)
+        J = _mode_jacobian(spec.rhs_jacobian(args), P, PD2, Bs)
         try:
-            step = np.linalg.solve(Jflat, G.reshape(-1))
+            step = np.linalg.solve(J.reshape(M * n, M * n), G.reshape(-1))
         except np.linalg.LinAlgError:
             return (
                 FourierSolution(K, sol.coeffs, float("inf")),
@@ -391,7 +421,9 @@ def newton_solve(
     sup = residual_with_forcing(spec, sol, forcing)
     return (
         FourierSolution(K, sol.coeffs, sup),
-        NewtonReport(sup < 1e-6, max_iter, sup, history, "iteration budget reached"),
+        NewtonReport(
+            sup <= SUP_RESIDUAL_TOL, max_iter, sup, history, "iteration budget reached"
+        ),
     )
 
 
@@ -406,25 +438,12 @@ def residual_with_forcing(spec, sol, forcing) -> float:
 
 
 def newton_jacobian_at(spec: SystemSpec, K: int) -> np.ndarray:
-    """Mode-space Jacobian at the zero solution, reshaped to a square matrix."""
+    """Mode-space Jacobian at the zero solution, shape (M, n, M, n)."""
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
-    n = spec.n
-    N = 4 * K + 1
-    t = np.linspace(0, 2 * pi, N, endpoint=False)
-    P = projection_matrix(K, t)
-    D2 = second_derivative_matrix(K, t)
-    B = [basis_matrix(K, t, shift=2 * pi * j / spec.m) for j in range(spec.m)]
-    args = np.zeros((N, spec.m * n))
-    jac_pointwise = spec.rhs_jacobian(args)
-    M = 2 * K + 1
-    J = np.zeros((M, n, M, n))
-    idx = np.arange(n)
-    J[:, idx, :, idx] += (P @ D2)[None, :, :]
-    for j in range(spec.m):
-        Df_j = jac_pointwise[:, :, j * n : (j + 1) * n]
-        J -= np.einsum("mi,icd,iv->mcvd", P, Df_j, B[j])
-    return J
+    P, PD2, Bs = _collocation(spec, K)
+    zero = np.zeros((P.shape[1], spec.m * spec.n))
+    return _mode_jacobian(spec.rhs_jacobian(zero), P, PD2, Bs)
 
 
 def mode_block(J: np.ndarray, k: int, K: int) -> np.ndarray:

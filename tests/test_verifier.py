@@ -8,13 +8,17 @@ from eqdeg.verifier import (
     NewtonReport,
     SpecError,
     SystemSpec,
+    _mode_jacobian,
     apriori_check,
+    basis_matrix,
     class_matches_symmetries,
+    delayed_arguments,
     isotropy_of_trajectory,
     mode_block,
     newton_jacobian_at,
     newton_solve,
     normalize,
+    projection_matrix,
     residual,
     second_derivative_matrix,
 )
@@ -117,6 +121,65 @@ def test_jacobian_matches_finite_differences():
         bumped[:, v] += eps
         fd = (spec.rhs(bumped) - spec.rhs(args)) / eps
         assert np.max(np.abs(fd - jac[:, :, v])) < 5e-5
+
+
+def einsum_mode_jacobian(jac_pointwise, P, PD2, B):
+    """Reference: one 5-index contraction per delay block."""
+    N, n, mn = jac_pointwise.shape
+    M = P.shape[0]
+    J = np.zeros((M, n, M, n))
+    idx = np.arange(n)
+    J[:, idx, :, idx] += PD2[None, :, :]
+    for j in range(mn // n):
+        Df_j = jac_pointwise[:, :, j * n : (j + 1) * n]
+        J -= np.einsum("mi,icd,iv->mcvd", P, Df_j, B[j])
+    return J
+
+
+def coupled_spec(n, m, rng):
+    """Random linear blocks (n >= 3) plus cubic terms whose partial
+    derivatives mix components across delay blocks: x_0 * x_last^2, with
+    x_last component 1 of the last block, and x_2 * x_(m-1)n * x_last."""
+    lin = [rng.standard_normal((n, n)) for _ in range(m)]
+    last = (m - 1) * n + 1
+    terms = [[] for _ in range(n)]
+    terms[0].append((0.7, ((0, 1), (last, 2))))
+    terms[n - 1].append((-0.4, ((2, 1), ((m - 1) * n, 1), (last, 1))))
+    terms[1].append((0.3, ((last, 3),)))
+    return SystemSpec(n=n, m=m, period=2 * pi, linear=lin, terms=terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mode_jacobian_matches_einsum_and_finite_differences(m):
+    rng = np.random.default_rng(40 + m)
+    n, K = 3, 5
+    spec = coupled_spec(n, m, rng)
+    M, N = 2 * K + 1, 4 * K + 1
+    t = np.linspace(0, 2 * pi, N, endpoint=False)
+    P = projection_matrix(K, t)
+    PD2 = P @ second_derivative_matrix(K, t)
+    B = [basis_matrix(K, t, shift=2 * pi * j / m) for j in range(m)]
+    for _ in range(3):
+        sol = FourierSolution(K, 0.5 * rng.standard_normal((M, n)))
+        jac_pointwise = spec.rhs_jacobian(delayed_arguments(spec, sol, t))
+        off_diagonal = jac_pointwise[:, 0, (m - 1) * n + 1]
+        assert np.max(np.abs(off_diagonal)) > 0.1
+        J = _mode_jacobian(jac_pointwise, P, PD2, np.concatenate(B))
+        ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
+        assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        def mode_residual(coeffs):
+            args = delayed_arguments(spec, FourierSolution(K, coeffs), t)
+            return PD2 @ coeffs - P @ spec.rhs(args)
+
+        direction = rng.standard_normal((M, n))
+        eps = 1e-6
+        fd = (
+            mode_residual(sol.coeffs + eps * direction)
+            - mode_residual(sol.coeffs - eps * direction)
+        ) / (2 * eps)
+        jd = J.reshape(M * n, M * n) @ direction.reshape(-1)
+        assert np.max(np.abs(fd.reshape(-1) - jd)) <= 1e-7 * np.max(np.abs(jd))
 
 
 def test_newton_linear_converges_to_zero():
@@ -236,24 +299,35 @@ def test_apriori_bounds():
     assert not rep2["within"]
 
 
+def hexagon_seed(K, amplitude=4.3):
+    """Initial guess along the negative-spectrum mode-1 eigendirection."""
+    w5 = np.array([np.cos(2 * np.pi * v / 6) for v in range(6)])
+    coeffs = np.zeros((2 * K + 1, 6))
+    coeffs[1] = amplitude * w5
+    return FourierSolution(K, coeffs)
+
+
+def test_newton_small_norm_with_large_grid_residual_is_not_converged():
+    # at K = 16 the mode-space norm drops below tol while the 4K+1-grid sup
+    # residual stays near 2.5e-4: the orbit is under-resolved
+    spec = d6_linear_spec(cubic=0.5)
+    sol, rep = newton_solve(spec, hexagon_seed(16), tol=1e-12, max_iter=100)
+    assert rep.residual_history[-1] < 1e-12
+    assert rep.residual_sup > 1e-6
+    assert not rep.converged
+    assert f"{rep.residual_sup:.3g}" in rep.message
+
+
 def test_end_to_end_orbit_and_symmetry(d6ctx):
-    # seed along the negative-spectrum mode-1 eigendirection; accept either a
-    # converged non-constant orbit carrying a guaranteed symmetry class or a
-    # documented non-convergence
     from eqdeg import o2gamma as og
 
     spec = d6_linear_spec(cubic=0.5)
     spec.check_reversible()
     spec.check_odd()
-    w5 = np.array([np.cos(2 * np.pi * v / 6) for v in range(6)])
-    K = 32
-    coeffs = np.zeros((2 * K + 1, 6))
-    coeffs[1] = 4.3 * w5
-    sol, rep = newton_solve(spec, FourierSolution(K, coeffs), tol=1e-12, max_iter=100)
+    sol, rep = newton_solve(spec, hexagon_seed(32), tol=1e-12, max_iter=100)
     assert isinstance(rep, NewtonReport)
-    if not rep.converged or sol.is_constant():
-        assert rep.message or rep.residual_history
-        return
+    assert rep.converged, rep.message
+    assert not sol.is_constant()
     assert rep.residual_sup < 1e-8
 
     def perm_of_gamma_index(gidx):
