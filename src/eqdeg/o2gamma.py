@@ -19,6 +19,16 @@ That makes all Dn with the same n conjugate, and Zn, SO(2), O(2) normal.
 Everything downstream (orbit types, Weyl orders, containment counts,
 Burnside products) reduces to finite exact computations on these element
 sets; two classes on different grids are first lifted to the lcm grid.
+
+The canonical key of a finite class is its least conjugate with a
+reflection axis at t = 0, written as sorted (numerator, denominator, s, g)
+with t in lowest terms, so it does not depend on the grid.  To find it,
+and to compare conjugates in Weyl orders and containment counts, each
+element on a grid M gets an integer code: the points t = u/M are ranked
+by (numerator, denominator), and (u, s, g) has code
+(rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
+stand for, and conjugation by g in Gamma' is one table lookup per code
+(`_grid_codes`, built once per grid and context).
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ class GammaContext:
         self._ncount: dict = {}
         self._products: dict = {}
         self._key_of_set: dict = {}
+        self._codes: dict = {}  # element codes per grid, see _grid_codes
         self._degrees: dict = {}  # basic degrees, filled in by basicdeg
 
     @staticmethod
@@ -298,39 +309,67 @@ def _shift_refl(elems, delta, grid):
     )
 
 
-def _gamma_conj(ctx, elems, g):
-    tab = ctx.conj[g]
-    return frozenset((u, s, tab[x]) for (u, s, x) in elems)
+def _grid_codes(ctx: GammaContext, grid: int):
+    """Integer element codes on the grid: (rank, decode, conj_tabs).
+
+    rank[u] is the position of t = u/grid in lowest terms, as a
+    (numerator, denominator) pair, among the grid's points; the code of
+    (u, s, g) is (rank[u] * 2 + (s == 1)) * n + g, so codes sort like the
+    tuples (numerator, denominator, s, g).  decode[code] is that tuple, and
+    conj_tabs[g][code] is the code of the element conjugated by g in Gamma'.
+    """
+    cached = ctx._codes.get(grid)
+    if cached is not None:
+        return cached
+    n = ctx.n
+    turns = sorted((u // gcd(u, grid), grid // gcd(u, grid), u) for u in range(grid))
+    rank = [0] * grid
+    for r, (_, _, u) in enumerate(turns):
+        rank[u] = r
+    decode = [
+        (num, den, s, g) for (num, den, _) in turns for s in (-1, 1) for g in range(n)
+    ]
+    conj_tabs = [
+        [base + tab[x] for base in range(0, len(decode), n) for x in range(n)]
+        for tab in ctx.conj
+    ]
+    cached = (rank, decode, conj_tabs)
+    ctx._codes[grid] = cached
+    return cached
 
 
-def _serialize(elems, turns) -> tuple:
-    """Elements as sorted (numerator, denominator, s, g), where turns[u] is
-    t = u/M in lowest terms; independent of the grid M the set is on."""
-    return tuple(sorted((*turns[u], s, g) for (u, s, g) in elems))
+def _encode(ctx: GammaContext, elems, grid: int) -> list[int]:
+    rank, n = _grid_codes(ctx, grid)[0], ctx.n
+    return [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in elems]
 
 
 def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int, a: int):
-    """The conjugates of a finite subgroup, moved so a reflection axis sits at a.
+    """The conjugates of a finite subgroup, moved so a reflection axis sits
+    at a, as lists of element codes.
 
     One conjugate per (kappa twist, reflection axis b, g in Gamma'): twist,
     shift axis b onto a, conjugate by g.  A rotation-only subgroup has no
     axis and is taken as is.  The twist and shift loops sit outside the
-    Gamma' loop, so each call shifts only 2 * |axes| element sets.
+    Gamma' loop, so each call shifts and encodes only 2 * |axes| element
+    sets; conjugation by g is a table lookup per code.
     """
+    conj_tabs = _grid_codes(ctx, grid)[2]
     for base in (elems, _kappa_conj(elems, grid)):
         for b in sorted({u for (u, s, _) in base if s == -1}) or [a]:
-            aligned = _shift_refl(base, a - b, grid)
-            for g in range(ctx.n):
-                yield _gamma_conj(ctx, aligned, g)
+            codes = _encode(ctx, _shift_refl(base, a - b, grid), grid)
+            for tab in conj_tabs:
+                yield list(map(tab.__getitem__, codes))
 
 
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
+    """The least conjugate with an axis at 0, as sorted (numerator,
+    denominator, s, g); independent of the grid the set is on."""
     cached = ctx._key_of_set.get((elems, grid))
     if cached is not None:
         return cached
-    turns = [(u // gcd(u, grid), grid // gcd(u, grid)) for u in range(grid)]
-    conjugates = _aligned_conjugates(ctx, elems, grid, 0)
-    key = ("fin", min(_serialize(x, turns) for x in conjugates))
+    decode = _grid_codes(ctx, grid)[1]
+    best = min(sorted(x) for x in _aligned_conjugates(ctx, elems, grid, 0))
+    key = ("fin", tuple(decode[c] for c in best))
     ctx._key_of_set[(elems, grid)] = key
     return key
 
@@ -455,8 +494,9 @@ def weyl_order(cls: AmalgamatedClass) -> int:
                 "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
             )
         elems = cls.elems
+        target = sorted(_encode(ctx, elems, cls.grid))
         conjugates = _aligned_conjugates(ctx, elems, cls.grid, cls.axes()[0])
-        count = sum(1 for x in conjugates if x == elems)
+        count = sum(1 for x in conjugates if sorted(x) == target)
         # each (shift, twist, gamma) action is realised by exactly two rotations
         w = 2 * count // len(elems)
     ctx._weyl[cls.key] = w
@@ -497,7 +537,12 @@ def _containment_count_raw(ctx, c1, c2, count_all):
         return 0
     small, big, grid = _common_grid(c1, c2)
     axis = c1.axes()[0] * (grid // c1.grid)
-    hits = (x for x in _aligned_conjugates(ctx, big, grid, axis) if small <= x)
+    small_codes = _encode(ctx, small, grid)
+    hits = (
+        x
+        for x in map(frozenset, _aligned_conjugates(ctx, big, grid, axis))
+        if x.issuperset(small_codes)
+    )
     if count_all:
         return len(set(hits))
     return int(any(hits))
@@ -721,14 +766,11 @@ def _product_o2_fin(ctx, c_o2, c_fin) -> dict:
     out: dict = {}
     kset = c_o2.K
     k_fin = c_fin.k_part()
-    seen = set()
+    seen = set()  # elements of the double cosets K g K_fin visited so far
     for g in range(ctx.n):
-        coset_id = frozenset(
-            ctx.mult[a][ctx.mult[g][b]] for a in kset for b in k_fin
-        )
-        if coset_id in seen:
+        if g in seen:
             continue
-        seen.add(coset_id)
+        seen.update(ctx.mult[a][ctx.mult[g][b]] for a in kset for b in k_fin)
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
         inter = frozenset(
             (u, s, x) for (u, s, x) in c_fin.elems if x in target
@@ -744,22 +786,24 @@ def _product_fin_fin(ctx, c1, c2) -> dict:
     a_rot = {(u, g) for (u, s, g) in a_elems if s == 1}
     a_refl = [(u, g) for (u, s, g) in a_elems if s == -1]
     b_rot = {(u, g) for (u, s, g) in b_elems if s == 1}
-    b_refl = [(u, g) for (u, s, g) in b_elems if s == -1]
+    b_refl_at: dict = {}  # Gamma'-part b -> reflection parameters beta
+    for (u, s, g) in b_elems:
+        if s == -1:
+            b_refl_at.setdefault(g, []).append(u)
     weights: dict = {}
     for g in range(ctx.n):
-        conj_g = ctx.conj[g]
         inv_tab = ctx.conj[ctx.inv[g]]
         rot_part = frozenset(
             (u, 1, x) for (u, x) in a_rot if (u, inv_tab[x]) in b_rot
         )
-        # a reflection of the first class meets a rotated copy of the second
-        # one's by the offset delta = alpha - beta; the rotations by delta/2
-        # and delta/2 + 1/2 give the same intersection, hence weight 2
+        # a reflection (alpha, c) of the first class meets a rotated copy of
+        # a reflection (beta, b) of the second one's, with g b g^-1 = c, by
+        # the offset delta = alpha - beta; the rotations by delta/2 and
+        # delta/2 + 1/2 give the same intersection, hence weight 2
         buckets: dict = {}
         for (alpha, c) in a_refl:
-            for (beta, b) in b_refl:
-                if conj_g[b] == c:
-                    buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
+            for beta in b_refl_at.get(inv_tab[c], ()):
+                buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
         for refls in buckets.values():
             inter = rot_part | frozenset(refls)
             weights[inter] = weights.get(inter, 0) + 2 * len(inter)

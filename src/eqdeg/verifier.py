@@ -116,11 +116,13 @@ class SystemSpec:
                 jac[:, :, j * self.n : (j + 1) * self.n] += self.linear[j]
         for c, comp_terms in enumerate(self.terms):
             for coeff, powers in comp_terms:
-                for (v, p) in powers:
+                # product rule over factor positions: a variable listed twice
+                # contributes once per position
+                for i, (v, p) in enumerate(powers):
                     val = np.full(N, float(coeff) * p)
                     val = val * args[:, v] ** (p - 1)
-                    for (w, q) in powers:
-                        if w != v:
+                    for j, (w, q) in enumerate(powers):
+                        if j != i:
                             val = val * args[:, w] ** q
                     jac[:, c, v] += val
         return jac

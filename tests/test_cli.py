@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eqdeg
 from eqdeg.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -158,8 +161,14 @@ def test_reports_are_byte_stable(tmp_path):
 
 
 def test_console_script_help():
+    # the child imports the same eqdeg as this process, installed or not
+    src = str(Path(eqdeg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "eqdeg.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "eqdeg.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "analyze" in proc.stdout

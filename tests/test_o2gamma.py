@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqdeg import o2gamma as og
-from eqdeg.chartab import bundled_table
+from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.o2gamma import (
     GammaContext,
     InfiniteWeylError,
@@ -156,15 +156,181 @@ def test_odd_fixed_dims_of_maxima(d6ctx):
             assert fixed_dim(cls, 1, l) % 2 == 1
 
 
+def _all_pairs_product_fin_fin(ctx, c1, c2) -> dict:
+    """Reference fin x fin product: every pair of reflections is tried for
+    every g in Gamma'."""
+    grid = lcm(c1.grid, c2.grid)
+    a_elems = {(u * grid // c1.grid, s, g) for (u, s, g) in c1.elems}
+    b_elems = {(u * grid // c2.grid, s, g) for (u, s, g) in c2.elems}
+    a_rot = {(u, g) for (u, s, g) in a_elems if s == 1}
+    a_refl = [(u, g) for (u, s, g) in a_elems if s == -1]
+    b_rot = {(u, g) for (u, s, g) in b_elems if s == 1}
+    b_refl = [(u, g) for (u, s, g) in b_elems if s == -1]
+    weights = {}
+    for g in range(ctx.n):
+        conj_g = ctx.conj[g]
+        inv_tab = ctx.conj[ctx.inv[g]]
+        rot_part = frozenset((u, 1, x) for (u, x) in a_rot if (u, inv_tab[x]) in b_rot)
+        buckets = {}
+        for (alpha, c) in a_refl:
+            for (beta, b) in b_refl:
+                if conj_g[b] == c:
+                    buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
+        for refls in buckets.values():
+            inter = rot_part | frozenset(refls)
+            weights[inter] = weights.get(inter, 0) + 2 * len(inter)
+    out = {}
+    for inter, weight in weights.items():
+        cls = make_fin(ctx, inter, grid)
+        out[cls] = out.get(cls, 0) + weight
+    total = len(a_elems) * len(b_elems)
+    assert all(2 * w % total == 0 for w in out.values())
+    return {cls: 2 * w // total for cls, w in out.items()}
+
+
+def _coset_id_product_o2_fin(ctx, c_o2, c_fin) -> dict:
+    """Reference (O(2) x K) x fin product: one g per double coset K g K_fin,
+    recognised by building the whole double coset for every g."""
+    out = {}
+    seen = set()
+    for g in range(ctx.n):
+        coset_id = frozenset(
+            ctx.mult[a][ctx.mult[g][b]] for a in c_o2.K for b in c_fin.k_part()
+        )
+        if coset_id in seen:
+            continue
+        seen.add(coset_id)
+        target = {ctx.conj[ctx.inv[g]][x] for x in c_o2.K}
+        inter = {(u, s, x) for (u, s, x) in c_fin.elems if x in target}
+        if any(s == -1 for (_, s, _) in inter):
+            cls = make_fin(ctx, inter, c_fin.grid)
+            out[cls] = out.get(cls, 0) + 1
+    return out
+
+
 def test_class_product_unit_and_commutativity(d6ctx):
     g = full_group(d6ctx)
-    samples = [g]
-    samples += maximal_orbit_types(d6ctx, 1, 4)[:2]
-    samples += orbit_types(d6ctx, 0, 0)
+    fins = maximal_orbit_types(d6ctx, 1, 4)[:2]
+    fins += [fold(c, 2) for c in maximal_orbit_types(d6ctx, 1, 3)]
+    o2s = [g] + orbit_types(d6ctx, 0, 0)
+    samples = o2s + fins
     for c1 in samples:
         assert class_product(g, c1) == {c1: 1}
         for c2 in samples:
             assert class_product(c1, c2) == class_product(c2, c1)
+    # class_product caches on the sorted key pair, so call the products
+    # themselves in both orders and against the reference loops
+    for c1 in fins:
+        for c2 in fins:
+            expected = _all_pairs_product_fin_fin(d6ctx, c1, c2)
+            assert og._product_fin_fin(d6ctx, c1, c2) == expected
+            assert og._product_fin_fin(d6ctx, c2, c1) == expected
+        for c_o2 in o2s:
+            expected = _coset_id_product_o2_fin(d6ctx, c_o2, c1)
+            assert og._product_o2_fin(d6ctx, c_o2, c1) == expected
+
+
+# ---------------------------------------------------------------------------
+# element codes against the tuple serialisation they replace
+
+
+@pytest.fixture(scope="module")
+def code_ctxs(d6ctx):
+    return {
+        "D6": d6ctx,
+        "D4": GammaContext.from_signed_group(SignedGroup(bundled_table("D4"))),
+        "S3": GammaContext.from_signed_group(SignedGroup(bundled_table("S3"))),
+    }
+
+
+def _lifted(cls, grid):
+    f = grid // cls.grid
+    return frozenset((u * f, s, g) for (u, s, g) in cls.elems)
+
+
+def _conjugate(ctx, elems, grid, kappa, shift, g):
+    """Twist by kappa if asked, shift every reflection parameter by `shift`
+    (a rotation by shift / (2 * grid)), then conjugate by g in Gamma'."""
+    out = set()
+    for (u, s, x) in elems:
+        if kappa:
+            u = -u % grid
+        if s == -1:
+            u = (u + shift) % grid
+        out.add((u, s, ctx.conj[g][x]))
+    return frozenset(out)
+
+
+def _reference_key(ctx, elems, grid):
+    """The least conjugate with an axis at 0, as sorted (numerator,
+    denominator, s, g) with t = u/grid in lowest terms."""
+
+    def turn(u):
+        c = gcd(u, grid)
+        return (u // c, grid // c)
+
+    best = None
+    for kappa in (False, True):
+        twisted = _conjugate(ctx, elems, grid, kappa, 0, ctx.identity)
+        for b in sorted({u for (u, s, _) in twisted if s == -1}) or [0]:
+            for g in range(ctx.n):
+                x = _conjugate(ctx, twisted, grid, False, -b, g)
+                ser = tuple(sorted((*turn(u), s, y) for (u, s, y) in x))
+                if best is None or ser < best:
+                    best = ser
+    return ("fin", best)
+
+
+def _all_conjugates(ctx, elems, grid):
+    """Every conjugate with its reflections on the grid, one per (twist,
+    shift, g); each shift is realised by two rotations."""
+    return [
+        _conjugate(ctx, elems, grid, kappa, shift, g)
+        for kappa in (False, True)
+        for shift in range(grid)
+        for g in range(ctx.n)
+    ]
+
+
+@pytest.mark.parametrize("name", ["D6", "D4", "S3"])
+def test_canonical_keys_match_tuple_serialisation(code_ctxs, name):
+    ctx = code_ctxs[name]
+    rng = np.random.default_rng(5)
+    for base in mode1_candidates(ctx):
+        for cls in (base, fold(base, 2), fold(base, 3)):
+            assert og._fin_key(ctx, cls.elems, cls.grid) == _reference_key(
+                ctx, cls.elems, cls.grid
+            ), cls.name()
+        # the key of a random conjugate, on a grid twice as fine
+        grid = 2 * base.grid
+        moved = _conjugate(
+            ctx,
+            _lifted(base, grid),
+            grid,
+            bool(rng.integers(2)),
+            int(rng.integers(grid)),
+            int(rng.integers(ctx.n)),
+        )
+        assert make_fin(ctx, moved, grid) is base, base.name()
+
+
+@pytest.mark.parametrize("name", ["D4", "S3"])
+def test_weyl_orders_and_counts_match_brute_force(code_ctxs, name):
+    ctx = code_ctxs[name]
+    classes = list(mode1_candidates(ctx))
+    classes += [fold(c, 2) for c in classes[:: max(1, len(classes) // 6)]]
+    for cls in classes:
+        fixing = sum(x == cls.elems for x in _all_conjugates(ctx, cls.elems, cls.grid))
+        assert weyl_order(cls) == 2 * fixing // cls.order, cls.name()
+    conjugates = {}
+    for c1 in classes:
+        for c2 in classes:
+            grid = lcm(c1.grid, c2.grid)
+            if (c2, grid) not in conjugates:
+                conjugates[(c2, grid)] = set(_all_conjugates(ctx, _lifted(c2, grid), grid))
+            small = _lifted(c1, grid)
+            expected = sum(small <= x for x in conjugates[(c2, grid)])
+            assert n_count_amalgam(c1, c2) == expected, (c1.name(), c2.name())
 
 
 def test_o2_products_mirror_finite_burnside_ring(d6ctx):
@@ -290,7 +456,7 @@ def _conjugates_containing(ctx, small, big):
     a1 = small.axes()[0] * grid // small.grid
     out = []
     for g in range(ctx.n):
-        base = og._gamma_conj(ctx, big_elems, g)
+        base = {(u, s, ctx.conj[g][x]) for (u, s, x) in big_elems}
         for kappa in (False, True):
             tw = og._kappa_conj(base, grid) if kappa else base
             for b in sorted({u for (u, s, _) in tw if s == -1}):

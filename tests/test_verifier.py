@@ -111,16 +111,20 @@ def test_delay_shift_matches_fft_oracle():
 
 
 def test_jacobian_matches_finite_differences():
-    spec = small_spec()
+    # x_0 x_1^2 written with x_1 as two factors: d/dx_1 is 2 x_0 x_1
+    repeated = SystemSpec(
+        n=2, m=1, period=2 * pi, terms=[[(0.7, ((1, 1), (0, 1), (1, 1)))], []]
+    )
     rng = np.random.default_rng(0)
-    args = rng.standard_normal((5, spec.m * spec.n))
-    jac = spec.rhs_jacobian(args)
-    eps = 1e-6
-    for v in range(spec.m * spec.n):
-        bumped = args.copy()
-        bumped[:, v] += eps
-        fd = (spec.rhs(bumped) - spec.rhs(args)) / eps
-        assert np.max(np.abs(fd - jac[:, :, v])) < 5e-5
+    for spec in (small_spec(), repeated):
+        args = rng.standard_normal((5, spec.m * spec.n))
+        jac = spec.rhs_jacobian(args)
+        eps = 1e-6
+        for v in range(spec.m * spec.n):
+            bumped = args.copy()
+            bumped[:, v] += eps
+            fd = (spec.rhs(bumped) - spec.rhs(args)) / eps
+            assert np.max(np.abs(fd - jac[:, :, v])) < 5e-5
 
 
 def einsum_mode_jacobian(jac_pointwise, P, PD2, B):
