@@ -2,8 +2,9 @@
 
 Elements are sparse integer combinations of subgroup conjugacy classes.
 Multiplication of generators counts orbit types of the diagonal action on
-the product of coset spaces, by direct enumeration; every product is
-checked against the total point count.
+the product of coset spaces, by direct enumeration on element indices
+through the group's Cayley table; every product is checked against the
+total point count.
 """
 
 from __future__ import annotations
@@ -11,25 +12,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .permgroup import Perm, SubgroupClassLattice, p_mul
+from .permgroup import SubgroupClassLattice
 
 
 class LatticeMismatchError(ValueError):
     pass
 
 
-def _cosets(lattice: SubgroupClassLattice, idx: int) -> list[frozenset[Perm]]:
+def _coset_space(lattice: SubgroupClassLattice, idx: int) -> tuple[list[int], list[int]]:
+    """Left cosets g H of the class representative H, on element indices:
+    coset_of[x] is the position of x H, reps[i] the least element of the
+    i-th coset."""
     group = lattice.group
-    sub = lattice.classes[idx].rep_set
-    seen: set[Perm] = set()
-    cosets = []
-    for g in group.elements:
-        if g in seen:
-            continue
-        coset = frozenset(p_mul(g, h) for h in sub)
-        seen |= coset
-        cosets.append(coset)
-    return cosets
+    mult = group.mult_table
+    sub = [group.index[x] for x in lattice.classes[idx].representative]
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for g in range(group.order):
+        if coset_of[g] < 0:
+            for x in sub:
+                coset_of[mult[g][x]] = len(reps)
+            reps.append(g)
+    return coset_of, reps
 
 
 def mult_classes(lattice: SubgroupClassLattice, h: int, k: int) -> "BurnsideElement":
@@ -43,25 +47,23 @@ def mult_classes(lattice: SubgroupClassLattice, h: int, k: int) -> "BurnsideElem
 
 def _orbit_count(lattice: SubgroupClassLattice, h: int, k: int) -> dict[int, int]:
     group = lattice.group
-    ch = _cosets(lattice, h)
-    ck = _cosets(lattice, k)
-    pos_h = {c: i for i, c in enumerate(ch)}
-    pos_k = {c: i for i, c in enumerate(ck)}
-    visited = [[False] * len(ck) for _ in ch]
+    mult = group.mult_table
+    of_h, reps_h = _coset_space(lattice, h)
+    of_k, reps_k = _coset_space(lattice, k)
+    visited = [[False] * len(reps_k) for _ in reps_h]
     coeffs: dict[int, int] = {}
     total = 0
-    for i, a in enumerate(ch):
-        for j, b in enumerate(ck):
+    for i, a in enumerate(reps_h):
+        for j, b in enumerate(reps_k):
             if visited[i][j]:
                 continue
             orbit = set()
             stab = []
-            for g in group.elements:
-                ga = frozenset(p_mul(g, x) for x in a)
-                gb = frozenset(p_mul(g, x) for x in b)
-                if ga == a and gb == b:
-                    stab.append(g)
-                orbit.add((pos_h[ga], pos_k[gb]))
+            for g, row in enumerate(mult):
+                gi, gj = of_h[row[a]], of_k[row[b]]
+                if gi == i and gj == j:
+                    stab.append(group.elements[g])
+                orbit.add((gi, gj))
             for (oi, oj) in orbit:
                 visited[oi][oj] = True
             cls = lattice.class_of(frozenset(stab))
@@ -69,7 +71,7 @@ def _orbit_count(lattice: SubgroupClassLattice, h: int, k: int) -> dict[int, int
             total += len(orbit)
             if len(orbit) * len(stab) != group.order:
                 raise AssertionError("orbit-stabilizer mismatch in Burnside product")
-    if total != len(ch) * len(ck):
+    if total != len(reps_h) * len(reps_k):
         raise AssertionError("orbit decomposition does not cover the product space")
     return coeffs
 

@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Character values and fixed-space dimension counts must come out as exact
-integers, so all root-of-unity sums are done symbolically.  A value is a
+integers, so root-of-unity sums are never rounded.  A value is a
 polynomial in zeta_n = exp(2*pi*i/n) reduced modulo the n-th cyclotomic
 polynomial; the power basis 1, zeta, ..., zeta^(phi(n)-1) makes the
 representation unique at a fixed order, and mixed-order arithmetic lifts
-to the lcm.
+to the lcm.  Hot sums need not build a `Cyc` per term: `_reduce` also takes
+an integer coefficient vector of length n, so a sum of many terms can be
+added up as integers in the powers of zeta_n and reduced once (as
+`o2gamma.fixed_dim` does).
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ def _phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n modulo Phi_n; return phi(n) coords."""
+def _reduce(coeffs: list, n: int) -> tuple:
+    """Reduce a polynomial in zeta_n modulo Phi_n; return phi(n) coords.
+
+    Integer coefficients stay integers (Phi_n is monic with integer
+    coefficients); Fraction coefficients stay Fractions."""
     phi = _phi(n)
     cp = cyclotomic_polynomial(n)
     work = list(coeffs) + [Fraction(0)] * max(0, phi - len(coeffs))

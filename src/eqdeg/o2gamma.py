@@ -34,12 +34,11 @@ stand for, and conjugation by g in Gamma' is one table lookup per code
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .burnside import mult_classes
 from .chartab import CharacterTable, SignedGroup
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _reduce
 from .permgroup import Group, subgroup_lattice
 
 
@@ -58,18 +57,15 @@ class GammaContext:
         self.group = group
         self.n = group.order
         self.elems = list(group.elements)
-        idx = {g: i for i, g in enumerate(self.elems)}
+        idx = group.index
         self.identity = idx[group.identity]
-        self.mult = [
-            [idx[group.mul(a, b)] for b in self.elems] for a in self.elems
-        ]
-        self.inv = [idx[group.inv(a)] for a in self.elems]
-        self.conj = [
-            [idx[group.conj(g, x)] for x in self.elems] for g in self.elems
-        ]
+        self.mult = group.mult_table
+        self.inv = group.inv_table
+        self.conj = group.conj_table
         self.chars: list[tuple[Cyc, ...]] = [tuple(row) for row in char_rows]
         self.char_labels = list(char_labels or range(len(self.chars)))
         self.char_dims = [row[self.identity].as_integer() for row in self.chars]
+        self.char_orders = [lcm(*(v.order for v in row)) for row in self.chars]
         self.lattice = subgroup_lattice(group)
         self._set_of_class = [
             frozenset(idx[g] for g in cls.rep_set) for cls in self.lattice.classes
@@ -82,6 +78,7 @@ class GammaContext:
         self._interned: dict = {}
         self._mode1: list | None = None
         self._fixdim: dict = {}
+        self._char_powers: dict = {}  # see _char_powers
         self._weyl: dict = {}
         self._ncount: dict = {}
         self._products: dict = {}
@@ -178,9 +175,6 @@ class GammaContext:
             name = f"{sname}^{tname}"
         cached[kset] = name
         return name
-
-    def char_value(self, l: int, g: int) -> Cyc:
-        return self.chars[l][g]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,9 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     For k >= 1 the block is the complexification of V_l with rotations
     acting by exp(-2*pi*i*k*t); the rotation-only part of the subgroup has
     a complex fixed space, and each reflection-type element acts on it as
-    a real structure, cutting the real dimension in half.
+    a real structure, cutting the real dimension in half.  The complex
+    dimension is the mean of exp(-2*pi*i*k*u/M) * chi_l(g) over the
+    rotations (u, +1, g), summed exactly by `_mean_char`.
     """
     ctx = cls.ctx
     cache_key = (cls.key, k, l)
@@ -449,26 +445,59 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
         dim = _avg_char(ctx, l, cls.k_part())
     else:
         rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
-        total = Cyc.rational(0)
-        for (u, g) in rot:
-            total = total + Cyc.root_of_unity(-k * u, cls.grid) * ctx.char_value(l, g)
-        total = total * Fraction(1, len(rot))
-        cdim = total.as_fraction()
-        if cdim.denominator != 1:
-            raise ArithmeticError(f"non-integer complex fixed dimension {cdim}")
-        dim = cdim.numerator if cls.is_dihedral() else 2 * cdim.numerator
+        cdim = _mean_char(ctx, l, rot, cls.grid, k)
+        dim = cdim if cls.is_dihedral() else 2 * cdim
     ctx._fixdim[cache_key] = dim
     return dim
 
 
 def _avg_char(ctx: GammaContext, l: int, kset) -> int:
-    total = Cyc.rational(0)
-    for g in kset:
-        total = total + ctx.char_value(l, g)
-    q = (total * Fraction(1, len(kset))).as_fraction()
-    if q.denominator != 1:
-        raise ArithmeticError(f"non-integer fixed dimension {q}")
-    return q.numerator
+    return _mean_char(ctx, l, [(0, g) for g in kset], 1, 0)
+
+
+def _mean_char(ctx: GammaContext, l: int, terms, grid: int, k: int) -> int:
+    """The mean of exp(-2*pi*i*k*u/grid) * chi_l(g) over (u, g) in terms,
+    which must be a rational integer.
+
+    With N = lcm(grid, order of row l), each term is chi_l(g) in the powers
+    of zeta_N shifted by -k*u*(N/grid); the terms add into one integer
+    vector of length N, reduced modulo Phi_N once at the end.
+    """
+    n = lcm(grid, ctx.char_orders[l])
+    chars = _char_powers(ctx, l, n)
+    step = -k * (n // grid)
+    acc = [0] * n
+    for (u, g) in terms:
+        shift = step * u
+        for (e, c) in chars[g]:
+            acc[(e + shift) % n] += c
+    total = _reduce(acc, n)
+    if any(total[1:]):
+        raise ArithmeticError(f"character sum is not rational: {total}")
+    mean, rem = divmod(total[0], len(terms))
+    if rem:
+        raise ArithmeticError(f"non-integer fixed dimension {total[0]}/{len(terms)}")
+    return mean
+
+
+def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
+    """chi_l(g) for every g as integer (exponent, coefficient) pairs in the
+    powers of zeta_n; n is a multiple of the row's order."""
+    cached = ctx._char_powers.get((l, n))
+    if cached is not None:
+        return cached
+    cached = []
+    for value in ctx.chars[l]:
+        step = n // value.order
+        pairs = []
+        for i, c in enumerate(value.coeffs):
+            if c.denominator != 1:
+                raise ArithmeticError(f"character value {value!r} is not integral")
+            if c:
+                pairs.append((i * step, c.numerator))
+        cached.append(pairs)
+    ctx._char_powers[(l, n)] = cached
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Finite permutation groups and their subgroup lattices.
 
 Groups are given by permutation generators on {1..degree} (stored 0-based
-as image tuples).  The lattice enumerates every subgroup, partitions them
-into conjugacy classes with deterministic representatives, and records the
-subconjugation order together with the containment counts n(H, K) used by
-degree recurrences.
+as image tuples).  The elements are enumerated once, sorted; after that the
+group works on element indices through a Cayley table, built on first use.
+The lattice enumerates every subgroup as a bitmask over element indices,
+partitions them into conjugacy classes with deterministic representatives,
+and records the subconjugation order together with the containment counts
+n(H, K) used by degree recurrences.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 Perm = tuple[int, ...]
@@ -93,9 +96,10 @@ class Group:
     def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
-        self.order = len(elements)
-        self.index = {g: i for i, g in enumerate(elements)}
+        # sorted, so element indices order like the permutations
+        self.elements = tuple(sorted(elements))
+        self.order = len(self.elements)
+        self.index = {g: i for i, g in enumerate(self.elements)}
         self.identity = p_identity(degree)
 
     @staticmethod
@@ -164,62 +168,94 @@ class Group:
     def conj(self, g: Perm, x: Perm) -> Perm:
         return p_mul(p_mul(g, x), p_inv(g))
 
+    # Index tables, built on first use: element i is self.elements[i].
+
+    @cached_property
+    def mult_table(self) -> list[list[int]]:
+        """mult_table[a][b] is the index of a∘b."""
+        index, elems = self.index, self.elements
+        return [[index[tuple(map(a.__getitem__, b))] for b in elems] for a in elems]
+
+    @cached_property
+    def inv_table(self) -> list[int]:
+        e = self.index[self.identity]
+        return [row.index(e) for row in self.mult_table]
+
+    @cached_property
+    def conj_table(self) -> list[list[int]]:
+        """conj_table[g][x] is the index of g∘x∘g^-1."""
+        mult = self.mult_table
+        return [
+            [mult[gx][gi] for gx in mult[g]] for g, gi in enumerate(self.inv_table)
+        ]
+
     def exponent(self) -> int:
         e = 1
         for g in self.elements:
             e = lcm(e, p_order(g))
         return e
 
-    def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
-        """Element conjugacy classes; identity class first, rest by min element."""
-        seen: set[Perm] = set()
-        classes = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            cls = {self.conj(g, x) for g in self.elements}
-            seen |= cls
-            classes.append(tuple(sorted(cls)))
-        classes.sort(key=lambda c: (c[0] != self.identity, min(c)))
-        return classes
-
     def subgroups(self, cap: int | None = None) -> list[frozenset[Perm]]:
-        """Every subgroup, by cyclic extension of smaller subgroups."""
+        """Every subgroup, sorted by (order, sorted elements)."""
+        return [self.perms_of(m) for m in self.subgroup_masks(cap)]
+
+    def perms_of(self, mask: int) -> frozenset[Perm]:
+        return frozenset(self.elements[x] for x in _mask_members(mask))
+
+    def subgroup_masks(self, cap: int | None = None) -> list[int]:
+        """Every subgroup as a bitmask over element indices, by cyclic
+        extension of smaller subgroups; sorted by (order, sorted elements)."""
         if cap is not None and self.order > cap:
             raise GroupTooLargeError(f"group too large for lattice: {self.order} > {cap}")
-        trivial = frozenset([self.identity])
-        found = {trivial}
-        frontier = [trivial]
+        mult = self.mult_table
+        # each subgroup found so far, with generators that close to it
+        gens = {1 << self.index[self.identity]: []}
+        frontier = list(gens)
         while frontier:
             nxt = []
             for sub in frontier:
-                for g in self.elements:
-                    if g in sub:
+                members = _mask_members(sub)
+                done = sub
+                for g in range(self.order):
+                    if done >> g & 1:
                         continue
-                    ext = self._closure(sub | {g})
-                    if ext not in found:
-                        found.add(ext)
+                    # <sub, g> = <sub, g h> for every h in sub: skip g's coset
+                    for h in members:
+                        done |= 1 << mult[g][h]
+                    ext_gens = gens[sub] + [g]
+                    ext = self._closure_mask(ext_gens)
+                    if ext not in gens:
+                        gens[ext] = ext_gens
                         nxt.append(ext)
             frontier = nxt
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        return sorted(gens, key=lambda m: (m.bit_count(), _mask_members(m)))
 
-    def _closure(self, seed: set[Perm]) -> frozenset[Perm]:
-        elems = set(seed) | {self.identity}
-        frontier = list(elems)
-        gens = list(seed)
+    def _closure_mask(self, gens: list[int]) -> int:
+        """The subgroup generated by element indices, as a bitmask."""
+        rows = [self.mult_table[g] for g in gens]
+        e = self.index[self.identity]
+        mask = 1 << e
+        frontier = [e]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = p_mul(g, x)
-                    if y not in elems:
-                        elems.add(y)
+                for row in rows:
+                    y = row[x]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
                         nxt.append(y)
             frontier = nxt
-        return frozenset(elems)
+        return mask
 
-    def normalizer_order(self, sub: frozenset[Perm]) -> int:
-        return sum(1 for g in self.elements if all(self.conj(g, x) in sub for x in sub))
+
+def _mask_members(mask: int) -> list[int]:
+    """The set bits of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -268,30 +304,37 @@ class SubgroupClassLattice:
 
 
 def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClassLattice:
-    subs = group.subgroups(cap=cap)
-    # partition into conjugacy classes
-    remaining = set(subs)
+    conj = group.conj_table
     classes: list[SubgroupClass] = []
-    class_members: list[tuple[frozenset[Perm], ...]] = []
-    while remaining:
-        sub = min(remaining, key=lambda s: (len(s), sorted(s)))
-        orbit = {frozenset(group.conj(g, x) for x in sub) for g in group.elements}
-        remaining -= orbit
-        members = tuple(sorted(orbit, key=lambda s: sorted(s)))
-        rep = members[0]
-        n_order = group.normalizer_order(rep)
+    class_masks: list[list[int]] = []
+    seen: set[int] = set()
+    # subgroups come sorted by (order, sorted elements), so the first member
+    # of each class met here is its least one, and classes come out sorted
+    for sub in group.subgroup_masks(cap=cap):
+        if sub in seen:
+            continue
+        members = _mask_members(sub)
+        orbit = set()
+        n_order = 0
+        for row in conj:
+            image = 0
+            for x in members:
+                image |= 1 << row[x]
+            orbit.add(image)
+            n_order += image == sub
+        seen |= orbit
+        masks = sorted(orbit, key=_mask_members)
+        conjugates = tuple(group.perms_of(m) for m in masks)
         classes.append(
             SubgroupClass(
-                representative=tuple(sorted(rep)),
-                conjugates=members,
-                class_size=len(members),
+                representative=tuple(sorted(conjugates[0])),
+                conjugates=conjugates,
+                class_size=len(masks),
                 normalizer_order=n_order,
-                weyl_order=n_order // len(rep),
+                weyl_order=n_order // len(members),
             )
         )
-        class_members.append(members)
-    order = sorted(range(len(classes)), key=lambda i: (classes[i].order, classes[i].representative))
-    classes = [classes[i] for i in order]
+        class_masks.append(masks)
     lattice = SubgroupClassLattice(group=group, classes=classes)
     names = _class_names(classes)
     for i, cls in enumerate(classes):
@@ -302,11 +345,11 @@ def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClas
     lattice.nHK = [[0] * n for _ in range(n)]
     lattice.leq = [[False] * n for _ in range(n)]
     for h in range(n):
-        hrep = classes[h].rep_set
+        hrep = class_masks[h][0]
         for k in range(n):
             if classes[k].order % classes[h].order:
                 continue
-            count = sum(1 for member in classes[k].conjugates if hrep <= member)
+            count = sum(1 for member in class_masks[k] if hrep & member == hrep)
             lattice.nHK[h][k] = count
             lattice.leq[h][k] = count > 0
     return lattice

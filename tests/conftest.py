@@ -6,8 +6,27 @@ import pytest
 from eqdeg.chartab import SignedGroup, bundled_table, isotypic_multiplicities, permutation_character
 from eqdeg.ddedeg import LinearizationData, SpectralTable
 from eqdeg.o2gamma import GammaContext
+from eqdeg.permgroup import p_mul
 
 F = Fraction
+
+
+def perm_closure(group, seed):
+    """The subgroup generated by permutations, closed by composing
+    permutation tuples (independent of the group's index tables)."""
+    elems = set(seed) | {group.identity}
+    frontier = list(elems)
+    gens = list(seed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = p_mul(g, x)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(elems)
 
 
 def hexagon_coupling_matrix():

@@ -13,6 +13,8 @@ from eqdeg.chartab import (
 )
 from eqdeg.permgroup import Group, subgroup_lattice
 
+from conftest import perm_closure
+
 
 def rows_as_ints(table):
     return [tuple(v.as_integer() for v in row) for row in table.rows]
@@ -80,7 +82,7 @@ def test_fixed_space_dims():
     chi = permutation_character(t)
     assert fixed_space_dim(t, chi, g.elements) == 1
     assert fixed_space_dim(t, chi, [g.identity]) == 6
-    rot = g._closure({t.class_reps[2]})
+    rot = perm_closure(g, {t.class_reps[2]})
     assert len(rot) == 6
     chi5 = t.rows[4]
     assert fixed_space_dim(t, chi5, rot) == 0

@@ -255,6 +255,16 @@ def three_delay_config(group, leading):
             ["-15/2", "-17/3", "-13/4"],
             "ba8254f07d87c7c0041efa1fcc6895105828d03541adc9b6ac65a43d38eef9af",
         ),
+        (
+            "D8",
+            ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2", "-7/2", "-9/4"],
+            "6655589006b7473262f9c4528080be2fb42a0396e508aba576b2aa88035ae732",
+        ),
+        (
+            "S4",
+            ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2"],
+            "e7d54b1a2ceb5ad5699c107224049911f1dcacbf02bd00339a2111616b0f79d1",
+        ),
     ],
 )
 def test_negative_blocks_at_modes_up_to_three_are_byte_stable(group, leading, digest):

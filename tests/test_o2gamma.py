@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from eqdeg import o2gamma as og
 from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.cyclotomic import Cyc
+from eqdeg.permgroup import Group
 from eqdeg.o2gamma import (
     GammaContext,
     InfiniteWeylError,
@@ -331,6 +334,73 @@ def test_weyl_orders_and_counts_match_brute_force(code_ctxs, name):
             small = _lifted(c1, grid)
             expected = sum(small <= x for x in conjugates[(c2, grid)])
             assert n_count_amalgam(c1, c2) == expected, (c1.name(), c2.name())
+
+
+def _cyc_fixed_dim(cls, k, l, terms_cache):
+    """Reference fixed-space dimension: the mean character summed term by
+    term in cyclotomic arithmetic, one Cyc product per rotation (products
+    are shared through terms_cache)."""
+    ctx = cls.ctx
+    if cls.kind == "o2" and k >= 1:
+        return 0
+    if cls.kind == "o2" or k == 0:
+        terms = [(0, g) for g in (cls.K if cls.kind == "o2" else cls.k_part())]
+    else:
+        terms = [(u, g) for (u, s, g) in cls.elems if s == 1]
+    total = Cyc.rational(0)
+    for (u, g) in terms:
+        key = (Fraction(-k * u, cls.grid) % 1, l, g)
+        term = terms_cache.get(key)
+        if term is None:
+            term = Cyc.root_of_unity(-k * u, cls.grid) * ctx.chars[l][g]
+            terms_cache[key] = term
+        total = total + term
+    q = (total * Fraction(1, len(terms))).as_fraction()
+    assert q.denominator == 1
+    if cls.kind == "fin" and k >= 1 and not cls.is_dihedral():
+        return 2 * q.numerator
+    return q.numerator
+
+
+@pytest.mark.parametrize("name", ["D6", "D4", "S3", "D5", "Z3"])
+def test_fixed_dims_match_cyclotomic_sums(code_ctxs, name):
+    # D5 has irrational characters and Z3 complex ones; a reflection makes
+    # the rotation phases symmetric, so only the twisted rotation groups
+    # {(j, +1, g^j)} of Z3 tell exp(-2*pi*i*k*t) from exp(+2*pi*i*k*t)
+    ctx = code_ctxs.get(name) or GammaContext.from_signed_group(
+        SignedGroup(bundled_table(name))
+    )
+    cases = [(make_o2(ctx, kset), k) for kset in ctx.class_sets() for k in (0, 1)]
+    for g in range(ctx.n):
+        powers = [ctx.identity]
+        while ctx.mult[g][powers[-1]] != ctx.identity:
+            powers.append(ctx.mult[g][powers[-1]])
+        twisted = make_fin(ctx, {(j, 1, x) for j, x in enumerate(powers)}, len(powers))
+        cases += [(twisted, 1), (twisted, 2)]
+    for base in mode1_candidates(ctx):
+        rotations = frozenset(x for x in base.elems if x[1] == 1)
+        cases.append((make_fin(ctx, rotations, base.grid), 1))
+        cases += [(base, 0), (base, 1)]
+        cases += [(fold(base, p), p) for p in (2, 3, 4)]
+    terms_cache = {}
+    for cls, k in dict.fromkeys(cases):
+        for l in range(len(ctx.chars)):
+            expected = _cyc_fixed_dim(cls, k, l, terms_cache)
+            assert fixed_dim(cls, k, l) == expected, (cls.name(), k, l)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (Cyc.rational(1), Cyc.rational(0)),  # mean 1/2
+        (Cyc.rational(1), Cyc.rational(Fraction(1, 2))),  # a non-integral value
+        (Cyc.rational(1), Cyc.root_of_unity(1, 3)),  # an irrational sum
+    ],
+)
+def test_fixed_dim_rejects_rows_that_are_not_characters(row):
+    ctx = GammaContext(Group.from_name("Z2"), [row])
+    with pytest.raises(ArithmeticError):
+        fixed_dim(full_group(ctx), 0, 0)
 
 
 def test_o2_products_mirror_finite_burnside_ring(d6ctx):

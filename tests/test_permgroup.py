@@ -2,14 +2,19 @@ import itertools
 
 import pytest
 
+from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.permgroup import (
     Group,
     GroupTooLargeError,
+    SubgroupClass,
+    _class_names,
     cycle_string,
     p_mul,
     parse_cycles,
     subgroup_lattice,
 )
+
+from conftest import perm_closure
 
 
 def brute_force_subgroups(group):
@@ -20,9 +25,9 @@ def brute_force_subgroups(group):
     """
     subs = {frozenset([group.identity])}
     for a in group.elements:
-        subs.add(group._closure({a}))
+        subs.add(perm_closure(group, {a}))
         for b in group.elements:
-            subs.add(group._closure({a, b}))
+            subs.add(perm_closure(group, {a, b}))
     return subs
 
 
@@ -114,7 +119,7 @@ def test_weyl_orders_d6():
     lat = subgroup_lattice(g)
     whole = lat.class_of(frozenset(g.elements))
     triv = lat.class_of(frozenset([g.identity]))
-    rot = lat.class_of(g._closure({parse_cycles("(1 2 3 4 5 6)")}))
+    rot = lat.class_of(perm_closure(g, {parse_cycles("(1 2 3 4 5 6)")}))
     assert lat.weyl_order(whole) == 1
     assert lat.weyl_order(triv) == 12
     assert lat.weyl_order(rot) == 2
@@ -123,7 +128,7 @@ def test_weyl_orders_d6():
 def test_n_counts_d6():
     g = Group.from_name("D6")
     lat = subgroup_lattice(g)
-    kappa = lat.class_of(g._closure({parse_cycles("(2 6)(3 5)", 6)}))
+    kappa = lat.class_of(perm_closure(g, {parse_cycles("(2 6)(3 5)", 6)}))
     whole = lat.class_of(frozenset(g.elements))
     triv = lat.class_of(frozenset([g.identity]))
     # the order-4 class {1, r^3, kappa r^i, kappa r^(i+3)}
@@ -179,3 +184,87 @@ def test_nHK_against_element_counting_oracle():
                 )
                 assert count % cj.normalizer_order == 0
                 assert lat.nHK[i][j] == count // cj.normalizer_order
+
+
+def tuple_lattice(group):
+    """Oracle: the subgroup lattice computed on permutation tuples.
+
+    Subgroups by cyclic extension closed with p_mul, conjugacy classes and
+    normalizers by conjugating element by element, classes sorted by
+    (order, sorted representative); returns (classes, nHK, leq).
+    """
+    trivial = frozenset([group.identity])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in group.elements:
+                if g not in sub:
+                    ext = perm_closure(group, sub | {g})
+                    if ext not in found:
+                        found.add(ext)
+                        nxt.append(ext)
+        frontier = nxt
+    remaining = set(found)
+    classes = []
+    while remaining:
+        sub = min(remaining, key=lambda s: (len(s), sorted(s)))
+        orbit = {frozenset(group.conj(g, x) for x in sub) for g in group.elements}
+        remaining -= orbit
+        members = tuple(sorted(orbit, key=sorted))
+        rep = members[0]
+        n_order = sum(
+            1 for g in group.elements if all(group.conj(g, x) in rep for x in rep)
+        )
+        classes.append(
+            SubgroupClass(
+                representative=tuple(sorted(rep)),
+                conjugates=members,
+                class_size=len(members),
+                normalizer_order=n_order,
+                weyl_order=n_order // len(rep),
+            )
+        )
+    classes.sort(key=lambda c: (c.order, c.representative))
+    for cls, name in zip(classes, _class_names(classes)):
+        object.__setattr__(cls, "name", name)
+    nHK = [
+        [
+            0
+            if ck.order % ch.order
+            else sum(1 for member in ck.conjugates if ch.rep_set <= member)
+            for ck in classes
+        ]
+        for ch in classes
+    ]
+    leq = [[count > 0 for count in row] for row in nHK]
+    return classes, nHK, leq
+
+
+@pytest.mark.parametrize("name", ["D6", "D8", "D12", "S4", "Z6", "D6xZ2"])
+def test_lattice_matches_permutation_tuple_oracle(name):
+    if name == "D6xZ2":
+        group = SignedGroup(bundled_table("D6")).group
+    else:
+        group = Group.from_name(name)
+    lat = subgroup_lattice(group)
+    classes, nHK, leq = tuple_lattice(group)
+    assert lat.classes == classes  # representatives, conjugates, sizes, orders, names
+    assert lat.nHK == nHK
+    assert lat.leq == leq
+    assert group.subgroups() == sorted(
+        {m for c in classes for m in c.conjugates}, key=lambda s: (len(s), sorted(s))
+    )
+
+
+def test_index_tables_match_permutations():
+    # the tables are built on first use, not by Group.make
+    assert "mult_table" not in vars(Group.from_name("S5"))
+    group = SignedGroup(bundled_table("D4")).group
+    elems = group.elements
+    for a, x in enumerate(elems):
+        assert elems[group.inv_table[a]] == group.inv(x)
+        for b, y in enumerate(elems):
+            assert elems[group.mult_table[a][b]] == p_mul(x, y)
+            assert elems[group.conj_table[a][b]] == group.conj(x, y)
