@@ -21,10 +21,8 @@ from .o2gamma import (
     fixed_dim,
     fold,
     full_group,
-    make_o2,
     n_count_amalgam,
-    orbit_types_mode1,
-    _k0_orbit_classes,
+    orbit_types,
     weyl_order,
 )
 
@@ -109,20 +107,18 @@ class GRingElement:
 
 
 def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
-    """Equivariant degree of -id on the unit ball of W_k (x) V_l."""
+    """Equivariant degree of -id on the unit ball of W_k (x) V_l.
+
+    For k >= 2 it is the degree at mode 1 with every class folded by k.
+    """
     cached = ctx._degrees.get((k, l))
     if cached is not None:
         return cached
-    if k == 0:
-        result = _basic_degree_k0(ctx, l)
+    if k <= 1:
+        result = _basic_degree_base(ctx, k, l)
     else:
-        base = _basic_degree_mode1(ctx, l)
-        if k == 1:
-            result = base
-        else:
-            result = GRingElement(
-                ctx, {fold(c, k): v for c, v in base.coeffs.items()}
-            )
+        base = basic_degree(ctx, 1, l)
+        result = GRingElement(ctx, {fold(c, k): v for c, v in base.coeffs.items()})
     ctx._degrees[(k, l)] = result
     return result
 
@@ -150,29 +146,12 @@ def _recurrence(ctx, lattice_classes, dims, ncounts, weyls) -> dict:
     return coeffs
 
 
-def _basic_degree_mode1(ctx: GammaContext, l: int) -> GRingElement:
+def _basic_degree_base(ctx: GammaContext, k: int, l: int) -> GRingElement:
+    """The recurrence over the orbit types of W_k (x) V_l, k in {0, 1}."""
     g_cls = full_group(ctx)
-    types = orbit_types_mode1(ctx, l)
-    ordered = [g_cls] + sorted(types, key=lambda c: (-c.order, c.key))
-    dims = [0] + [fixed_dim(c, 1, l) for c in ordered[1:]]
-    weyls = [1] + [weyl_order(c) for c in ordered[1:]]
-
-    def ncounts(i, j):
-        if j == 0:
-            return 1
-        return n_count_amalgam(ordered[i], ordered[j])
-
-    coeffs = _recurrence(ctx, ordered, dims, ncounts, weyls)
-    _verify_recurrence(ordered, dims, ncounts, weyls, coeffs)
-    return GRingElement(ctx, coeffs)
-
-
-def _basic_degree_k0(ctx: GammaContext, l: int) -> GRingElement:
-    g_cls = full_group(ctx)
-    ksets = _k0_orbit_classes(ctx, l)
-    classes = [make_o2(ctx, kset) for kset in ksets]
-    ordered = [g_cls] + sorted(classes, key=lambda c: (-len(c.K), c.key))
-    dims = [0] + [fixed_dim(c, 0, l) for c in ordered[1:]]
+    types = orbit_types(ctx, k, l)
+    ordered = [g_cls] + sorted(types, key=lambda c: (-c.size, c.key))
+    dims = [0] + [fixed_dim(c, k, l) for c in ordered[1:]]
     weyls = [1] + [weyl_order(c) for c in ordered[1:]]
 
     def ncounts(i, j):

@@ -9,7 +9,6 @@ total point count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .permgroup import SubgroupClassLattice
@@ -143,11 +142,6 @@ class BurnsideElement:
             parts.append(f"{sign} {mag}({name})")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {self.lattice.classes[i].name: c for i, c in sorted(self.coeffs.items())}
-        )
 
 
 def marks_row(lattice: SubgroupClassLattice, h: int) -> list[int]:

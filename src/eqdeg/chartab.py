@@ -291,7 +291,12 @@ def _symmetric4() -> CharacterTable:
 
 
 def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
-    """User-supplied table: class rep words, sizes, rows of 'p/q' strings."""
+    """User-supplied table: class rep words, sizes, rows of 'p/q' strings.
+
+    Orthonormal rows need not be characters, so each row must also have a
+    non-negative integer mean over every subgroup: the dimension of the
+    subspace that the subgroup fixes.
+    """
     data = json.loads(payload) if isinstance(payload, str) else payload
     reps = tuple(parse_cycles(w, group.degree) for w in data["class_reps"])
     sizes = tuple(int(s) for s in data["class_sizes"])
@@ -301,6 +306,10 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     real = tuple(bool(b) for b in data.get("real_type", [True] * len(rows)))
     table = CharacterTable(group, reps, sizes, rows, real)
     table.check_orthonormal()
+    for sub in group.subgroups():
+        for l, row in enumerate(rows):
+            if fixed_space_dim(table, row, sub) < 0:
+                raise CharacterError(f"row {l + 1} is not a character: negative fixed dimension")
     return table
 
 
@@ -343,12 +352,3 @@ class SignedGroup:
         gamma_part, eps = self._parts[g]
         v = self.gamma_table.rows[l][self.gamma_table.class_of(gamma_part)]
         return v * eps
-
-    def require_real_type(self, l: int) -> None:
-        if not self.gamma_table.real_type[l]:
-            raise CharacterError(
-                f"irreducible {l} is not of real type; only real-type components are supported"
-            )
-
-    def signed_dim(self, l: int) -> int:
-        return self.gamma_table.rows[l][0].as_integer()

@@ -72,7 +72,8 @@ def load_config(path_or_dict) -> dict:
     for key in ("group", "delays", "linearization"):
         if key not in data:
             raise ConfigError(f"missing config key: {key}")
-    if not isinstance(data["delays"], int) or data["delays"] < 1:
+    delays = data["delays"]
+    if not isinstance(delays, int) or isinstance(delays, bool) or delays < 1:
         raise ConfigError("delays must be a positive integer")
     return data
 

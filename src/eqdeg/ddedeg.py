@@ -25,7 +25,6 @@ from .o2gamma import (
     AmalgamatedClass,
     GammaContext,
     fixed_dim,
-    fold,
     maximal_orbit_types,
     weyl_order,
 )
@@ -323,7 +322,6 @@ class Conclusion:
     coefficient: int | None
     x_o: int
     parity: int
-    base_mode_class: AmalgamatedClass
 
     def jsonable(self) -> dict:
         return {
@@ -344,12 +342,7 @@ class DegreeReport:
     omega: GRingElement | None
     conclusions: list[Conclusion]
     zero_spectrum_flag: bool
-    spectral: SpectralTable
-    factors: list[tuple[int, int, int]]
     resonances: set[int] = field(default_factory=set)
-
-    def guaranteed_fingerprints(self) -> list[tuple]:
-        return sorted(c.cls.fingerprint() for c in self.conclusions)
 
 
 def assemble_omega(ctx: GammaContext, spectral: SpectralTable) -> DegreeReport:
@@ -366,56 +359,41 @@ def assemble_omega(ctx: GammaContext, spectral: SpectralTable) -> DegreeReport:
             "use the resonance-avoiding route"
         )
     factors = spectral.negative_factors()
-    product = degree_product(ctx, factors)
-    omega = GRingElement.unit(ctx) - product
-    conclusions = _conclusions_from_omega(ctx, spectral, omega)
+    omega = GRingElement.unit(ctx) - degree_product(ctx, factors)
+    modes = sorted({k for (k, l, m) in factors if k >= 1})
+    blocks = [(k, l) for k in modes for l in spectral.components]
     return DegreeReport(
         omega=omega,
-        conclusions=conclusions,
+        conclusions=_conclusions(
+            ctx, spectral, blocks, lambda cls, parity: omega.coeff(cls)
+        ),
         zero_spectrum_flag=False,
-        spectral=spectral,
-        factors=factors,
         resonances=spectral.resonance_set(),
     )
 
 
-def _conclusions_from_omega(ctx, spectral, omega) -> list[Conclusion]:
+def _conclusions(ctx, spectral, blocks, coefficient) -> list[Conclusion]:
+    """One conclusion per maximal orbit type of the blocks (k, l), taken at
+    the first block that has it.
+
+    coefficient(cls, parity) is the coefficient to report, or 0 to drop the
+    class: the omega coefficient, or None for an odd survival parity on the
+    resonance-avoiding route.
+    """
     out = []
     seen = set()
-    modes = sorted({k for (k, l, m) in spectral.negative_factors() if k >= 1})
-    for k in modes:
-        for l in spectral.components:
-            for cls in maximal_orbit_types(ctx, k, l):
-                if cls.key in seen:
-                    continue
-                coeff = omega.coeff(cls)
-                if coeff == 0:
-                    continue
-                seen.add(cls.key)
-                base = _mode1_base(ctx, cls, k)
-                out.append(
-                    Conclusion(
-                        cls=cls,
-                        mode=k,
-                        component=l,
-                        coefficient=coeff,
-                        x_o=x_o(ctx, k, l, cls),
-                        parity=survival_parity(spectral, cls, k),
-                        base_mode_class=base,
-                    )
-                )
+    for k, l in blocks:
+        for cls in maximal_orbit_types(ctx, k, l):
+            if cls.key in seen:
+                continue
+            parity = survival_parity(spectral, cls, k)
+            coeff = coefficient(cls, parity)
+            if coeff == 0:
+                continue
+            seen.add(cls.key)
+            out.append(Conclusion(cls, k, l, coeff, x_o(ctx, k, l, cls), parity))
     out.sort(key=lambda c: (c.mode, c.component, c.cls.key))
     return out
-
-
-def _mode1_base(ctx, cls, k):
-    if k == 1:
-        return cls
-    for l in range(len(ctx.chars)):
-        for base in maximal_orbit_types(ctx, 1, l):
-            if fold(base, k) == cls:
-                return base
-    return cls
 
 
 def theorem_conclusions_resonant(
@@ -432,38 +410,16 @@ def theorem_conclusions_resonant(
         raise ValueError(
             f"s={s} is not admissible: resonant mode {bad[0]} is an odd multiple of s"
         )
-    conclusions = []
-    seen = set()
     modes = [k for k in range(1, spectral.k_max + 1) if (k % s == 0) and (k // s) % 2 == 1]
-    for k in modes:
-        for l in spectral.components:
-            if spectral.m_kl.get((k, l), 0) == 0:
-                continue
-            for cls in maximal_orbit_types(ctx, k, l):
-                if cls.key in seen:
-                    continue
-                parity = survival_parity(spectral, cls, k)
-                if parity % 2 == 0:
-                    continue
-                seen.add(cls.key)
-                conclusions.append(
-                    Conclusion(
-                        cls=cls,
-                        mode=k,
-                        component=l,
-                        coefficient=None,
-                        x_o=x_o(ctx, k, l, cls),
-                        parity=parity,
-                        base_mode_class=_mode1_base(ctx, cls, k),
-                    )
-                )
-    conclusions.sort(key=lambda c: (c.mode, c.component, c.cls.key))
+    blocks = [
+        (k, l) for k in modes for l in spectral.components if spectral.m_kl.get((k, l), 0)
+    ]
     return DegreeReport(
         omega=None,
-        conclusions=conclusions,
+        conclusions=_conclusions(
+            ctx, spectral, blocks, lambda cls, parity: None if parity % 2 else 0
+        ),
         zero_spectrum_flag=spectral.zero_spectrum(),
-        spectral=spectral,
-        factors=[],
         resonances=resonances,
     )
 

@@ -212,6 +212,12 @@ class AmalgamatedClass:
             return len(self.elems)
         raise InfiniteWeylError("infinite subgroup has no order")
 
+    @property
+    def size(self) -> int:
+        """The order of a finite class, |K| for O(2) x K: a class contains
+        another of its kind only if its size is a multiple of the other's."""
+        return len(self.elems) if self.kind == "fin" else len(self.K)
+
     def axes(self) -> list[int]:
         return sorted({u for (u, s, g) in self.elems if s == -1})
 
@@ -504,12 +510,6 @@ def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
 # Weyl groups, containment, counts
 
 
-def weyl_is_finite(cls: AmalgamatedClass) -> bool:
-    if cls.kind == "o2":
-        return True
-    return cls.is_dihedral()
-
-
 def weyl_order(cls: AmalgamatedClass) -> int:
     ctx = cls.ctx
     cached = ctx._weyl.get(cls.key)
@@ -676,86 +676,54 @@ def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
 # orbit types per irreducible block
 
 
-def enumerate_candidate_classes(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:
-    """Finite-Weyl classes that can appear as isotropy of nonzero vectors
-    in W_k (x) V_l, folded to mode k."""
-    if k == 0:
-        out = []
-        for kset in ctx.class_sets():
-            if _avg_char(ctx, l, kset) > 0:
-                out.append(make_o2(ctx, kset))
-        return out
-    base = [c for c in mode1_candidates(ctx) if fixed_dim(c, 1, l) > 0]
-    return [fold(c, k) for c in base]
+def _realised(cands: list[AmalgamatedClass], k: int, l: int) -> list[AmalgamatedClass]:
+    """The candidates, all of one kind, that are orbit types in W_k (x) V_l."""
+    cands = [c for c in cands if fixed_dim(c, k, l) > 0]
+    realised = []
+    for c in cands:
+        dim_c = fixed_dim(c, k, l)
+        if not any(
+            c2.size > c.size
+            and c2.size % c.size == 0
+            and fixed_dim(c2, k, l) >= dim_c
+            and subconjugate(c, c2)
+            for c2 in cands
+        ):
+            realised.append(c)
+    return realised
 
 
 def orbit_types_mode1(ctx: GammaContext, l: int) -> list[AmalgamatedClass]:
     """Realised finite-Weyl orbit types of nonzero vectors at the base mode."""
-    cands = [c for c in mode1_candidates(ctx) if fixed_dim(c, 1, l) > 0]
-    realized = []
-    for c in cands:
-        dim_c = fixed_dim(c, 1, l)
-        ok = True
-        for c2 in cands:
-            if c2 is c or c2.order <= c.order or c2.order % c.order:
-                continue
-            if fixed_dim(c2, 1, l) >= dim_c and subconjugate(c, c2):
-                ok = False
-                break
-        if ok:
-            realized.append(c)
-    return realized
-
-
-def _k0_orbit_classes(ctx: GammaContext, l: int) -> list[frozenset]:
-    """Realised isotropy subgroup classes of Gamma' on V_l (trivial O(2))."""
-    cands = [
-        (ci, kset)
-        for ci, kset in enumerate(ctx.class_sets())
-        if _avg_char(ctx, l, kset) > 0
-    ]
-    out = []
-    for ci, kset in cands:
-        dim_c = _avg_char(ctx, l, kset)
-        ok = True
-        for cj, k2 in cands:
-            if cj == ci:
-                continue
-            if ctx.lattice.n_count(ci, cj) > 0 and _avg_char(ctx, l, k2) >= dim_c:
-                ok = False
-                break
-        if ok:
-            out.append(kset)
-    return out
+    return _realised(mode1_candidates(ctx), 1, l)
 
 
 def orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:
+    """Realised orbit types of nonzero vectors in W_k (x) V_l.
+
+    k = 0 and k >= 1 share one rule (`_realised`): a candidate H is realised
+    when its fixed dimension is positive and no larger candidate containing
+    it has a fixed dimension at least as big; then the vectors of Fix(H)
+    outside the smaller fixed spaces of the finitely many larger groups
+    have isotropy exactly H.  Only the candidates differ: O(2) x K for every
+    class of K <= Gamma' at k = 0, and the mode-1 candidates at k >= 1,
+    whose types are folded by k, since the k-fold cover of O(2) carries W_1
+    onto W_k.
+    """
     if k == 0:
-        return [make_o2(ctx, kset) for kset in _k0_orbit_classes(ctx, l)]
+        return _realised([make_o2(ctx, kset) for kset in ctx.class_sets()], 0, l)
     return [fold(c, k) for c in orbit_types_mode1(ctx, l)]
 
 
 def maximal_orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:
     """Orbit types maximal inside the block (the whole group excluded)."""
-    if k == 0:
-        kinds = _k0_orbit_classes(ctx, l)
-        out = []
-        for kset in kinds:
-            ci = ctx.subgroup_class_index(kset)
-            if not any(
-                ctx.lattice.n_count(ci, ctx.subgroup_class_index(k2)) > 0
-                for k2 in kinds
-                if k2 != kset
-            ):
-                out.append(make_o2(ctx, kset))
-        return out
-    base = orbit_types_mode1(ctx, l)
+    base = orbit_types(ctx, min(k, 1), l)
     maxima = [
         c
         for c in base
         if not any(c2 is not c and subconjugate(c, c2) for c2 in base)
     ]
-    return [fold(c, k) for c in maxima]
+    return [fold(c, max(k, 1)) for c in maxima]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 
 Perm = tuple[int, ...]
 
@@ -71,23 +70,6 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         for i, p in enumerate(pts):
             images[p - 1] = pts[(i + 1) % len(pts)] - 1
     return tuple(images)
-
-
-def cycle_string(p: Perm) -> str:
-    seen = set()
-    out = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            seen.add(i)
-            continue
-        cyc = []
-        j = i
-        while j not in seen:
-            seen.add(j)
-            cyc.append(j + 1)
-            j = p[j]
-        out.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(out) if out else "()"
 
 
 class Group:
@@ -188,12 +170,6 @@ class Group:
         return [
             [mult[gx][gi] for gx in mult[g]] for g, gi in enumerate(self.inv_table)
         ]
-
-    def exponent(self) -> int:
-        e = 1
-        for g in self.elements:
-            e = lcm(e, p_order(g))
-        return e
 
     def subgroups(self, cap: int | None = None) -> list[frozenset[Perm]]:
         """Every subgroup, sorted by (order, sorted elements)."""

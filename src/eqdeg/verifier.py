@@ -10,7 +10,6 @@ reported with their residuals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
@@ -127,31 +126,6 @@ class SystemSpec:
                     jac[:, c, v] += val
         return jac
 
-    @staticmethod
-    def from_json(payload) -> "SystemSpec":
-        data = json.loads(payload) if isinstance(payload, str) else payload
-        linear = data.get("linear")
-        if linear is not None:
-            linear = [
-                [[float(Fraction(str(v))) for v in row] for row in mat]
-                for mat in linear
-            ]
-        terms = [
-            [
-                (float(Fraction(str(t["coeff"]))), tuple((int(v), int(p)) for v, p in t["powers"]))
-                for t in comp
-            ]
-            for comp in data.get("terms", [])
-        ] or None
-        spec = SystemSpec(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            period=float(data.get("period", 2 * pi)),
-            linear=linear,
-            terms=terms or [],
-        )
-        return spec
-
 
 def normalize(spec: SystemSpec) -> SystemSpec:
     """Rescale time so the period becomes 2*pi; the right-hand side picks up
@@ -205,33 +179,6 @@ class FourierSolution:
 
     def is_constant(self, tol: float = 1e-8) -> bool:
         return bool(np.max(np.abs(self.coeffs[1:])) <= tol)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "K": self.K,
-                "residual_norm": self.residual_norm,
-                "coefficients": self.coeffs.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(payload) -> "FourierSolution":
-        data = json.loads(payload) if isinstance(payload, str) else payload
-        return FourierSolution(
-            int(data["K"]),
-            np.asarray(data["coefficients"], dtype=float),
-            float(data.get("residual_norm", float("nan"))),
-        )
-
-    def sample_csv(self, samples: int = 256) -> str:
-        """Time series of the trajectory as CSV text (t, x_1, ..., x_n)."""
-        t = np.linspace(0, 2 * pi, samples, endpoint=False)
-        values = self.values(t)
-        lines = ["t," + ",".join(f"x{c + 1}" for c in range(self.n))]
-        for ti, row in zip(t, values):
-            lines.append(",".join(f"{v:.12g}" for v in [ti, *row]))
-        return "\n".join(lines) + "\n"
 
     def transformed(self, theta: float, reverse: bool, perm=None, sign: int = 1) -> "FourierSolution":
         """sign * perm applied to x(t + theta) (or x(-t + theta))."""
@@ -437,27 +384,6 @@ def residual_with_forcing(spec, sol, forcing) -> float:
     acc = second_derivative_matrix(sol.K, t) @ sol.coeffs
     f = spec.rhs(delayed_arguments(spec, sol, t)) + forcing
     return float(np.max(np.abs(acc - f)))
-
-
-def newton_jacobian_at(spec: SystemSpec, K: int) -> np.ndarray:
-    """Mode-space Jacobian at the zero solution, shape (M, n, M, n)."""
-    if abs(spec.period - 2 * pi) > 1e-12:
-        spec = normalize(spec)
-    P, PD2, Bs = _collocation(spec, K)
-    zero = np.zeros((P.shape[1], spec.m * spec.n))
-    return _mode_jacobian(spec.rhs_jacobian(zero), P, PD2, Bs)
-
-
-def mode_block(J: np.ndarray, k: int, K: int) -> np.ndarray:
-    """Restrict the (M, n, M, n) Jacobian to the cos/sin rows of mode k."""
-    n = J.shape[1]
-    if k == 0:
-        rows = [0]
-    else:
-        rows = [k, K + k]
-    sub = J[np.ix_(rows, range(n), rows, range(n))]
-    size = len(rows) * n
-    return sub.reshape(size, size)
 
 
 # ---------------------------------------------------------------------------

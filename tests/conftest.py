@@ -29,6 +29,24 @@ def perm_closure(group, seed):
     return frozenset(elems)
 
 
+def zero_jacobian_mode_blocks(spec, K):
+    """The Newton Jacobian at the zero solution of a period-2*pi spec,
+    restricted to the cos/sin rows of each mode k = 0..K: {k: square block}."""
+    import numpy as np
+
+    from eqdeg.verifier import _collocation, _mode_jacobian
+
+    P, PD2, Bs = _collocation(spec, K)
+    zero = np.zeros((P.shape[1], spec.m * spec.n))
+    J = _mode_jacobian(spec.rhs_jacobian(zero), P, PD2, Bs)
+    blocks = {}
+    for k in range(K + 1):
+        rows = [0] if k == 0 else [k, K + k]
+        size = len(rows) * spec.n
+        blocks[k] = J[np.ix_(rows, range(spec.n), rows, range(spec.n))].reshape(size, size)
+    return blocks
+
+
 def hexagon_coupling_matrix():
     """Circulant nearest-neighbour matrix: -1 on the diagonal, 1/10 beside it."""
     n = 6

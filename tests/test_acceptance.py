@@ -22,7 +22,11 @@ from eqdeg.ddedeg import LinearizationData, SpectralTable, xi
 from eqdeg.o2gamma import GammaContext, fold, maximal_orbit_types, weyl_order
 from eqdeg.permgroup import Group, subgroup_lattice
 
-from conftest import hexagon_coupling_matrix, hexagon_delay_matrices
+from conftest import (
+    hexagon_coupling_matrix,
+    hexagon_delay_matrices,
+    zero_jacobian_mode_blocks,
+)
 
 F = Fraction
 
@@ -194,8 +198,6 @@ def test_acceptance_8_verifier_cross_validation(d6_analysis):
     from eqdeg.verifier import (
         FourierSolution,
         delayed_arguments,
-        mode_block,
-        newton_jacobian_at,
         newton_solve,
         residual,
         second_derivative_matrix,
@@ -207,10 +209,9 @@ def test_acceptance_8_verifier_cross_validation(d6_analysis):
     ]
     spec = SystemSpec(n=6, m=6, period=2 * pi, linear=lin_mats)
     K = 6
-    J = newton_jacobian_at(spec, K)
+    blocks = zero_jacobian_mode_blocks(spec, K)
     dims = {0: 1, 3: 1, 4: 2, 5: 2}
-    for k in range(K + 1):
-        block = mode_block(J, k, K)
+    for k, block in blocks.items():
         got = np.sort(np.linalg.eigvals(block).real)
         expected = []
         for l, d in dims.items():

@@ -152,13 +152,6 @@ def test_signed_group_structure():
         assert sg.signed_char(0, g).as_integer() == -1
 
 
-def test_signed_group_real_type_guard():
-    sg = SignedGroup(bundled_table("Z5"))
-    sg.require_real_type(0)
-    with pytest.raises(CharacterError):
-        sg.require_real_type(1)
-
-
 def test_class_lookup_survives_freed_tables():
     # tables are built and freed in turn, so a new table may take the
     # address of a freed one; its class lookup must still be its own

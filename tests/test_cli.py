@@ -45,6 +45,41 @@ def test_load_config_validation(tmp_path):
         load_config({"group": "D6"})
 
 
+def test_boolean_delays_rejected(tmp_path, capsys):
+    # bool is a subclass of int, so `true` must be rejected on its own
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**d1_config(), "delays": True}))
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == EXIT_INVALID
+    assert "delays must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        ([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], EXIT_OK),
+        # orthonormal, but the mean of each row over the whole group is 1/2
+        ([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [1, -1, -1, -1]], EXIT_INVALID),
+    ],
+)
+def test_custom_table_rows_must_be_characters(tmp_path, capsys, rows, code):
+    config = {
+        "group": {"generators": ["(1 2)(3 4)", "(1 3)(2 4)"]},
+        "character_table": {
+            "class_reps": ["()", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"],
+            "class_sizes": [1, 1, 1, 1],
+            "rows": rows,
+        },
+        "delays": 1,
+        "linearization": {"mu": {str(l): ["-3"] for l in range(1, 5)}},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only"]) == code
+    if code == EXIT_INVALID:
+        assert "error: not a character" in capsys.readouterr().err
+
+
 def test_run_analyze_small_group():
     result = run_analyze(d1_config())
     assert result.exit_code == EXIT_OK

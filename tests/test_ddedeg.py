@@ -3,8 +3,14 @@ from fractions import Fraction
 import pytest
 
 from eqdeg.basicdeg import GRingElement
-from eqdeg.chartab import isotypic_multiplicities, permutation_character
+from eqdeg.chartab import (
+    IsotypicDecomposition,
+    bundled_table,
+    isotypic_multiplicities,
+    permutation_character,
+)
 from eqdeg.ddedeg import (
+    ComplexTypeError,
     DegenerateSpectrumError,
     LinearizationData,
     ReversibilityError,
@@ -14,6 +20,7 @@ from eqdeg.ddedeg import (
     check_growth_condition,
     coupling_coefficient,
     default_k_max,
+    require_real_components,
     survival_parity,
     theorem_conclusions_resonant,
     xi,
@@ -171,6 +178,14 @@ def test_degenerate_redirects(d6ctx, d6_table):
     spectral = SpectralTable(lin, dec, k_max=3).build()
     with pytest.raises(DegenerateSpectrumError):
         assemble_omega(d6ctx, spectral)
+
+
+def test_require_real_components_rejects_complex_type():
+    # Z5: the trivial row is of real type, the other four are complex
+    t = bundled_table("Z5")
+    require_real_components(t, IsotypicDecomposition((1, 0, 0, 0, 0), t.dims()))
+    with pytest.raises(ComplexTypeError):
+        require_real_components(t, IsotypicDecomposition((1, 1, 0, 0, 0), t.dims()))
 
 
 def test_small_product_single_negative_mode(z1ctx):

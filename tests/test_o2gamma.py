@@ -12,7 +12,6 @@ from eqdeg.o2gamma import (
     GammaContext,
     InfiniteWeylError,
     class_product,
-    enumerate_candidate_classes,
     fixed_dim,
     fold,
     full_group,
@@ -23,7 +22,6 @@ from eqdeg.o2gamma import (
     n_count_amalgam,
     orbit_types,
     subconjugate,
-    weyl_is_finite,
     weyl_order,
 )
 
@@ -60,30 +58,29 @@ def test_trivial_gamma_mode1_candidates(trivctx):
 def test_full_group_and_so2_weyl(d6ctx):
     g = full_group(d6ctx)
     assert weyl_order(g) == 1
-    assert weyl_is_finite(g)
     assert fixed_dim(g, 1, 4) == 0
 
 
 def test_rotation_only_class_has_infinite_weyl(d6ctx):
     e = d6ctx.identity
     cyc = make_fin(d6ctx, {(0, 1, e), (1, 1, e)}, 2)
-    assert not weyl_is_finite(cyc)
+    assert not cyc.is_dihedral()
     with pytest.raises(InfiniteWeylError):
         weyl_order(cyc)
 
 
 def test_d6_candidate_enumeration_includes_expected_shapes(d6ctx):
-    cands = enumerate_candidate_classes(d6ctx, 1, 4)
+    cands = [c for c in mode1_candidates(d6ctx) if fixed_dim(c, 1, 4) > 0]
     kinds = {(c.h_part(), c.l_order()) for c in cands}
     assert (("D", 2), 2) in kinds  # H = D2 pairing a Z2 quotient
     assert (("D", 6), 12) in kinds  # H = D6 pairing a full dihedral quotient
     for c in cands:
-        assert weyl_is_finite(c)
-        assert fixed_dim(c, 1, 4) > 0
+        assert c.is_dihedral() and weyl_order(c) >= 1
 
 
 def test_k0_candidates_are_products_with_o2(d6ctx):
-    cands = enumerate_candidate_classes(d6ctx, 0, 0)
+    cands = [make_o2(d6ctx, kset) for kset in d6ctx.class_sets()]
+    cands = [c for c in cands if fixed_dim(c, 0, 0) > 0]
     assert cands and all(c.kind == "o2" for c in cands)
     sizes = {len(c.K) for c in cands}
     assert 12 in sizes  # the index-2 kernel of the signed trivial character
@@ -389,6 +386,44 @@ def test_fixed_dims_match_cyclotomic_sums(code_ctxs, name):
             assert fixed_dim(cls, k, l) == expected, (cls.name(), k, l)
 
 
+def _k0_orbit_classes_reference(ctx, l):
+    """The k = 0 orbit types from the subgroup lattice of Gamma' alone, as
+    element sets: K is realised when its fixed dimension, the mean of the
+    character over K, is positive and no other class containing K has a
+    fixed dimension at least as big."""
+
+    def dim(kset):
+        total = sum((ctx.chars[l][g] for g in kset), Cyc.rational(0))
+        return (total * Fraction(1, len(kset))).as_integer()
+
+    cands = [(ci, kset) for ci, kset in enumerate(ctx.class_sets()) if dim(kset) > 0]
+    out = []
+    for ci, kset in cands:
+        if not any(
+            cj != ci and ctx.lattice.n_count(ci, cj) > 0 and dim(k2) >= dim(kset)
+            for cj, k2 in cands
+        ):
+            out.append(kset)
+    return out
+
+
+@pytest.mark.parametrize("name", ["D4", "S3", "D5", "D6", "D8", "S4"])
+def test_k0_orbit_types_match_lattice_reference(code_ctxs, name):
+    ctx = code_ctxs.get(name) or GammaContext.from_signed_group(
+        SignedGroup(bundled_table(name))
+    )
+    ci = ctx.subgroup_class_index
+    for l in range(len(ctx.chars)):
+        types = _k0_orbit_classes_reference(ctx, l)
+        assert orbit_types(ctx, 0, l) == [make_o2(ctx, k) for k in types], l
+        maxima = [
+            k
+            for k in types
+            if not any(k2 != k and ctx.lattice.n_count(ci(k), ci(k2)) > 0 for k2 in types)
+        ]
+        assert maximal_orbit_types(ctx, 0, l) == [make_o2(ctx, k) for k in maxima], l
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -542,7 +577,7 @@ def test_numeric_isotropy_oracle_mode_two(d6ctx):
     rng = np.random.default_rng(13)
     l = 4
     act = _action_table(d6ctx, table, _component_basis(table, l), 2)
-    cands = [c for c in enumerate_candidate_classes(d6ctx, 2, l)]
+    cands = [fold(c, 2) for c in mode1_candidates(d6ctx) if fixed_dim(c, 1, l) > 0]
     realized = set(orbit_types(d6ctx, 2, l))
     for cls in cands:
         sample_realized = _realized_by_sampling(d6ctx, act, cls, cands, rng, 3)

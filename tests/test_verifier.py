@@ -14,8 +14,6 @@ from eqdeg.verifier import (
     class_matches_symmetries,
     delayed_arguments,
     isotropy_of_trajectory,
-    mode_block,
-    newton_jacobian_at,
     newton_solve,
     normalize,
     projection_matrix,
@@ -23,7 +21,7 @@ from eqdeg.verifier import (
     second_derivative_matrix,
 )
 
-from conftest import hexagon_delay_matrices
+from conftest import hexagon_delay_matrices, zero_jacobian_mode_blocks
 
 
 def d6_linear_spec(cubic=0.0):
@@ -237,10 +235,9 @@ def test_linear_jacobian_blocks_match_spectral_data(d6_analysis):
 
     spec = d6_linear_spec()
     K = 6
-    J = newton_jacobian_at(spec, K)
+    blocks = zero_jacobian_mode_blocks(spec, K)
     dims = {0: 1, 3: 1, 4: 2, 5: 2}
-    for k in range(K + 1):
-        block = mode_block(J, k, K)
+    for k, block in blocks.items():
         got = np.sort_complex(np.linalg.eigvals(block)).real
         expected = []
         for l, d in dims.items():
@@ -346,18 +343,3 @@ def test_end_to_end_orbit_and_symmetry(d6ctx):
         cls for cls in guaranteed if class_matches_symmetries(cls, syms, perm_of_gamma_index)
     ]
     assert matches, "no guaranteed class matched the detected symmetries"
-
-
-def test_solution_json_and_csv_export():
-    K = 3
-    coeffs = np.zeros((2 * K + 1, 2))
-    coeffs[1] = [1.0, -0.5]
-    sol = FourierSolution(K, coeffs, 1e-9)
-    clone = FourierSolution.from_json(sol.to_json())
-    assert clone.K == K
-    assert np.allclose(clone.coeffs, sol.coeffs)
-    csv = sol.sample_csv(samples=8)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "t,x1,x2"
-    assert len(lines) == 9
-    assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
