@@ -27,7 +27,6 @@ class CharacterTable:
     class_reps: tuple[Perm, ...]
     class_sizes: tuple[int, ...]
     rows: tuple[tuple[Cyc, ...], ...]
-    real_type: tuple[bool, ...]
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -58,6 +57,19 @@ class CharacterTable:
         if len(lut) != group.order:
             raise CharacterError("class representatives do not cover the group")
         return lut
+
+    @cached_property
+    def real_type(self) -> tuple[bool, ...]:
+        """Whether each row is of real type: its Frobenius-Schur indicator
+        (1/|G|) sum chi(g^2) is 1 (it is 0 for complex, -1 for
+        quaternionic type)."""
+        group = self.group
+        squares = [self.class_of(group.mul(g, g)) for g in group.elements]
+        flags = []
+        for row in self.rows:
+            total = sum((row[c] for c in squares), Cyc.rational(0))
+            flags.append(total == Cyc.rational(group.order))
+        return tuple(flags)
 
     def value(self, irrep: int, g: Perm) -> Cyc:
         return self.rows[irrep][self.class_of(g)]
@@ -160,7 +172,7 @@ def _cyclic(n: int) -> CharacterTable:
     g = Group.from_name(f"Z{n}")
     if n == 1:
         return CharacterTable(
-            g, (g.identity,), (1,), ((Cyc.rational(1),),), (True,), ("(1)",)
+            g, (g.identity,), (1,), ((Cyc.rational(1),),), ("(1)",)
         )
     gen = tuple((i + 1) % n for i in range(n))
     reps = []
@@ -171,9 +183,8 @@ def _cyclic(n: int) -> CharacterTable:
     rows = tuple(
         tuple(Cyc.root_of_unity(j * a, n) for a in range(n)) for j in range(n)
     )
-    real = tuple(j == 0 or 2 * j == n for j in range(n))
     names = tuple(f"(g^{a})" if a else "(1)" for a in range(n))
-    return CharacterTable(g, tuple(reps), (1,) * n, rows, real, names)
+    return CharacterTable(g, tuple(reps), (1,) * n, rows, names)
 
 
 def _dihedral(n: int) -> CharacterTable:
@@ -185,7 +196,7 @@ def _dihedral(n: int) -> CharacterTable:
             (Cyc.rational(1), Cyc.rational(1)),
             (Cyc.rational(1), Cyc.rational(-1)),
         )
-        return CharacterTable(z2, reps, (1, 1), rows, (True, True), ("(1)", "(k)"))
+        return CharacterTable(z2, reps, (1, 1), rows, ("(1)", "(k)"))
     if n == 2:
         rot = next(x for x in g.elements if x[:2] == (1, 0) and x[2:] == (2, 3))
         refl = next(x for x in g.elements if x[:2] == (0, 1) and x[2:] == (3, 2))
@@ -195,7 +206,7 @@ def _dihedral(n: int) -> CharacterTable:
         neg = Cyc.rational(-1)
         rows = ((one,) * 4, (one, neg, one, neg), (one, one, neg, neg), (one, neg, neg, one))
         return CharacterTable(
-            g, reps, (1, 1, 1, 1), rows, (True,) * 4, ("(1)", "(r)", "(k)", "(rk)")
+            g, reps, (1, 1, 1, 1), rows, ("(1)", "(r)", "(k)", "(rk)")
         )
     rot = parse_cycles("(" + " ".join(str(i + 1) for i in range(n)) + ")")
     refl = tuple((-i) % n for i in range(n))  # fixes vertex 1
@@ -216,7 +227,6 @@ def _dihedral(n: int) -> CharacterTable:
                 row.append(Cyc.root_of_unity(j * a, n) + Cyc.root_of_unity(-j * a, n))
             row.append(Cyc.rational(0))
             rows.append(tuple(row))
-        real = [True] * len(rows)
     else:
         # class order: (1), (k), (r), ..., (r^(n/2-1)), (rk), (r^(n/2))
         half = n // 2
@@ -243,10 +253,7 @@ def _dihedral(n: int) -> CharacterTable:
             row.append(Cyc.rational(0))
             row.append(Cyc.root_of_unity(j * half, n) * 2)
             rows.append(tuple(row))
-        real = [True] * len(rows)
-    return CharacterTable(
-        g, tuple(reps), tuple(sizes), tuple(rows), tuple(real), tuple(names)
-    )
+    return CharacterTable(g, tuple(reps), tuple(sizes), tuple(rows), tuple(names))
 
 
 def _symmetric3() -> CharacterTable:
@@ -258,9 +265,7 @@ def _symmetric3() -> CharacterTable:
         (r(1), r(-1), r(1)),
         (r(2), r(0), r(-1)),
     )
-    return CharacterTable(
-        g, reps, (1, 3, 2), rows, (True,) * 3, ("(1)", "(12)", "(123)")
-    )
+    return CharacterTable(g, reps, (1, 3, 2), rows, ("(1)", "(12)", "(123)"))
 
 
 def _symmetric4() -> CharacterTable:
@@ -285,7 +290,6 @@ def _symmetric4() -> CharacterTable:
         reps,
         (1, 6, 3, 8, 6),
         rows,
-        (True,) * 5,
         ("(1)", "(12)", "(12)(34)", "(123)", "(1234)"),
     )
 
@@ -295,7 +299,8 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
 
     Orthonormal rows need not be characters, so each row must also have a
     non-negative integer mean over every subgroup: the dimension of the
-    subspace that the subgroup fixes.
+    subspace that the subgroup fixes.  Real type comes from the rows; a
+    payload that lists `real_type` must agree with it.
     """
     data = json.loads(payload) if isinstance(payload, str) else payload
     reps = tuple(parse_cycles(w, group.degree) for w in data["class_reps"])
@@ -303,13 +308,18 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     rows = tuple(
         tuple(Cyc.rational(Fraction(str(v))) for v in row) for row in data["rows"]
     )
-    real = tuple(bool(b) for b in data.get("real_type", [True] * len(rows)))
-    table = CharacterTable(group, reps, sizes, rows, real)
+    table = CharacterTable(group, reps, sizes, rows)
     table.check_orthonormal()
     for sub in group.subgroups():
         for l, row in enumerate(rows):
             if fixed_space_dim(table, row, sub) < 0:
                 raise CharacterError(f"row {l + 1} is not a character: negative fixed dimension")
+    given = tuple(bool(b) for b in data.get("real_type", table.real_type))
+    if given != table.real_type:
+        raise CharacterError(
+            f"real_type {list(given)} disagrees with the Frobenius-Schur "
+            f"indicators, which give {list(table.real_type)}"
+        )
     return table
 
 

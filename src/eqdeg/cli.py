@@ -34,6 +34,7 @@ from .ddedeg import (
     DegreeReport,
     LinearizationData,
     SpectralTable,
+    _isotypic_projector,
     assemble_omega,
     default_k_max,
     require_real_components,
@@ -160,41 +161,6 @@ def _build_linearization(config, table, decomposition) -> LinearizationData:
     raise ConfigError("linearization needs 'matrices' or 'mu'")
 
 
-D6_NAMED_SUBGROUPS = {
-    # conventional decorated labels for the hexagon example, bound to
-    # explicit generators (gamma word, antipodal sign)
-    "Z2-": [("(1 4)(2 5)(3 6)", -1)],
-    "~D1": [("(1 4)(2 5)(3 6)", 1)],
-    "D2d": [("(2 6)(3 5)", 1), ("(1 4)(2 5)(3 6)", -1)],
-    "~D2d": [("(1 2)(3 6)(4 5)", 1), ("(1 4)(2 5)(3 6)", -1)],
-    "D2z": [("(1 4)(2 5)(3 6)", 1), ("(2 6)(3 5)", -1)],
-    "~D2z": [("(1 4)(2 5)(3 6)", 1), ("(1 2)(3 6)(4 5)", -1)],
-    "D6z": [("(1 2 3 4 5 6)", 1), ("(2 6)(3 5)", 1)],
-}
-
-
-def _bind_d6_names(ctx: GammaContext) -> None:
-    signed = getattr(ctx, "signed", None)
-    if signed is None or signed.gamma.order != 12 or signed.gamma.degree != 6:
-        return
-    named = {}
-    for name, gens in D6_NAMED_SUBGROUPS.items():
-        idxs = []
-        for word, eps in gens:
-            gamma_perm = parse_cycles(word, 6)
-            target = None
-            for i, elem in enumerate(ctx.elems):
-                gp, e = signed.parts(elem)
-                if gp == gamma_perm and e == eps:
-                    target = i
-                    break
-            if target is None:
-                return
-            idxs.append(target)
-        named[name] = idxs
-    ctx.bind_display_names(named)
-
-
 # ---------------------------------------------------------------------------
 # analysis pipeline
 
@@ -314,7 +280,6 @@ def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
     lin, spectral = _spectral_table(config, table, decomposition, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)
-    _bind_d6_names(ctx)
     s = s or config.get("options", {}).get("s")
     if spectral.zero_spectrum() and not s:
         return AnalysisResult(
@@ -453,21 +418,13 @@ def run_verify(config) -> dict:
 
 
 def _seed_vector(table, l):
+    """The first nonzero column of the isotypic projector of row l, scaled
+    to sup norm 1."""
     import numpy as np
 
-    group = table.group
-    n = group.degree
-    dim = table.dims()[l]
-    proj = np.zeros((n, n))
-    for g in group.elements:
-        chi = float(table.rows[l][table.class_of(g)].as_fraction())
-        mat = np.zeros((n, n))
-        for col in range(n):
-            mat[g[col], col] = 1.0
-        proj += (dim / group.order) * chi * mat
-    for col in range(n):
-        v = proj[:, col]
-        if np.linalg.norm(v) > 1e-9:
+    proj = np.array(_isotypic_projector(table, l), dtype=float)
+    for v in proj.T:
+        if v.any():
             return v / np.max(np.abs(v))
     raise ConfigError(f"component {l + 1} absent from the representation")
 
@@ -563,7 +520,6 @@ def _dispatch(args) -> int:
     if args.command == "basic-deg":
         table = bundled_table(args.group)
         ctx = GammaContext.from_signed_group(SignedGroup(table))
-        _bind_d6_names(ctx)
         if not 1 <= args.l <= table.n_irreps:
             raise ConfigError(f"l must be in 1..{table.n_irreps}")
         deg = basic_degree(ctx, args.k, args.l - 1)

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from .burnside import mult_classes
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc, _reduce
-from .permgroup import Group, subgroup_lattice
+from .permgroup import Group, SubgroupClassLattice, parse_cycles, subgroup_lattice
 
 
 class InfiniteWeylError(ValueError):
@@ -53,8 +53,9 @@ class InfiniteWeylError(ValueError):
 class GammaContext:
     """Multiplication tables, characters and subgroup classes of Gamma'."""
 
-    def __init__(self, group: Group, char_rows, char_labels=None):
+    def __init__(self, group: Group, char_rows, signed: SignedGroup | None = None):
         self.group = group
+        self.signed = signed
         self.n = group.order
         self.elems = list(group.elements)
         idx = group.index
@@ -63,10 +64,10 @@ class GammaContext:
         self.inv = group.inv_table
         self.conj = group.conj_table
         self.chars: list[tuple[Cyc, ...]] = [tuple(row) for row in char_rows]
-        self.char_labels = list(char_labels or range(len(self.chars)))
         self.char_dims = [row[self.identity].as_integer() for row in self.chars]
         self.char_orders = [lcm(*(v.order for v in row)) for row in self.chars]
         self.lattice = subgroup_lattice(group)
+        self.names = subgroup_names(self.lattice, signed)
         self._set_of_class = [
             frozenset(idx[g] for g in cls.rep_set) for cls in self.lattice.classes
         ]
@@ -100,9 +101,7 @@ class GammaContext:
             tuple(signed.signed_char(l, g) for g in signed.group.elements)
             for l in range(signed.gamma_table.n_irreps)
         ]
-        ctx = GammaContext(signed.group, rows)
-        ctx.signed = signed
-        return ctx
+        return GammaContext(signed.group, rows, signed)
 
     def subgroup_class_index(self, kset: frozenset) -> int:
         return self._class_of_set[frozenset(kset)]
@@ -111,70 +110,62 @@ class GammaContext:
         return list(self._set_of_class)
 
     def subgroup_name(self, kset: frozenset) -> str:
-        overrides = getattr(self, "display_overrides", None)
-        if overrides:
-            name = overrides.get(self.subgroup_class_index(frozenset(kset)))
-            if name:
-                return name
-        signed = getattr(self, "signed", None)
-        if signed is None:
-            return self.lattice.classes[self.subgroup_class_index(kset)].name
-        return self._signed_name(frozenset(kset))
+        return self.names[self.subgroup_class_index(kset)]
 
-    def bind_display_names(self, named_generators: dict) -> None:
-        """Attach conventional display names: {name: iterable of element
-        indices generating the subgroup}.  Display only; fingerprints stay
-        the contract."""
-        overrides = {}
-        for name, gens in named_generators.items():
-            sub = {self.identity}
-            frontier = [self.identity]
-            gen_idx = list(gens)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gen_idx:
-                        y = self.mult[g][x]
-                        if y not in sub:
-                            sub.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            overrides[self.subgroup_class_index(frozenset(sub))] = name
-        self.display_overrides = overrides
 
-    def _signed_name(self, kset: frozenset) -> str:
-        """Decorated display name over Gamma x Z2: S for S x {1}, Sp for
-        S x Z2, S^T for the twisted subgroup with even part T.  Bindings are
-        a convention of this engine; structural fingerprints are the
-        contract."""
-        cached = getattr(self, "_signed_names", None)
-        if cached is None:
-            cached = {}
-            self._signed_names = cached
-        name = cached.get(kset)
-        if name is not None:
-            return name
-        signed = self.signed
-        gamma_lat = getattr(self, "_gamma_lattice", None)
-        if gamma_lat is None:
-            gamma_lat = subgroup_lattice(signed.gamma)
-            self._gamma_lattice = gamma_lat
-        proj = frozenset(signed.parts(self.elems[g])[0] for g in kset)
-        even = frozenset(
-            signed.parts(self.elems[g])[0]
-            for g in kset
-            if signed.parts(self.elems[g])[1] == 1
-        )
-        sname = gamma_lat.classes[gamma_lat.class_of(proj)].name
-        if len(kset) == 2 * len(proj):
-            name = f"{sname}p"
-        elif len(even) == len(kset):
-            name = sname
+# Conventional labels of the hexagon example's subgroups of D6 x Z2, each
+# bound to generators (an element of D6 on six points, antipodal sign).  No
+# rule on the lattice gives them (D6 x {1} is D6z, while D3 x {1} keeps the
+# lattice name D3#1), so they are data.
+D6_LABELS = {
+    "Z2-": [("(1 4)(2 5)(3 6)", -1)],
+    "~D1": [("(1 4)(2 5)(3 6)", 1)],
+    "D2d": [("(2 6)(3 5)", 1), ("(1 4)(2 5)(3 6)", -1)],
+    "~D2d": [("(1 2)(3 6)(4 5)", 1), ("(1 4)(2 5)(3 6)", -1)],
+    "~D2z": [("(1 4)(2 5)(3 6)", 1), ("(1 2)(3 6)(4 5)", -1)],
+    "D6z": [("(1 2 3 4 5 6)", 1), ("(2 6)(3 5)", 1)],
+}
+
+
+def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) -> list[str]:
+    """Display names of the lattice's classes, by class index.
+
+    Over a plain Gamma' these are the lattice names.  Over Gamma x Z2 a
+    subgroup S x {1} is named S, S x Z2 is Sp, and a twisted subgroup
+    projecting onto S with even part T is S^T, in Gamma's lattice names;
+    when Gamma is the hexagon's D6, the classes of `D6_LABELS` take those
+    labels instead.  Names are display only; fingerprints identify classes.
+    """
+    if signed is None:
+        return [cls.name for cls in lattice.classes]
+    gamma_lat = subgroup_lattice(signed.gamma)
+
+    def gamma_name(perms):
+        return gamma_lat.classes[gamma_lat.class_of(frozenset(perms))].name
+
+    names = []
+    for cls in lattice.classes:
+        parts = [signed.parts(g) for g in cls.rep_set]
+        proj = {gp for (gp, _) in parts}
+        even = [gp for (gp, eps) in parts if eps == 1]
+        if len(parts) == 2 * len(proj):
+            names.append(f"{gamma_name(proj)}p")
+        elif len(even) == len(parts):
+            names.append(gamma_name(proj))
         else:
-            tname = gamma_lat.classes[gamma_lat.class_of(even)].name
-            name = f"{sname}^{tname}"
-        cached[kset] = name
-        return name
+            names.append(f"{gamma_name(proj)}^{gamma_name(even)}")
+    if (signed.gamma.degree, signed.gamma.order) != (6, 12):
+        return names
+    group = lattice.group
+    index_of = {signed.parts(g): i for i, g in enumerate(group.elements)}
+    gens = [
+        [index_of.get((parse_cycles(word, 6), eps)) for word, eps in words]
+        for words in D6_LABELS.values()
+    ]
+    if all(None not in idxs for idxs in gens):
+        for label, idxs in zip(D6_LABELS, gens):
+            names[lattice.class_of(group.perms_of(group._closure_mask(idxs)))] = label
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +180,9 @@ class AmalgamatedClass:
                 of `grid` points (t = u/grid), K = None.
     kind "o2":  O(2) x K, elems = None, grid = 1 (isotropy shapes of mode-0
                 vectors; "G" itself is the case K = Gamma').
+
+    The Goursat parts H, Z, R and L = K/R are read off finite classes only;
+    `name` and `fingerprint` spell out O(2) x K directly.
     """
 
     ctx: GammaContext
@@ -226,8 +220,6 @@ class AmalgamatedClass:
 
     def h_part(self) -> tuple[str, int]:
         """O(2)-projection as (kind, rotation order)."""
-        if self.kind == "o2":
-            return ("O2", 0)
         rot = {u for (u, s, g) in self.elems if s == 1}
         d = len(rot)
         return ("D", d) if self.is_dihedral() else ("Z", d)
@@ -240,19 +232,13 @@ class AmalgamatedClass:
     def z_part(self) -> frozenset:
         """Elements of the O(2)-side kernel {h : (h, identity) in Sigma}."""
         e = self.ctx.identity
-        if self.kind == "o2":
-            return frozenset({"all"})
         return frozenset((u, s) for (u, s, g) in self.elems if g == e)
 
     def r_part(self) -> frozenset:
         """The Gamma'-side kernel {x : (identity_O2, x) in Sigma}."""
-        if self.kind == "o2":
-            return self.K
         return frozenset(g for (u, s, g) in self.elems if s == 1 and u == 0)
 
     def l_order(self) -> int:
-        if self.kind == "o2":
-            return 1
         return len(self.k_part()) // len(self.r_part())
 
     def fingerprint(self) -> tuple:

@@ -236,9 +236,14 @@ def delayed_arguments(spec: SystemSpec, sol: FourierSolution, tgrid: np.ndarray)
     return np.concatenate(blocks, axis=1)
 
 
-def residual(spec: SystemSpec, sol: FourierSolution, grid_size: int | None = None) -> float:
-    """Sup norm over the grid of x'' - f(x_t); delays evaluated exactly on
-    modes."""
+def residual(
+    spec: SystemSpec,
+    sol: FourierSolution,
+    grid_size: int | None = None,
+    forcing: np.ndarray | None = None,
+) -> float:
+    """Sup norm over the grid of x'' - f(x_t) - forcing; delays evaluated
+    exactly on modes.  forcing is sampled on the same grid."""
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
     N = grid_size or (4 * sol.K + 1)
@@ -247,6 +252,8 @@ def residual(spec: SystemSpec, sol: FourierSolution, grid_size: int | None = Non
     t = np.linspace(0, 2 * pi, N, endpoint=False)
     acc = second_derivative_matrix(sol.K, t) @ sol.coeffs
     f = spec.rhs(delayed_arguments(spec, sol, t))
+    if forcing is not None:
+        f = f + forcing
     return float(np.max(np.abs(acc - f)))
 
 
@@ -304,7 +311,6 @@ def newton_solve(
     initial: FourierSolution,
     tol: float = 1e-10,
     max_iter: int = 40,
-    damping: float = 1.0,
     forcing: np.ndarray | None = None,
 ) -> tuple[FourierSolution, NewtonReport]:
     """Newton iteration on the mode-space projection of x'' - f(x_t) (+g).
@@ -335,7 +341,7 @@ def newton_solve(
         norm = float(np.sqrt(np.sum(G * G)))
         history.append(norm)
         if norm < tol:
-            sup = residual_with_forcing(spec, sol, forcing)
+            sup = residual(spec, sol, forcing=forcing)
             ok = sup <= SUP_RESIDUAL_TOL
             message = "" if ok else (
                 f"mode-space norm {norm:.3g} < tol but grid sup residual "
@@ -353,7 +359,7 @@ def newton_solve(
                 FourierSolution(K, sol.coeffs, float("inf")),
                 NewtonReport(False, it, float("inf"), history, "singular Jacobian"),
             )
-        lam = damping
+        lam = 1.0
         for _ in range(20):
             trial = sol.coeffs - lam * step.reshape(M, n)
             Gt, _ = mode_residual(trial)
@@ -362,28 +368,18 @@ def newton_solve(
                 break
             lam /= 2
         else:
-            sup = residual_with_forcing(spec, sol, forcing)
+            sup = residual(spec, sol, forcing=forcing)
             return (
                 FourierSolution(K, sol.coeffs, sup),
                 NewtonReport(False, it, sup, history, "line search stalled"),
             )
-    sup = residual_with_forcing(spec, sol, forcing)
+    sup = residual(spec, sol, forcing=forcing)
     return (
         FourierSolution(K, sol.coeffs, sup),
         NewtonReport(
             sup <= SUP_RESIDUAL_TOL, max_iter, sup, history, "iteration budget reached"
         ),
     )
-
-
-def residual_with_forcing(spec, sol, forcing) -> float:
-    if forcing is None:
-        return residual(spec, sol)
-    N = 4 * sol.K + 1
-    t = np.linspace(0, 2 * pi, N, endpoint=False)
-    acc = second_derivative_matrix(sol.K, t) @ sol.coeffs
-    f = spec.rhs(delayed_arguments(spec, sol, t)) + forcing
-    return float(np.max(np.abs(acc - f)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,28 @@ def perm_closure(group, seed):
     return frozenset(elems)
 
 
+# The quaternion group Q8 in its regular action on eight points; row 5 is
+# the 2-dim character of quaternionic type (Frobenius-Schur indicator -1).
+Q8_GENERATORS = ["(1 3 2 4)(5 7 6 8)", "(1 5 2 6)(3 8 4 7)"]
+Q8_TABLE = {
+    "class_reps": [
+        "()",
+        "(1 2)(3 4)(5 6)(7 8)",
+        "(1 3 2 4)(5 7 6 8)",
+        "(1 5 2 6)(3 8 4 7)",
+        "(1 7 2 8)(3 5 4 6)",
+    ],
+    "class_sizes": [1, 1, 2, 2, 2],
+    "rows": [
+        [1, 1, 1, 1, 1],
+        [1, 1, 1, -1, -1],
+        [1, 1, -1, 1, -1],
+        [1, 1, -1, -1, 1],
+        [2, -2, 0, 0, 0],
+    ],
+}
+
+
 def zero_jacobian_mode_blocks(spec, K):
     """The Newton Jacobian at the zero solution of a period-2*pi spec,
     restricted to the cos/sin rows of each mode k = 0..K: {k: square block}."""

@@ -13,7 +13,7 @@ from eqdeg.chartab import (
 )
 from eqdeg.permgroup import Group, subgroup_lattice
 
-from conftest import perm_closure
+from conftest import Q8_GENERATORS, Q8_TABLE, perm_closure
 
 
 def rows_as_ints(table):
@@ -50,7 +50,24 @@ def test_z2_and_z1_rows():
 def test_real_type_flags():
     z5 = bundled_table("Z5")
     assert z5.real_type == (True, False, False, False, False)
-    assert all(bundled_table("D5").real_type)
+    # the Frobenius-Schur indicator gives the flags the bundled constructors
+    # used to list by hand: row j of Zn is real exactly when j = 0 or 2j = n,
+    # and every row of Dn, S3 and S4 is real
+    for n in range(1, 13):
+        assert bundled_table(f"Z{n}").real_type == tuple(
+            j == 0 or 2 * j == n for j in range(n)
+        )
+    for name in [f"D{n}" for n in range(1, 13)] + ["S3", "S4"]:
+        assert all(bundled_table(name).real_type), name
+
+
+def test_quaternionic_row_is_not_real_type():
+    q8 = Group.make(Q8_GENERATORS)
+    table = table_from_json(q8, Q8_TABLE)
+    assert table.real_type == (True, True, True, True, False)
+    assert table_from_json(q8, {**Q8_TABLE, "real_type": list(table.real_type)})
+    with pytest.raises(CharacterError, match="Frobenius-Schur"):
+        table_from_json(q8, {**Q8_TABLE, "real_type": [True] * 5})
 
 
 def test_hexagon_character_and_multiplicities():

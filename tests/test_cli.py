@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import eqdeg
+from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.ddedeg import assemble_omega
+from eqdeg.o2gamma import GammaContext
 from eqdeg.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -19,6 +22,8 @@ from eqdeg.cli import (
     run_analyze,
     validate_report,
 )
+
+from conftest import Q8_GENERATORS, Q8_TABLE
 
 
 def report_sha256(result):
@@ -78,6 +83,21 @@ def test_custom_table_rows_must_be_characters(tmp_path, capsys, rows, code):
     assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only"]) == code
     if code == EXIT_INVALID:
         assert "error: not a character" in capsys.readouterr().err
+
+
+def test_quaternionic_component_rejected(tmp_path, capsys):
+    # the 2-dim row of Q8 is quaternionic: its component is one 4-dim real
+    # irreducible, not two copies of a 2-dim one
+    config = {
+        "group": {"generators": Q8_GENERATORS},
+        "character_table": Q8_TABLE,
+        "delays": 1,
+        "linearization": {"mu": {"5": ["-3"]}},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only"]) == EXIT_INVALID
+    assert "component 5 is not of real type; unsupported" in capsys.readouterr().err
 
 
 def test_run_analyze_small_group():
@@ -141,6 +161,15 @@ def test_basic_deg_subcommand(capsys):
     assert main(["basic-deg", "D1", "0", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("deg(k=0, l=1) = (G)")
+
+
+def test_basic_deg_d6_output_is_byte_stable(capsys):
+    assert main(["basic-deg", "D6", "1", "5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "D2d" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b49e497963cf8ac50d2c9e4a3fe1e75d03244c6eba078800a46063353fa1671c"
+    )
 
 
 def test_spectrum_subcommand(tmp_path, capsys):
@@ -221,6 +250,23 @@ def test_bundled_example_full_run():
     assert report_sha256(result) == (
         "62288c5e51f52e737983e886e163e04719c7e86f8e4381fe4c7438164779d03b"
     )
+
+
+def test_library_context_names_classes_like_analyze():
+    # a D6 context built in library code names every reported class as
+    # `eqdeg analyze` does, the D6 labels included
+    result = run_analyze(load_config(bundled_example_path()))
+    ctx = GammaContext.from_signed_group(SignedGroup(bundled_table("D6")))
+    report = assemble_omega(ctx, result.spectral)
+
+    def names(rep):
+        return (
+            [(c.key, c.name()) for c in rep.omega.support()],
+            [(c.mode, c.component, c.cls.key, c.cls.name()) for c in rep.conclusions],
+        )
+
+    assert names(report) == names(result.report)
+    assert any("^D2d" in c.cls.name() for c in report.conclusions)
 
 
 def test_verify_subcommand_small(tmp_path, capsys):

@@ -31,6 +31,22 @@ def trivctx():
     return GammaContext.from_character_table(bundled_table("Z1"))
 
 
+def test_d6_labels_name_distinct_classes(d6ctx):
+    expected = {"Z2-": 7, "~D1": 6, "D2d": 13, "~D2d": 14, "~D2z": 15, "D6z": 27}
+    assert set(og.D6_LABELS) == set(expected)
+    assert {label: d6ctx.names.index(label) for label in expected} == expected
+    assert all(d6ctx.names.count(label) == 1 for label in expected)
+
+
+@pytest.mark.parametrize("name", ["D6", "D4", "S4"])
+def test_plain_context_keeps_lattice_names(name):
+    # the D6 labels name subgroups of D6 x Z2; a plain Gamma' has none
+    ctx = GammaContext.from_character_table(bundled_table(name))
+    lattice_names = [cls.name for cls in ctx.lattice.classes]
+    assert ctx.names == lattice_names
+    assert [ctx.subgroup_name(kset) for kset in ctx.class_sets()] == lattice_names
+
+
 def test_o2_element_algebra(d6ctx):
     # every stored element set is a subgroup of O(2) x Gamma' on the
     # smallest grid that holds it: (u1, s1)(u2, s2) = (u1 + s1 * u2, s1 * s2)

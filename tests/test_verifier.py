@@ -211,9 +211,12 @@ def test_manufactured_solution_recovery():
         - spec.rhs(delayed_arguments(spec, exact, t))
     )
     start = FourierSolution(K, target * 1.1)
+    assert residual(spec, exact, forcing=forcing) < 1e-12
+    assert residual(spec, exact) == pytest.approx(np.max(np.abs(forcing)), rel=1e-12)
     sol, rep = newton_solve(spec, start, tol=1e-13, forcing=forcing)
     assert rep.converged
     assert rep.residual_sup < 1e-10
+    assert rep.residual_sup == residual(spec, sol, forcing=forcing)
     assert np.max(np.abs(sol.coeffs - exact.coeffs)) < 1e-10
 
 
