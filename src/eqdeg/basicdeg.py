@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .burnside import format_terms
 from .o2gamma import (
     AmalgamatedClass,
     GammaContext,
@@ -45,10 +46,6 @@ class GRingElement:
     def unit(ctx) -> "GRingElement":
         return GRingElement(ctx, {full_group(ctx): 1})
 
-    @staticmethod
-    def zero(ctx) -> "GRingElement":
-        return GRingElement(ctx, {})
-
     def coeff(self, cls: AmalgamatedClass) -> int:
         return self.coeffs.get(cls, 0)
 
@@ -79,19 +76,9 @@ class GRingElement:
         return sorted(self.coeffs, key=lambda c: c.key)
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
         full = full_group(self.ctx)
-        def sort_key(c):
-            return (c is not full, c.kind, c.key)
-        parts = []
-        for c in sorted(self.coeffs, key=sort_key):
-            v = self.coeffs[c]
-            sign = "-" if v < 0 else "+"
-            mag = "" if abs(v) == 1 else str(abs(v))
-            parts.append(f"{sign} {mag}({c.name()})")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        order = sorted(self.coeffs, key=lambda c: (c is not full, c.kind, c.key))
+        return format_terms((c.name(), self.coeffs[c]) for c in order)
 
     def to_jsonable(self) -> list[dict]:
         out = []

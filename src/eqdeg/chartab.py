@@ -34,10 +34,6 @@ class CharacterTable:
             raise CharacterError("class sizes do not sum to the group order")
 
     @property
-    def n_classes(self) -> int:
-        return len(self.class_reps)
-
-    @property
     def n_irreps(self) -> int:
         return len(self.rows)
 
@@ -98,13 +94,6 @@ class CharacterTable:
 class IsotypicDecomposition:
     multiplicities: tuple[int, ...]
     dims: tuple[int, ...]
-
-    @property
-    def component_dims(self) -> tuple[int, ...]:
-        return tuple(m * d for m, d in zip(self.multiplicities, self.dims))
-
-    def total_dim(self) -> int:
-        return sum(self.component_dims)
 
 
 def permutation_character(table: CharacterTable, action=None) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from math import pi
 from pathlib import Path
 
 from . import __version__
-from .burnside import mult_classes
+from .burnside import format_terms, mult_classes
 from .basicdeg import basic_degree
 from .chartab import (
     CharacterError,
@@ -41,7 +41,7 @@ from .ddedeg import (
     theorem_conclusions_resonant,
 )
 from .o2gamma import GammaContext, weyl_order
-from .permgroup import Group, parse_cycles, subgroup_lattice
+from .permgroup import Group, p_mul, parse_cycles, subgroup_lattice
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -100,35 +100,38 @@ def _representation_action(config, group):
         return lambda g: g
     if isinstance(rep, dict) and "images" in rep:
         images = [parse_cycles(w) if isinstance(w, str) else tuple(w) for w in rep["images"]]
-        word_map = generator_word_map(group)
-        gens = list(group.generators)
+        if len(images) != len(group.generators):
+            raise ConfigError(
+                f"expected {len(group.generators)} generator images, got {len(images)}"
+            )
         deg = max(len(p) for p in images)
         images = [p + tuple(range(len(p), deg)) for p in images]
-
-        def act(g):
-            out = tuple(range(deg))
-            for gi in word_map[g]:
-                out = tuple(images[gi][x] for x in out)
-            return out
-
-        return act
+        if any(sorted(p) != list(range(deg)) for p in images):
+            raise ConfigError("representation images must be permutations")
+        return _homomorphism(group, images).__getitem__
     raise ConfigError("representation must be 'natural' or {'images': [...]}")
 
 
-def generator_word_map(group) -> dict:
-    """Element -> generator index word (left to right application order)."""
-    words = {group.identity: ()}
+def _homomorphism(group, images) -> dict:
+    """Element -> image of the homomorphism that sends the group's generators
+    to `images`, by one pass over the Cayley graph with image(g x) =
+    image(g) image(x); an element reached with two images means the images
+    define no homomorphism."""
+    out = {group.identity: tuple(range(len(images[0])))}
     frontier = [group.identity]
     while frontier:
         nxt = []
         for x in frontier:
-            for gi, g in enumerate(group.generators):
+            for g, image in zip(group.generators, images):
                 y = group.mul(g, x)
-                if y not in words:
-                    words[y] = (gi,) + words[x]
+                value = p_mul(image, out[x])
+                if y not in out:
+                    out[y] = value
                     nxt.append(y)
+                elif out[y] != value:
+                    raise ConfigError("representation images do not define a homomorphism")
         frontier = nxt
-    return words
+    return out
 
 
 def _parse_value(v):
@@ -356,9 +359,14 @@ def run_verify(config) -> dict:
     system = config.get("system")
     if not system:
         raise ConfigError("verification needs a 'system' block")
+    if "matrices" not in config["linearization"]:
+        raise ConfigError("verification needs the linearization as 'matrices'")
     result = run_analyze(config)
     if result.exit_code != EXIT_OK:
         raise ConfigError("verification requires a nondegenerate analysis")
+    seed_l = int(system.get("seed_component", 5)) - 1
+    if not 0 <= seed_l < result.table.n_irreps:
+        raise ConfigError(f"seed_component must be in 1..{result.table.n_irreps}")
     lin_mats = [
         [[float(_parse_value(v)) for v in row] for row in mat]
         for mat in config["linearization"]["matrices"]
@@ -377,7 +385,6 @@ def run_verify(config) -> dict:
         samples=int(system.get("growth_samples", 500)),
     )
     K = int(system.get("fourier_modes", 32))
-    seed_l = int(system.get("seed_component", 5)) - 1
     amp = float(system.get("seed_amplitude", 4.0))
     basis = _seed_vector(result.table, seed_l)
     coeffs = np.zeros((2 * K + 1, n))
@@ -514,7 +521,9 @@ def _dispatch(args) -> int:
         for i in range(len(lat.classes)):
             for j in range(i, len(lat.classes)):
                 prod = mult_classes(lat, i, j)
-                print(f"  ({names[i]})*({names[j]}) = {prod.render()}")
+                order = sorted(prod, key=lambda l: (-lat.classes[l].order, l))
+                terms = format_terms((names[l], prod[l]) for l in order)
+                print(f"  ({names[i]})*({names[j]}) = {terms}")
         return EXIT_OK
 
     if args.command == "basic-deg":

@@ -97,14 +97,6 @@ class Cyc:
         poly[k] = Fraction(1)
         return Cyc(n, _reduce(poly, n))
 
-    @staticmethod
-    def cos_turn(t: Fraction) -> "Cyc":
-        """cos(2*pi*t) for rational t."""
-        t = Fraction(t)
-        a = Cyc.root_of_unity(t.numerator, t.denominator)
-        b = Cyc.root_of_unity(-t.numerator, t.denominator)
-        return (a + b) * Fraction(1, 2)
-
     def _lift(self, n: int) -> tuple[Fraction, ...]:
         if n == self.order:
             return self.coeffs
@@ -167,9 +159,6 @@ class Cyc:
         if q.denominator != 1:
             raise ArithmeticError(f"not an integer: {q}")
         return q.numerator
-
-    def is_zero(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 0
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -110,6 +110,12 @@ class LinearizationData:
         for l, mult in enumerate(decomposition.multiplicities):
             if mult == 0:
                 continue
+            if not all(v.is_rational() for v in table.rows[l]):
+                raise ValueError(
+                    f"component {l + 1} has irrational character values, so its "
+                    "isotypic projector is not rational; give the linearization "
+                    "in 'mu' form"
+                )
             proj = _isotypic_projector(table, l)
             basis_cols = [
                 tuple(proj[r][c] for r in range(n))

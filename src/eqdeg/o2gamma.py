@@ -723,6 +723,8 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     carry no coefficient; they are dropped.
     """
     ctx = c1.ctx
+    if ctx is not c2.ctx:
+        raise ValueError("classes live over different groups")
     key = tuple(sorted((c1.key, c2.key)))
     cached = ctx._products.get(key)
     if cached is None:
@@ -742,18 +744,14 @@ def _product_o2_o2(ctx, c1, c2) -> dict:
     # (O(2) x K1) * (O(2) x K2) is the Burnside product (K1) * (K2) of Gamma'
     ci = ctx.subgroup_class_index
     prod = mult_classes(ctx.lattice, ci(c1.K), ci(c2.K))
-    return {make_o2(ctx, ctx._set_of_class[k]): m for k, m in prod.coeffs.items()}
+    return {make_o2(ctx, ctx._set_of_class[k]): m for k, m in prod.items()}
 
 
 def _product_o2_fin(ctx, c_o2, c_fin) -> dict:
+    # one term per double coset K g K_fin: c_fin meets O(2) x g^-1 K g
     out: dict = {}
     kset = c_o2.K
-    k_fin = c_fin.k_part()
-    seen = set()  # elements of the double cosets K g K_fin visited so far
-    for g in range(ctx.n):
-        if g in seen:
-            continue
-        seen.update(ctx.mult[a][ctx.mult[g][b]] for a in kset for b in k_fin)
+    for g in ctx.group.double_coset_reps(kset, c_fin.k_part()):
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
         inter = frozenset(
             (u, s, x) for (u, s, x) in c_fin.elems if x in target

@@ -171,6 +171,17 @@ class Group:
             [mult[gx][gi] for gx in mult[g]] for g, gi in enumerate(self.inv_table)
         ]
 
+    def double_coset_reps(self, a, b):
+        """The least element g of each double coset A g B, ascending; A and
+        B are subgroups given as element indices."""
+        mult = self.mult_table
+        seen = set()
+        for g in range(self.order):
+            if g in seen:
+                continue
+            seen.update(mult[x][mult[g][y]] for x in a for y in b)
+            yield g
+
     def subgroups(self, cap: int | None = None) -> list[frozenset[Perm]]:
         """Every subgroup, sorted by (order, sorted elements)."""
         return [self.perms_of(m) for m in self.subgroup_masks(cap)]
@@ -263,8 +274,6 @@ class SubgroupClassLattice:
     leq: list[list[bool]] = field(default_factory=list)
     nHK: list[list[int]] = field(default_factory=list)
     _class_of: dict[frozenset, int] = field(default_factory=dict)
-    # Burnside products of class pairs, filled in by burnside.mult_classes
-    products: dict = field(default_factory=dict, repr=False, compare=False)
 
     def class_of(self, sub: frozenset[Perm]) -> int:
         return self._class_of[frozenset(sub)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from eqdeg import o2gamma as og
 from eqdeg.basicdeg import GRingElement, basic_degree, degree_product, x_o
-from eqdeg.burnside import BurnsideElement, mult_classes
+from eqdeg.burnside import mult_classes
 from eqdeg.chartab import (
     SignedGroup,
     bundled_table,
@@ -20,7 +20,6 @@ from eqdeg.chartab import (
 )
 from eqdeg.ddedeg import LinearizationData, SpectralTable, xi
 from eqdeg.o2gamma import GammaContext, fold, maximal_orbit_types, weyl_order
-from eqdeg.permgroup import Group, subgroup_lattice
 
 from conftest import (
     hexagon_coupling_matrix,
@@ -147,17 +146,20 @@ def test_acceptance_5_degree_product():
 
 @criterion(6, "Burnside ring axioms, orbit counts, recurrence integrality")
 def test_acceptance_6_burnside_properties():
+    # the ring laws on O(2) x K classes of plain contexts, which multiply
+    # through class_product and the double-coset rule of Gamma'
     for name in ("D6", "S3"):
-        lat = subgroup_lattice(Group.from_name(name))
-        n = len(lat.classes)
-        gens = [BurnsideElement.generator(lat, i) for i in range(n)]
+        ctx = GammaContext.from_character_table(bundled_table(name))
+        lat = ctx.lattice
+        gens = [GRingElement(ctx, {og.make_o2(ctx, k): 1}) for k in ctx.class_sets()]
+        n = len(gens)
         for i in range(n):
             for j in range(n):
-                prod = mult_classes(lat, i, j)
-                assert prod == mult_classes(lat, j, i)
+                assert mult_classes(lat, i, j) == mult_classes(lat, j, i)
+                prod = gens[i] * gens[j]
+                assert prod == gens[j] * gens[i]
                 total = sum(
-                    c * lat.group.order // lat.classes[l].order
-                    for l, c in prod.coeffs.items()
+                    c * lat.group.order // len(cls.K) for cls, c in prod.coeffs.items()
                 )
                 assert total == (lat.group.order // lat.classes[i].order) * (
                     lat.group.order // lat.classes[j].order

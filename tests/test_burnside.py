@@ -1,98 +1,113 @@
+"""Burnside-ring laws on the production product path.
+
+A plain Gamma' context multiplies O(2) x K classes through
+`GRingElement` -> `class_product` -> `mult_classes`, so the finite ring
+A(Gamma') is checked as the engine uses it.  Class index i of the lattice
+stands for O(2) x K_i.
+"""
+
 import itertools
 
 import pytest
 
-from eqdeg.burnside import BurnsideElement, LatticeMismatchError, marks_row, mult_classes
-from eqdeg.permgroup import Group, subgroup_lattice
+from eqdeg.basicdeg import GRingElement
+from eqdeg.burnside import marks_row, mult_classes
+from eqdeg.chartab import bundled_table
+from eqdeg.o2gamma import GammaContext, class_product, make_o2
+
+RINGS = {}
 
 
-def lattice_for(name):
-    return subgroup_lattice(Group.from_name(name))
+def ring_for(name):
+    """A plain context, the O(2) x K class of every lattice class, and the
+    generator of each."""
+    if name not in RINGS:
+        ctx = GammaContext.from_character_table(bundled_table(name))
+        classes = [make_o2(ctx, kset) for kset in ctx.class_sets()]
+        gens = [GRingElement(ctx, {c: 1}) for c in classes]
+        RINGS[name] = ctx, classes, gens
+    return RINGS[name]
+
+
+def by_index(ctx, elem):
+    """The coefficients of a ring element keyed by lattice class index."""
+    return {ctx.subgroup_class_index(c.K): v for c, v in elem.coeffs.items()}
 
 
 def test_z2_trivial_square():
-    lat = lattice_for("Z2")
-    triv = 0
-    prod = mult_classes(lat, triv, triv)
-    assert prod.coeffs == {triv: 2}
+    ctx, _, gens = ring_for("Z2")
+    assert by_index(ctx, gens[0] * gens[0]) == {0: 2}
 
 
 def test_d6_free_square():
-    lat = lattice_for("D6")
-    triv = 0
-    prod = mult_classes(lat, triv, triv)
-    assert prod.coeffs == {triv: 12}
+    ctx, _, gens = ring_for("D6")
+    assert by_index(ctx, gens[0] * gens[0]) == {0: 12}
 
 
 def test_unit_element():
-    lat = lattice_for("D6")
-    unit = BurnsideElement.unit(lat)
-    for i in range(len(lat.classes)):
-        gen = BurnsideElement.generator(lat, i)
+    ctx, _, gens = ring_for("D6")
+    unit = GRingElement.unit(ctx)
+    assert unit == gens[-1]
+    for gen in gens:
         assert unit * gen == gen
         assert gen * unit == gen
 
 
 def test_whole_group_squared():
-    lat = lattice_for("D6")
-    top = len(lat.classes) - 1
-    assert mult_classes(lat, top, top).coeffs == {top: 1}
+    ctx, _, gens = ring_for("D6")
+    top = len(gens) - 1
+    assert by_index(ctx, gens[top] * gens[top]) == {top: 1}
 
 
 def test_bilinearity():
-    lat = lattice_for("S3")
-    top = len(lat.classes) - 1
+    ctx, _, gens = ring_for("S3")
+    unit = GRingElement.unit(ctx)
     h = 1
-    a = BurnsideElement.unit(lat) - BurnsideElement.generator(lat, h)
-    sq = a * a
-    expected = (
-        BurnsideElement.unit(lat)
-        - 2 * BurnsideElement.generator(lat, h)
-        + mult_classes(lat, h, h)
-    )
-    assert sq == expected
+    a = unit - gens[h]
+    assert a * a == unit - gens[h].scaled(2) + gens[h] * gens[h]
 
 
 def test_coeff_access():
-    lat = lattice_for("D6")
-    a = BurnsideElement.unit(lat) - 2 * BurnsideElement.generator(lat, 3)
-    assert a.coeff(3) == -2
-    assert a.coeff(0) == 0
-    assert BurnsideElement.zero(lat).coeff(1) == 0
+    ctx, classes, gens = ring_for("D6")
+    a = GRingElement.unit(ctx) - gens[3].scaled(2)
+    assert a.coeff(classes[3]) == -2
+    assert a.coeff(classes[0]) == 0
+    assert GRingElement(ctx, {}).coeff(classes[1]) == 0
 
 
 def test_diagonal_coefficient_is_weyl_order():
     # the (H)-coefficient of (H)*(H) equals |W(H)|
     for name in ("D6", "S3"):
-        lat = lattice_for(name)
-        for i in range(len(lat.classes)):
-            prod = mult_classes(lat, i, i)
-            assert prod.coeff(i) == lat.weyl_order(i), (name, i)
+        ctx, classes, gens = ring_for(name)
+        for i, gen in enumerate(gens):
+            assert (gen * gen).coeff(classes[i]) == ctx.lattice.weyl_order(i), (name, i)
 
 
 def test_commutativity_and_associativity_exhaustive():
     for name in ("D6", "S3"):
-        lat = lattice_for(name)
-        n = len(lat.classes)
+        ctx, _, gens = ring_for(name)
+        n = len(gens)
         for i in range(n):
             for j in range(n):
-                assert mult_classes(lat, i, j) == mult_classes(lat, j, i)
-        gens = [BurnsideElement.generator(lat, i) for i in range(n)]
+                # the ring caches products on the unordered pair, so the
+                # double-coset rule itself is also run in both orders
+                assert mult_classes(ctx.lattice, i, j) == mult_classes(ctx.lattice, j, i)
+                assert gens[i] * gens[j] == gens[j] * gens[i]
         for i, j, k in itertools.product(range(n), repeat=3):
             assert (gens[i] * gens[j]) * gens[k] == gens[i] * (gens[j] * gens[k])
 
 
 def test_orbit_total_consistency():
+    # |G/H x G/K| = sum of the orbit sizes |G/L| over the product's terms
     for name in ("D6", "S3"):
-        lat = lattice_for(name)
+        ctx, _, gens = ring_for(name)
+        lat = ctx.lattice
         g_order = lat.group.order
-        n = len(lat.classes)
+        n = len(gens)
         for i in range(n):
             for j in range(n):
-                prod = mult_classes(lat, i, j)
-                total = sum(
-                    c * g_order // lat.classes[l].order for l, c in prod.coeffs.items()
-                )
+                prod = by_index(ctx, gens[i] * gens[j])
+                total = sum(c * g_order // lat.classes[l].order for l, c in prod.items())
                 expected = (g_order // lat.classes[i].order) * (
                     g_order // lat.classes[j].order
                 )
@@ -103,28 +118,33 @@ def test_marks_oracle_inverts_products():
     # independent check: fixed points are multiplicative over products,
     # so marks(H)*marks(K) must equal the mark vector of (H)(K)
     for name in ("D6", "S3"):
-        lat = lattice_for(name)
-        n = len(lat.classes)
-        marks = [marks_row(lat, h) for h in range(n)]
+        ctx, _, gens = ring_for(name)
+        n = len(gens)
+        marks = [marks_row(ctx.lattice, h) for h in range(n)]
         for i in range(n):
             for j in range(n):
-                prod = mult_classes(lat, i, j)
+                prod = by_index(ctx, gens[i] * gens[j])
                 for l in range(n):
                     lhs = marks[i][l] * marks[j][l]
-                    rhs = sum(c * marks[h][l] for h, c in prod.coeffs.items())
+                    rhs = sum(c * marks[h][l] for h, c in prod.items())
                     assert lhs == rhs, (name, i, j, l)
 
 
 def test_lattice_mismatch_rejected():
-    a = BurnsideElement.unit(lattice_for("D6"))
-    b = BurnsideElement.unit(lattice_for("S3"))
-    with pytest.raises(LatticeMismatchError):
-        a * b
+    d6, d6_classes, _ = ring_for("D6")
+    s3, s3_classes, _ = ring_for("S3")
+    with pytest.raises(ValueError, match="different groups"):
+        class_product(d6_classes[0], s3_classes[0])
+    with pytest.raises(ValueError, match="different groups"):
+        GRingElement.unit(d6) * GRingElement.unit(s3)
 
 
 def test_render_and_json():
-    lat = lattice_for("Z2")
-    a = BurnsideElement.unit(lat) - 2 * BurnsideElement.generator(lat, 0)
-    text = a.render()
-    assert "(Z2)" in text and "2(Z1)" in text
-    assert BurnsideElement.zero(lat).render() == "0"
+    ctx, classes, gens = ring_for("Z2")
+    a = GRingElement.unit(ctx) - gens[0].scaled(2)
+    assert a.render() == "(G) - 2(O(2) x Z1)"
+    assert (gens[0].scaled(-1) + GRingElement.unit(ctx)).render() == "(G) - (O(2) x Z1)"
+    assert gens[0].scaled(-3).render() == "-3(O(2) x Z1)"
+    assert GRingElement(ctx, {}).render() == "0"
+    assert [t["coefficient"] for t in a.to_jsonable()] == [-2, 1]
+    assert [t["class"] for t in a.to_jsonable()] == ["O(2) x Z1", "G"]

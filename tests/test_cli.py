@@ -11,6 +11,7 @@ import eqdeg
 from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.ddedeg import assemble_omega
 from eqdeg.o2gamma import GammaContext
+from eqdeg.permgroup import Group
 from eqdeg.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -155,6 +156,20 @@ def test_burnside_subcommand(capsys):
     assert main(["burnside", "Z2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "(Z1)*(Z1) = 2(Z1)" in out
+
+
+@pytest.mark.parametrize(
+    "group, digest",
+    [
+        ("D6", "ae01cbd64fac158eae5c0df509d30e548db6ad35f8ebf4151605d99a61d03dff"),
+        ("S4", "e0575f5b444cb8e9f7aca887ac5fb40a8c7eaceaaccb356df5d543a4014c7914"),
+        ("D12", "217a325c1ca27622ed1c3189cab633c7630606aceb27209ac634ae5fdfca9e97"),
+    ],
+)
+def test_burnside_output_is_byte_stable(capsys, group, digest):
+    assert main(["burnside", group]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_basic_deg_subcommand(capsys):
@@ -356,3 +371,83 @@ def test_negative_blocks_at_modes_up_to_three_are_byte_stable(group, leading, di
     modes = {k for (k, _, _) in result.spectral.negative_factors()}
     assert {0, 1, 2, 3} <= modes
     assert report_sha256(result) == digest
+
+
+def d3_config(**changes):
+    return {
+        "group": "D3",
+        "representation": "natural",
+        "delays": 1,
+        "linearization": {"mu": {"1": ["-2"], "3": ["-2"]}},
+        **changes,
+    }
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        # the reflection of D3 has order 2, but its image (1 2 3 4) has order 4
+        ([[0, 1, 2, 3], "(1 2 3 4)"], "do not define a homomorphism"),
+        (["(1 2 3)"], "expected 2 generator images, got 1"),
+        ([[1, 2, 0], [0, 0, 1]], "images must be permutations"),
+    ],
+    ids=["not-homomorphic", "too-few", "not-a-permutation"],
+)
+def test_representation_images_are_checked(tmp_path, capsys, images, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d3_config(representation={"images": images})))
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def test_generator_images_of_the_natural_action_reproduce_it():
+    natural = run_analyze(d3_config())
+    images = [list(g) for g in Group.from_name("D3").generators]
+    imaged = run_analyze(d3_config(representation={"images": images}))
+    assert imaged.decomposition == natural.decomposition
+    assert report_sha256(imaged) == report_sha256(natural)
+
+
+def test_matrix_form_with_irrational_characters_is_rejected(tmp_path, capsys):
+    # D5 on five nodes: the 2-dim characters take values in Q(cos(2 pi/5)),
+    # so no rational isotypic projector exists for them
+    circulant = [
+        ["-1" if i == j else "1/10" if (i - j) % 5 in (1, 4) else "0" for j in range(5)]
+        for i in range(5)
+    ]
+    config = {
+        "group": "D5",
+        "representation": "natural",
+        "delays": 1,
+        "linearization": {"matrices": [circulant]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "component 3" in err and "'mu' form" in err
+
+
+def verify_config(**system):
+    return d3_config(
+        linearization={
+            "matrices": [[["-2", "3/10", "3/10"], ["3/10", "-2", "3/10"], ["3/10", "3/10", "-2"]]]
+        },
+        system={"fourier_modes": 8, "growth_samples": 20, **system},
+    )
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (d3_config(system={"seed_component": 3}), "linearization as 'matrices'"),
+        (verify_config(), "seed_component must be in 1..3"),
+        (verify_config(seed_component=0), "seed_component must be in 1..3"),
+    ],
+    ids=["mu-form", "default-seed-beyond-rows", "seed-zero"],
+)
+def test_verify_rejects_invalid_config(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err

@@ -265,3 +265,23 @@ def test_index_tables_match_permutations():
         for b, y in enumerate(elems):
             assert elems[group.mult_table[a][b]] == p_mul(x, y)
             assert elems[group.conj_table[a][b]] == group.conj(x, y)
+
+
+@pytest.mark.parametrize("name", ["D6", "S4"])
+def test_double_coset_reps_are_least_and_partition(name):
+    # every double coset A g B of two class representatives, built from
+    # permutations: the representatives are their least elements, ascending,
+    # and the double cosets partition the group
+    group = Group.from_name(name)
+    elems, index = group.elements, group.index
+    subs = [[index[x] for x in c.representative] for c in subgroup_lattice(group).classes]
+    for a, b in itertools.product(subs, repeat=2):
+        reps = list(group.double_coset_reps(a, b))
+        cosets = [
+            {index[p_mul(p_mul(elems[x], elems[g]), elems[y])] for x in a for y in b}
+            for g in reps
+        ]
+        assert reps == sorted(reps)
+        assert [min(c) for c in cosets] == reps
+        assert sum(map(len, cosets)) == group.order
+        assert set().union(*cosets) == set(range(group.order))
