@@ -22,6 +22,7 @@ from .o2gamma import (
     fixed_dim,
     fold,
     full_group,
+    memoised,
     n_count_amalgam,
     orbit_types,
     weyl_order,
@@ -93,21 +94,16 @@ class GRingElement:
         return out
 
 
+@memoised
 def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
     """Equivariant degree of -id on the unit ball of W_k (x) V_l.
 
     For k >= 2 it is the degree at mode 1 with every class folded by k.
     """
-    cached = ctx._degrees.get((k, l))
-    if cached is not None:
-        return cached
     if k <= 1:
-        result = _basic_degree_base(ctx, k, l)
-    else:
-        base = basic_degree(ctx, 1, l)
-        result = GRingElement(ctx, {fold(c, k): v for c, v in base.coeffs.items()})
-    ctx._degrees[(k, l)] = result
-    return result
+        return _basic_degree_base(ctx, k, l)
+    base = basic_degree(ctx, 1, l)
+    return GRingElement(ctx, {fold(c, k): v for c, v in base.coeffs.items()})
 
 
 def _recurrence(ctx, lattice_classes, dims, ncounts, weyls) -> dict:

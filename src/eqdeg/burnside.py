@@ -19,15 +19,14 @@ from .permgroup import SubgroupClassLattice
 def mult_classes(lattice: SubgroupClassLattice, h: int, k: int) -> dict[int, int]:
     """(H) * (K) for the classes h and k: {class index: multiplicity}."""
     group = lattice.group
-    index, elements = group.index, group.elements
-    hset = {index[x] for x in lattice.classes[h].representative}
-    kset = [index[x] for x in lattice.classes[k].representative]
+    hset = lattice.classes[h].rep_set
+    kset = lattice.classes[k].rep_set
     coeffs: dict[int, int] = {}
     covered = 0
     for g in group.double_coset_reps(hset, kset):
         row = group.conj_table[g]
-        inter = [row[x] for x in kset if row[x] in hset]
-        cls = lattice.class_of(frozenset(elements[x] for x in inter))
+        inter = frozenset(row[x] for x in kset if row[x] in hset)
+        cls = lattice.class_of(inter)
         coeffs[cls] = coeffs.get(cls, 0) + 1
         covered += len(hset) * len(kset) // len(inter)
     if covered != group.order:
@@ -53,5 +52,5 @@ def marks_row(lattice: SubgroupClassLattice, h: int) -> list[int]:
 
     |(G/H)^L| = n(L, H) * |W(H)|.
     """
-    w = lattice.weyl_order(h)
+    w = lattice.classes[h].weyl_order
     return [lattice.n_count(l, h) * w for l in range(len(lattice.classes))]

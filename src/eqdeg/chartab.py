@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import Cyc
-from .permgroup import Group, Perm, parse_cycles
+from .permgroup import Group, Perm, parse_cycles, subgroup_lattice
 
 
 class CharacterError(ValueError):
@@ -299,9 +299,11 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     )
     table = CharacterTable(group, reps, sizes, rows)
     table.check_orthonormal()
-    for sub in group.subgroups():
+    # a class function has the same mean over conjugate subgroups
+    for cls in subgroup_lattice(group).classes:
+        perms = [group.elements[x] for x in cls.rep_set]
         for l, row in enumerate(rows):
-            if fixed_space_dim(table, row, sub) < 0:
+            if fixed_space_dim(table, row, perms) < 0:
                 raise CharacterError(f"row {l + 1} is not a character: negative fixed dimension")
     given = tuple(bool(b) for b in data.get("real_type", table.real_type))
     if given != table.real_type:

@@ -70,11 +70,13 @@ def load_config(path_or_dict) -> dict:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     for key in ("group", "delays", "linearization"):
         if key not in data:
             raise ConfigError(f"missing config key: {key}")
     delays = data["delays"]
-    if not isinstance(delays, int) or isinstance(delays, bool) or delays < 1:
+    if not _is_int(delays) or delays < 1:
         raise ConfigError("delays must be a positive integer")
     return data
 
@@ -99,7 +101,12 @@ def _representation_action(config, group):
     if rep == "natural":
         return lambda g: g
     if isinstance(rep, dict) and "images" in rep:
-        images = [parse_cycles(w) if isinstance(w, str) else tuple(w) for w in rep["images"]]
+        words = rep["images"]
+        if not isinstance(words, list) or not all(
+            isinstance(w, str) or (isinstance(w, list) and all(map(_is_int, w))) for w in words
+        ):
+            raise ConfigError("representation images must be cycle strings or point lists")
+        images = [parse_cycles(w) if isinstance(w, str) else tuple(w) for w in words]
         if len(images) != len(group.generators):
             raise ConfigError(
                 f"expected {len(group.generators)} generator images, got {len(images)}"
@@ -134,29 +141,60 @@ def _homomorphism(group, images) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(section: dict, key: str, default, kind=float):
+    """section[key] converted by kind, or default when null or absent."""
+    value = section.get(key)
+    try:
+        return default if value is None else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _parse_value(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    return float(v)
+    """A config number: a string ("p/q") or an integer read exactly, a
+    float as it is."""
+    if isinstance(v, float):
+        return v
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"not a number: {v!r}")
+
+
+def _parse_values(value, depth: int):
+    """Config numbers in lists nested `depth` deep."""
+    if depth == 0:
+        return _parse_value(value)
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list of values, got {value!r}")
+    return [_parse_values(v, depth - 1) for v in value]
 
 
 def _build_linearization(config, table, decomposition) -> LinearizationData:
     lin = config["linearization"]
     m = config["delays"]
+    if not isinstance(lin, dict):
+        raise ConfigError("linearization must be an object with 'matrices' or 'mu'")
     if "matrices" in lin:
-        mats = [[[_parse_value(v) for v in row] for row in mat] for mat in lin["matrices"]]
+        mats = _parse_values(lin["matrices"], 3)
         if len(mats) != m:
             raise ConfigError(f"expected {m} matrices, got {len(mats)}")
         return LinearizationData.from_matrices(table, decomposition, mats)
     if "mu" in lin:
+        if not isinstance(lin["mu"], dict):
+            raise ConfigError("mu must map character rows to lists of values")
         mu = {}
         for key, row in lin["mu"].items():
             l = int(key) - 1
             if not 0 <= l < table.n_irreps:
                 raise ConfigError(f"mu component {key} out of range")
-            mu[l] = tuple(_parse_value(v) for v in row)
+            mu[l] = tuple(_parse_values(row, 1))
         exact = all(
             isinstance(v, Fraction) for row in mu.values() for v in row
         )
@@ -268,12 +306,23 @@ def _decompose(config):
     return table, isotypic_multiplicities(chi, table)
 
 
+def _options(config) -> dict:
+    """The config's options; k_max and s must be null or integers >= 0."""
+    options = config.get("options", {})
+    if not isinstance(options, dict) or any(
+        options.get(key) is not None and not (_is_int(options[key]) and options[key] >= 0)
+        for key in ("k_max", "s")
+    ):
+        raise ConfigError("options must be an object whose k_max and s are integers >= 0")
+    return options
+
+
 def _spectral_table(config, table, decomposition, k_max=None, tol=None):
     """Linearization data and block sign table of a config."""
     lin = _build_linearization(config, table, decomposition)
-    options = config.get("options", {})
+    options = _options(config)
     k_max = k_max or options.get("k_max") or default_k_max(lin)
-    tol = tol or float(options.get("tol", 1e-9))
+    tol = tol or _number(options, "tol", 1e-9)
     return lin, SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
 
 
@@ -283,7 +332,7 @@ def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
     lin, spectral = _spectral_table(config, table, decomposition, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)
-    s = s or config.get("options", {}).get("s")
+    s = s or _options(config).get("s")
     if spectral.zero_spectrum() and not s:
         return AnalysisResult(
             config, table, ctx, decomposition, lin, spectral, None,
@@ -357,22 +406,28 @@ def run_verify(config) -> dict:
     from .o2gamma import maximal_orbit_types
 
     system = config.get("system")
-    if not system:
+    if not isinstance(system, dict) or not system:
         raise ConfigError("verification needs a 'system' block")
-    if "matrices" not in config["linearization"]:
+    lin = config["linearization"]
+    if not isinstance(lin, dict) or "matrices" not in lin:
         raise ConfigError("verification needs the linearization as 'matrices'")
+    seed_l = _number(system, "seed_component", 5, int) - 1
+    cubic = float(_parse_value(system.get("cubic", "1/2")))
+    radius = _number(system, "radius", 4.0)
+    samples = _number(system, "growth_samples", 500, int)
+    K = _number(system, "fourier_modes", 32, int)
+    amp = _number(system, "seed_amplitude", 4.0)
+    if K < 1:
+        raise ConfigError("fourier_modes must be a positive integer")
     result = run_analyze(config)
     if result.exit_code != EXIT_OK:
         raise ConfigError("verification requires a nondegenerate analysis")
-    seed_l = int(system.get("seed_component", 5)) - 1
     if not 0 <= seed_l < result.table.n_irreps:
         raise ConfigError(f"seed_component must be in 1..{result.table.n_irreps}")
     lin_mats = [
-        [[float(_parse_value(v)) for v in row] for row in mat]
-        for mat in config["linearization"]["matrices"]
+        [[float(v) for v in row] for row in mat] for mat in _parse_values(lin["matrices"], 3)
     ]
     n = result.table.group.degree
-    cubic = float(_parse_value(system.get("cubic", "1/2")))
     terms = [[(cubic, ((c, 3),))] for c in range(n)]
     spec = SystemSpec(n=n, m=result.lin.m, period=2 * pi, linear=lin_mats, terms=terms)
     spec.check_reversible()
@@ -381,11 +436,9 @@ def run_verify(config) -> dict:
         lambda args: list(spec.rhs(np.asarray(args)[None, :])[0]),
         n=n,
         m=result.lin.m,
-        radius=float(system.get("radius", 4.0)),
-        samples=int(system.get("growth_samples", 500)),
+        radius=radius,
+        samples=samples,
     )
-    K = int(system.get("fourier_modes", 32))
-    amp = float(system.get("seed_amplitude", 4.0))
     basis = _seed_vector(result.table, seed_l)
     coeffs = np.zeros((2 * K + 1, n))
     coeffs[1] = amp * basis
@@ -418,7 +471,7 @@ def run_verify(config) -> dict:
             if class_matches_symmetries(cls, syms, perm_of_gamma_index)
         )
         out["detected_symmetries"] = len(syms)
-        out["apriori"] = apriori_check(spec, sol, radius=float(system.get("radius", 4.0)))
+        out["apriori"] = apriori_check(spec, sol, radius=radius)
     else:
         out["note"] = "Newton did not produce a non-constant orbit; report retained"
     return out

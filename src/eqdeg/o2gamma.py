@@ -28,12 +28,18 @@ element on a grid M gets an integer code: the points t = u/M are ranked
 by (numerator, denominator), and (u, s, g) has code
 (rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
 stand for, and conjugation by g in Gamma' is one table lookup per code
-(`_grid_codes`, built once per grid and context).
+(`_grid_codes`).
+
+Every exact function of a context or class (code tables per grid, keys,
+fixed dimensions, Weyl orders, containment counts, products, candidates,
+basic degrees) is `memoised`: its results live in the one memo of the
+context, keyed by the function and its arguments, and go with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, wraps
 from math import gcd, lcm
 
 from .burnside import mult_classes
@@ -58,34 +64,16 @@ class GammaContext:
         self.signed = signed
         self.n = group.order
         self.elems = list(group.elements)
-        idx = group.index
-        self.identity = idx[group.identity]
+        self.identity = group.index[group.identity]
         self.mult = group.mult_table
         self.inv = group.inv_table
         self.conj = group.conj_table
         self.chars: list[tuple[Cyc, ...]] = [tuple(row) for row in char_rows]
-        self.char_dims = [row[self.identity].as_integer() for row in self.chars]
         self.char_orders = [lcm(*(v.order for v in row)) for row in self.chars]
         self.lattice = subgroup_lattice(group)
         self.names = subgroup_names(self.lattice, signed)
-        self._set_of_class = [
-            frozenset(idx[g] for g in cls.rep_set) for cls in self.lattice.classes
-        ]
-        self._class_of_set: dict[frozenset, int] = {}
-        for ci, cls in enumerate(self.lattice.classes):
-            for member in cls.conjugates:
-                self._class_of_set[frozenset(idx[g] for g in member)] = ci
-        # caches
-        self._interned: dict = {}
-        self._mode1: list | None = None
-        self._fixdim: dict = {}
-        self._char_powers: dict = {}  # see _char_powers
-        self._weyl: dict = {}
-        self._ncount: dict = {}
-        self._products: dict = {}
-        self._key_of_set: dict = {}
-        self._codes: dict = {}  # element codes per grid, see _grid_codes
-        self._degrees: dict = {}  # basic degrees, filled in by basicdeg
+        self.memo: dict = {}  # results of the memoised functions
+        self._interned: dict = {}  # classes by key, see make_fin and make_o2
 
     @staticmethod
     def from_character_table(table: CharacterTable) -> "GammaContext":
@@ -103,14 +91,8 @@ class GammaContext:
         ]
         return GammaContext(signed.group, rows, signed)
 
-    def subgroup_class_index(self, kset: frozenset) -> int:
-        return self._class_of_set[frozenset(kset)]
-
-    def class_sets(self) -> list[frozenset]:
-        return list(self._set_of_class)
-
     def subgroup_name(self, kset: frozenset) -> str:
-        return self.names[self.subgroup_class_index(kset)]
+        return self.names[self.lattice.class_of(kset)]
 
 
 # Conventional labels of the hexagon example's subgroups of D6 x Z2, each
@@ -139,13 +121,14 @@ def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) ->
     if signed is None:
         return [cls.name for cls in lattice.classes]
     gamma_lat = subgroup_lattice(signed.gamma)
+    gamma_index, group = signed.gamma.index, lattice.group
 
     def gamma_name(perms):
-        return gamma_lat.classes[gamma_lat.class_of(frozenset(perms))].name
+        return gamma_lat.classes[gamma_lat.class_of(gamma_index[p] for p in perms)].name
 
     names = []
     for cls in lattice.classes:
-        parts = [signed.parts(g) for g in cls.rep_set]
+        parts = [signed.parts(group.elements[g]) for g in cls.rep_set]
         proj = {gp for (gp, _) in parts}
         even = [gp for (gp, eps) in parts if eps == 1]
         if len(parts) == 2 * len(proj):
@@ -156,7 +139,6 @@ def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) ->
             names.append(f"{gamma_name(proj)}^{gamma_name(even)}")
     if (signed.gamma.degree, signed.gamma.order) != (6, 12):
         return names
-    group = lattice.group
     index_of = {signed.parts(g): i for i, g in enumerate(group.elements)}
     gens = [
         [index_of.get((parse_cycles(word, 6), eps)) for word, eps in words]
@@ -164,8 +146,39 @@ def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) ->
     ]
     if all(None not in idxs for idxs in gens):
         for label, idxs in zip(D6_LABELS, gens):
-            names[lattice.class_of(group.perms_of(group._closure_mask(idxs)))] = label
+            names[lattice.class_of(group.generated(idxs))] = label
     return names
+
+
+def memoised(fn=None, *, unordered: bool = False):
+    """Keep fn's results in the memo of the context of its first argument.
+
+    The first argument is a GammaContext or a class over one; results are
+    keyed by fn and all its (positional) arguments, so they live and die
+    with the context.  A class argument over another context raises
+    ValueError before the lookup: classes compare by key only, so the memo
+    would answer with this context's result.  With unordered=True, the key
+    lists the arguments by identity, so the context's interned classes get
+    one entry per unordered pair, computed in the order it is first asked
+    for.  fn never returns None.
+    """
+    if fn is None:
+        return partial(memoised, unordered=unordered)
+
+    @wraps(fn)
+    def wrapper(*args):
+        first = args[0]
+        ctx = first if isinstance(first, GammaContext) else first.ctx
+        for arg in args:
+            if isinstance(arg, AmalgamatedClass) and arg.ctx is not ctx:
+                raise ValueError("classes live over different groups")
+        key = (fn, *sorted(args, key=id)) if unordered else (fn, *args)
+        result = ctx.memo.get(key)
+        if result is None:
+            result = ctx.memo[key] = fn(*args)
+        return result
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +212,6 @@ class AmalgamatedClass:
         return hash(self.key)
 
     # -- structural data ---------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        if self.kind == "fin":
-            return len(self.elems)
-        raise InfiniteWeylError("infinite subgroup has no order")
 
     @property
     def size(self) -> int:
@@ -295,6 +302,7 @@ def _shift_refl(elems, delta, grid):
     )
 
 
+@memoised
 def _grid_codes(ctx: GammaContext, grid: int):
     """Integer element codes on the grid: (rank, decode, conj_tabs).
 
@@ -304,9 +312,6 @@ def _grid_codes(ctx: GammaContext, grid: int):
     tuples (numerator, denominator, s, g).  decode[code] is that tuple, and
     conj_tabs[g][code] is the code of the element conjugated by g in Gamma'.
     """
-    cached = ctx._codes.get(grid)
-    if cached is not None:
-        return cached
     n = ctx.n
     turns = sorted((u // gcd(u, grid), grid // gcd(u, grid), u) for u in range(grid))
     rank = [0] * grid
@@ -319,9 +324,7 @@ def _grid_codes(ctx: GammaContext, grid: int):
         [base + tab[x] for base in range(0, len(decode), n) for x in range(n)]
         for tab in ctx.conj
     ]
-    cached = (rank, decode, conj_tabs)
-    ctx._codes[grid] = cached
-    return cached
+    return rank, decode, conj_tabs
 
 
 def _encode(ctx: GammaContext, elems, grid: int) -> list[int]:
@@ -347,17 +350,13 @@ def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int, a: int):
                 yield list(map(tab.__getitem__, codes))
 
 
+@memoised
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
     """The least conjugate with an axis at 0, as sorted (numerator,
     denominator, s, g); independent of the grid the set is on."""
-    cached = ctx._key_of_set.get((elems, grid))
-    if cached is not None:
-        return cached
     decode = _grid_codes(ctx, grid)[1]
     best = min(sorted(x) for x in _aligned_conjugates(ctx, elems, grid, 0))
-    key = ("fin", tuple(decode[c] for c in best))
-    ctx._key_of_set[(elems, grid)] = key
-    return key
+    return ("fin", tuple(decode[c] for c in best))
 
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
@@ -368,20 +367,19 @@ def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
     key = _fin_key(ctx, elems, grid)
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = AmalgamatedClass(ctx, "fin", elems, None, key, grid)
-        ctx._interned[key] = cached
+        cached = ctx._interned[key] = AmalgamatedClass(ctx, "fin", elems, None, key, grid)
     return cached
 
 
 def make_o2(ctx: GammaContext, kset) -> AmalgamatedClass:
     kset = frozenset(kset)
     # the lattice's representative is the least conjugate in element order
-    rep = ctx._set_of_class[ctx.subgroup_class_index(kset)]
+    lattice = ctx.lattice
+    rep = lattice.classes[lattice.class_of(kset)].rep_set
     key = ("o2", tuple(sorted(rep)))
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = AmalgamatedClass(ctx, "o2", None, kset, key, 1)
-        ctx._interned[key] = cached
+        cached = ctx._interned[key] = AmalgamatedClass(ctx, "o2", None, kset, key, 1)
     return cached
 
 
@@ -413,6 +411,7 @@ def fold(cls: AmalgamatedClass, p: int) -> AmalgamatedClass:
 # fixed-space dimensions in the irreducible pieces W_k (x) V_l
 
 
+@memoised
 def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     """dim of the fixed subspace of the class inside W_k (x) V_l.
 
@@ -424,27 +423,13 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     rotations (u, +1, g), summed exactly by `_mean_char`.
     """
     ctx = cls.ctx
-    cache_key = (cls.key, k, l)
-    cached = ctx._fixdim.get(cache_key)
-    if cached is not None:
-        return cached
+    if k == 0:
+        return _mean_char(ctx, l, [(0, g) for g in cls.k_part()], 1, 0)
     if cls.kind == "o2":
-        if k >= 1:
-            dim = 0
-        else:
-            dim = _avg_char(ctx, l, cls.K)
-    elif k == 0:
-        dim = _avg_char(ctx, l, cls.k_part())
-    else:
-        rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
-        cdim = _mean_char(ctx, l, rot, cls.grid, k)
-        dim = cdim if cls.is_dihedral() else 2 * cdim
-    ctx._fixdim[cache_key] = dim
-    return dim
-
-
-def _avg_char(ctx: GammaContext, l: int, kset) -> int:
-    return _mean_char(ctx, l, [(0, g) for g in kset], 1, 0)
+        return 0
+    rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
+    cdim = _mean_char(ctx, l, rot, cls.grid, k)
+    return cdim if cls.is_dihedral() else 2 * cdim
 
 
 def _mean_char(ctx: GammaContext, l: int, terms, grid: int, k: int) -> int:
@@ -472,13 +457,11 @@ def _mean_char(ctx: GammaContext, l: int, terms, grid: int, k: int) -> int:
     return mean
 
 
+@memoised
 def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
     """chi_l(g) for every g as integer (exponent, coefficient) pairs in the
     powers of zeta_n; n is a multiple of the row's order."""
-    cached = ctx._char_powers.get((l, n))
-    if cached is not None:
-        return cached
-    cached = []
+    powers = []
     for value in ctx.chars[l]:
         step = n // value.order
         pairs = []
@@ -487,41 +470,37 @@ def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
                 raise ArithmeticError(f"character value {value!r} is not integral")
             if c:
                 pairs.append((i * step, c.numerator))
-        cached.append(pairs)
-    ctx._char_powers[(l, n)] = cached
-    return cached
+        powers.append(pairs)
+    return powers
 
 
 # ---------------------------------------------------------------------------
 # Weyl groups, containment, counts
 
 
+@memoised
 def weyl_order(cls: AmalgamatedClass) -> int:
     ctx = cls.ctx
-    cached = ctx._weyl.get(cls.key)
-    if cached is not None:
-        return cached
     if cls.kind == "o2":
-        w = ctx.lattice.weyl_order(ctx.subgroup_class_index(cls.K))
-    else:
-        if not cls.is_dihedral():
-            raise InfiniteWeylError(
-                "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
-            )
-        elems = cls.elems
-        target = sorted(_encode(ctx, elems, cls.grid))
-        conjugates = _aligned_conjugates(ctx, elems, cls.grid, cls.axes()[0])
-        count = sum(1 for x in conjugates if sorted(x) == target)
-        # each (shift, twist, gamma) action is realised by exactly two rotations
-        w = 2 * count // len(elems)
-    ctx._weyl[cls.key] = w
-    return w
+        return ctx.lattice.classes[ctx.lattice.class_of(cls.K)].weyl_order
+    if not cls.is_dihedral():
+        raise InfiniteWeylError(
+            "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
+        )
+    elems = cls.elems
+    target = sorted(_encode(ctx, elems, cls.grid))
+    conjugates = _aligned_conjugates(ctx, elems, cls.grid, cls.axes()[0])
+    count = sum(1 for x in conjugates if sorted(x) == target)
+    # each (shift, twist, gamma) action is realised by exactly two rotations
+    return 2 * count // len(elems)
 
 
+@memoised
 def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
     return _containment_count(c1, c2, count_all=False) > 0
 
 
+@memoised
 def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
     """Number of conjugates of c2 containing a fixed representative of c1."""
     return _containment_count(c1, c2, count_all=True)
@@ -529,26 +508,14 @@ def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
 
 def _containment_count(c1, c2, count_all: bool) -> int:
     ctx = c1.ctx
-    if ctx is not c2.ctx:
-        raise ValueError("classes live over different groups")
-    memo_key = (c1.key, c2.key, count_all)
-    cached = ctx._ncount.get(memo_key)
-    if cached is not None:
-        return cached
-    result = _containment_count_raw(ctx, c1, c2, count_all)
-    ctx._ncount[memo_key] = result
-    return result
-
-
-def _containment_count_raw(ctx, c1, c2, count_all):
     if c2.kind == "o2":
-        ci = ctx.subgroup_class_index
-        return ctx.lattice.n_count(ci(c1.k_part()), ci(c2.K))
+        lattice = ctx.lattice
+        return lattice.n_count(lattice.class_of(c1.k_part()), lattice.class_of(c2.K))
     if c1.kind == "o2":
         return 0
     if not c1.is_dihedral():
         raise InfiniteWeylError("containment counts need a reflection in the smaller class")
-    if c2.order % c1.order:
+    if c2.size % c1.size:
         return 0
     small, big, grid = _common_grid(c1, c2)
     axis = c1.axes()[0] * (grid // c1.grid)
@@ -570,11 +537,12 @@ def _containment_count_raw(ctx, c1, c2, count_all):
 def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
     out = [
         sub
-        for sub in ctx._class_of_set
+        for cls in ctx.lattice.classes
+        for sub in cls.conjugates
         if sub <= kset and all(ctx.conj[g][x] in sub for g in kset for x in sub)
     ]
-    # the order of Group.subgroups(), so that candidates are found, and their
-    # element sets interned, in a fixed order
+    # the order of Group.subgroup_masks(), so that candidates are found,
+    # and their element sets interned, in a fixed order
     return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 
 
@@ -627,18 +595,17 @@ def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
             yield elems, d
 
 
+@memoised
 def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
     """All classes that can be isotropy of a nonzero mode-1 vector and have
     a reflection in the O(2)-part (equivalently, finite Weyl group)."""
-    if ctx._mode1 is not None:
-        return ctx._mode1
     found: dict = {}
 
     def record(elems, grid):
         cls = make_fin(ctx, elems, grid)
         found[cls.key] = cls
 
-    for kset in ctx.class_sets():
+    for kset in (cls.rep_set for cls in ctx.lattice.classes):
         normal = _normal_subgroups_of(ctx, kset)
         # pattern A: trivial O(2)-side kernel, H = D_d paired with K/R
         for rset in normal:
@@ -653,9 +620,7 @@ def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
             elems |= {(1, s, x) for s in (1, -1) for x in kset - rset}
             record(elems, 2)
 
-    out = sorted(found.values(), key=lambda c: (-c.order, c.key))
-    ctx._mode1 = out
-    return out
+    return sorted(found.values(), key=lambda c: (-c.size, c.key))
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +662,7 @@ def orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:
     onto W_k.
     """
     if k == 0:
-        return _realised([make_o2(ctx, kset) for kset in ctx.class_sets()], 0, l)
+        return _realised([make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes], 0, l)
     return [fold(c, k) for c in orbit_types_mode1(ctx, l)]
 
 
@@ -716,35 +681,29 @@ def maximal_orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedCl
 # Burnside products over O(2) x Gamma'
 
 
+@memoised(unordered=True)
 def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     """(c1) * (c2) in the Burnside ring: {class: multiplicity}.
 
     Orbit types with a rotation-only O(2)-part have infinite Weyl group and
-    carry no coefficient; they are dropped.
+    carry no coefficient; they are dropped.  The product is commutative, so
+    the memo keeps one entry per unordered pair.
     """
     ctx = c1.ctx
-    if ctx is not c2.ctx:
-        raise ValueError("classes live over different groups")
-    key = tuple(sorted((c1.key, c2.key)))
-    cached = ctx._products.get(key)
-    if cached is None:
-        if c1.kind == "o2" and c2.kind == "o2":
-            cached = _product_o2_o2(ctx, c1, c2)
-        elif c1.kind == "o2":
-            cached = _product_o2_fin(ctx, c1, c2)
-        elif c2.kind == "o2":
-            cached = _product_o2_fin(ctx, c2, c1)
-        else:
-            cached = _product_fin_fin(ctx, c1, c2)
-        ctx._products[key] = cached
-    return cached
+    if c1.kind == "o2" and c2.kind == "o2":
+        return _product_o2_o2(ctx, c1, c2)
+    if c1.kind == "o2":
+        return _product_o2_fin(ctx, c1, c2)
+    if c2.kind == "o2":
+        return _product_o2_fin(ctx, c2, c1)
+    return _product_fin_fin(ctx, c1, c2)
 
 
 def _product_o2_o2(ctx, c1, c2) -> dict:
     # (O(2) x K1) * (O(2) x K2) is the Burnside product (K1) * (K2) of Gamma'
-    ci = ctx.subgroup_class_index
-    prod = mult_classes(ctx.lattice, ci(c1.K), ci(c2.K))
-    return {make_o2(ctx, ctx._set_of_class[k]): m for k, m in prod.items()}
+    lattice = ctx.lattice
+    prod = mult_classes(lattice, lattice.class_of(c1.K), lattice.class_of(c2.K))
+    return {make_o2(ctx, lattice.classes[k].rep_set): m for k, m in prod.items()}
 
 
 def _product_o2_fin(ctx, c_o2, c_fin) -> dict:

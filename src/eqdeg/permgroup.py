@@ -4,9 +4,10 @@ Groups are given by permutation generators on {1..degree} (stored 0-based
 as image tuples).  The elements are enumerated once, sorted; after that the
 group works on element indices through a Cayley table, built on first use.
 The lattice enumerates every subgroup as a bitmask over element indices,
-partitions them into conjugacy classes with deterministic representatives,
-and records the subconjugation order together with the containment counts
-n(H, K) used by degree recurrences.
+keeps each as a frozenset of element indices, partitions them into
+conjugacy classes with deterministic representatives, and records the
+containment counts n(H, K) used by degree recurrences, which are positive
+exactly on the subconjugation order.
 """
 
 from __future__ import annotations
@@ -182,12 +183,9 @@ class Group:
             seen.update(mult[x][mult[g][y]] for x in a for y in b)
             yield g
 
-    def subgroups(self, cap: int | None = None) -> list[frozenset[Perm]]:
-        """Every subgroup, sorted by (order, sorted elements)."""
-        return [self.perms_of(m) for m in self.subgroup_masks(cap)]
-
-    def perms_of(self, mask: int) -> frozenset[Perm]:
-        return frozenset(self.elements[x] for x in _mask_members(mask))
+    def generated(self, gens: list[int]) -> frozenset[int]:
+        """The subgroup generated by element indices."""
+        return frozenset(_mask_members(self._closure_mask(gens)))
 
     def subgroup_masks(self, cap: int | None = None) -> list[int]:
         """Every subgroup as a bitmask over element indices, by cyclic
@@ -247,45 +245,46 @@ def _mask_members(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups."""
+    """One conjugacy class of subgroups, each a frozenset of element
+    indices; the conjugates are sorted, so the first is the least."""
 
-    representative: tuple[Perm, ...]
-    conjugates: tuple[frozenset[Perm], ...]
-    class_size: int
+    conjugates: tuple[frozenset[int], ...]
     normalizer_order: int
-    weyl_order: int
     name: str = ""
 
     @property
-    def order(self) -> int:
-        return len(self.representative)
+    def rep_set(self) -> frozenset[int]:
+        return self.conjugates[0]
 
     @property
-    def rep_set(self) -> frozenset[Perm]:
-        return self.conjugates[0]
+    def order(self) -> int:
+        return len(self.conjugates[0])
+
+    @property
+    def class_size(self) -> int:
+        return len(self.conjugates)
+
+    @property
+    def weyl_order(self) -> int:
+        return self.normalizer_order // self.order
 
 
 @dataclass
 class SubgroupClassLattice:
-    """Conjugacy classes of subgroups with order data and n(H, K) counts."""
+    """Conjugacy classes of subgroups with order data and n(H, K) counts;
+    nHK[h][k] > 0 exactly when class h is subconjugate to class k."""
 
     group: Group
     classes: list[SubgroupClass]
-    leq: list[list[bool]] = field(default_factory=list)
     nHK: list[list[int]] = field(default_factory=list)
-    _class_of: dict[frozenset, int] = field(default_factory=dict)
+    _class_of: dict[frozenset[int], int] = field(default_factory=dict)
 
-    def class_of(self, sub: frozenset[Perm]) -> int:
+    def class_of(self, sub: frozenset[int]) -> int:
+        """The class of a subgroup given as element indices."""
         return self._class_of[frozenset(sub)]
 
     def n_count(self, h: int, k: int) -> int:
         return self.nHK[h][k]
-
-    def weyl_order(self, h: int) -> int:
-        return self.classes[h].weyl_order
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClassLattice:
@@ -309,40 +308,29 @@ def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClas
             n_order += image == sub
         seen |= orbit
         masks = sorted(orbit, key=_mask_members)
-        conjugates = tuple(group.perms_of(m) for m in masks)
-        classes.append(
-            SubgroupClass(
-                representative=tuple(sorted(conjugates[0])),
-                conjugates=conjugates,
-                class_size=len(masks),
-                normalizer_order=n_order,
-                weyl_order=n_order // len(members),
-            )
-        )
+        conjugates = tuple(frozenset(_mask_members(m)) for m in masks)
+        classes.append(SubgroupClass(conjugates=conjugates, normalizer_order=n_order))
         class_masks.append(masks)
     lattice = SubgroupClassLattice(group=group, classes=classes)
-    names = _class_names(classes)
+    names = _class_names(group, classes)
     for i, cls in enumerate(classes):
         object.__setattr__(cls, "name", names[i])
         for member in cls.conjugates:
             lattice._class_of[member] = i
     n = len(classes)
     lattice.nHK = [[0] * n for _ in range(n)]
-    lattice.leq = [[False] * n for _ in range(n)]
     for h in range(n):
         hrep = class_masks[h][0]
         for k in range(n):
             if classes[k].order % classes[h].order:
                 continue
-            count = sum(1 for member in class_masks[k] if hrep & member == hrep)
-            lattice.nHK[h][k] = count
-            lattice.leq[h][k] = count > 0
+            lattice.nHK[h][k] = sum(1 for member in class_masks[k] if hrep & member == hrep)
     return lattice
 
 
-def _structure_base(cls: SubgroupClass) -> str:
+def _structure_base(group: Group, cls: SubgroupClass) -> str:
     n = cls.order
-    orders = [p_order(g) for g in cls.rep_set]
+    orders = [p_order(group.elements[g]) for g in cls.rep_set]
     if max(orders) == n:
         return f"Z{n}"
     m = n // 2
@@ -351,8 +339,8 @@ def _structure_base(cls: SubgroupClass) -> str:
     return f"G{n}"
 
 
-def _class_names(classes: list[SubgroupClass]) -> list[str]:
-    bases = [_structure_base(c) for c in classes]
+def _class_names(group: Group, classes: list[SubgroupClass]) -> list[str]:
+    bases = [_structure_base(group, c) for c in classes]
     names = []
     for i, base in enumerate(bases):
         if bases.count(base) > 1:

@@ -151,7 +151,7 @@ def test_acceptance_6_burnside_properties():
     for name in ("D6", "S3"):
         ctx = GammaContext.from_character_table(bundled_table(name))
         lat = ctx.lattice
-        gens = [GRingElement(ctx, {og.make_o2(ctx, k): 1}) for k in ctx.class_sets()]
+        gens = [GRingElement(ctx, {og.make_o2(ctx, c.rep_set): 1}) for c in lat.classes]
         n = len(gens)
         for i in range(n):
             for j in range(n):

@@ -23,7 +23,7 @@ def ring_for(name):
     generator of each."""
     if name not in RINGS:
         ctx = GammaContext.from_character_table(bundled_table(name))
-        classes = [make_o2(ctx, kset) for kset in ctx.class_sets()]
+        classes = [make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes]
         gens = [GRingElement(ctx, {c: 1}) for c in classes]
         RINGS[name] = ctx, classes, gens
     return RINGS[name]
@@ -31,7 +31,7 @@ def ring_for(name):
 
 def by_index(ctx, elem):
     """The coefficients of a ring element keyed by lattice class index."""
-    return {ctx.subgroup_class_index(c.K): v for c, v in elem.coeffs.items()}
+    return {ctx.lattice.class_of(c.K): v for c, v in elem.coeffs.items()}
 
 
 def test_z2_trivial_square():
@@ -80,7 +80,7 @@ def test_diagonal_coefficient_is_weyl_order():
     for name in ("D6", "S3"):
         ctx, classes, gens = ring_for(name)
         for i, gen in enumerate(gens):
-            assert (gen * gen).coeff(classes[i]) == ctx.lattice.weyl_order(i), (name, i)
+            assert (gen * gen).coeff(classes[i]) == ctx.lattice.classes[i].weyl_order, (name, i)
 
 
 def test_commutativity_and_associativity_exhaustive():

@@ -136,7 +136,8 @@ def test_fixed_dim_matches_projector_rank_on_all_d6_subgroups():
     lat = subgroup_lattice(t.group)
     for cls in lat.classes:
         for member in cls.conjugates:
-            assert fixed_space_dim(t, chi, member) == exact_projector_rank(t.group, member)
+            perms = [t.group.elements[x] for x in member]
+            assert fixed_space_dim(t, chi, perms) == exact_projector_rank(t.group, perms)
 
 
 def test_table_from_json_roundtrip():

@@ -172,6 +172,20 @@ def test_burnside_output_is_byte_stable(capsys, group, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "group, digest",
+    [
+        ("D6", "4d96b09c964e93f56c03d2788d79dfd5910e3f1ddd2fda0883941aef7eb1caf4"),
+        ("S4", "d5340d3e9e0f247d1c7947f126567f01d14f9ac7077400458b1a11e75f2ed9a4"),
+        ("D12", "d80ba8b7a67de6542a055f00487b03867a987f75878dc8ed014d136b6343feaa"),
+    ],
+)
+def test_lattice_output_is_byte_stable(capsys, group, digest):
+    assert main(["lattice", group]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_basic_deg_subcommand(capsys):
     assert main(["basic-deg", "D1", "0", "1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -450,4 +464,47 @@ def test_verify_rejects_invalid_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["verify", str(path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+D3_MATRIX = [["-2", "3/10", "3/10"], ["3/10", "-2", "3/10"], ["3/10", "3/10", "-2"]]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("analyze", d3_config(linearization=5), "linearization must be an object"),
+        ("analyze", d3_config(linearization={"mu": {"1": ["1/0"]}}), "not a number: '1/0'"),
+        (
+            "analyze",
+            d3_config(linearization={"matrices": [[*D3_MATRIX[:2], ["3/10", None, "-2"]]]}),
+            "not a number: None",
+        ),
+        (
+            "analyze",
+            d3_config(linearization={"matrices": [[*D3_MATRIX[:2], 5]]}),
+            "expected a list of values, got 5",
+        ),
+        ("analyze", d3_config(options={"k_max": "5"}), "k_max and s are integers"),
+        ("analyze", d3_config(representation={"images": 5}), "representation images must be"),
+        ("analyze", "group delays linearization", "config must be a JSON object"),
+        ("verify", verify_config(seed_component=1, fourier_modes=0), "fourier_modes must be"),
+    ],
+    ids=[
+        "linearization-not-object",
+        "zero-denominator",
+        "null-matrix-entry",
+        "matrix-row-not-list",
+        "k-max-string",
+        "images-not-list",
+        "config-is-string",
+        "zero-fourier-modes",
+    ],
+)
+def test_malformed_config_values_exit_3(tmp_path, capsys, command, config, message):
+    # a malformed value is invalid input (exit 3), not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    args = [command, str(path)] + (["--out", str(tmp_path)] if command == "analyze" else [])
+    assert main(args) == EXIT_INVALID
     assert message in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eqdeg import o2gamma as og
+from eqdeg.basicdeg import basic_degree
 from eqdeg.burnside import marks_row
 from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.cyclotomic import Cyc
@@ -45,7 +46,7 @@ def test_plain_context_keeps_lattice_names(name):
     ctx = GammaContext.from_character_table(bundled_table(name))
     lattice_names = [cls.name for cls in ctx.lattice.classes]
     assert ctx.names == lattice_names
-    assert [ctx.subgroup_name(kset) for kset in ctx.class_sets()] == lattice_names
+    assert [ctx.subgroup_name(cls.rep_set) for cls in ctx.lattice.classes] == lattice_names
 
 
 def test_o2_element_algebra(d6ctx):
@@ -96,7 +97,7 @@ def test_d6_candidate_enumeration_includes_expected_shapes(d6ctx):
 
 
 def test_k0_candidates_are_products_with_o2(d6ctx):
-    cands = [make_o2(d6ctx, kset) for kset in d6ctx.class_sets()]
+    cands = [make_o2(d6ctx, cls.rep_set) for cls in d6ctx.lattice.classes]
     cands = [c for c in cands if fixed_dim(c, 0, 0) > 0]
     assert cands and all(c.kind == "o2" for c in cands)
     sizes = {len(c.K) for c in cands}
@@ -156,7 +157,7 @@ def test_n_count_identities(d6ctx):
             n = n_count_amalgam(c1, c2)
             assert (n > 0) == subconjugate(c1, c2)
             if c1 is not c2 and n:
-                assert c2.order % c1.order == 0
+                assert c2.size % c1.size == 0
 
 
 def test_weyl_orders_of_maxima_are_two(d6ctx):
@@ -234,9 +235,9 @@ def test_class_product_unit_and_commutativity(d6ctx):
     for c1 in samples:
         assert class_product(g, c1) == {c1: 1}
         for c2 in samples:
-            assert class_product(c1, c2) == class_product(c2, c1)
-    # class_product caches on the sorted key pair, so call the products
-    # themselves in both orders and against the reference loops
+            assert class_product(c1, c2) is class_product(c2, c1)
+    # class_product keeps one memo entry per unordered pair, so call the
+    # products themselves in both orders and against the reference loops
     for c1 in fins:
         for c2 in fins:
             expected = _all_pairs_product_fin_fin(d6ctx, c1, c2)
@@ -338,7 +339,7 @@ def test_weyl_orders_and_counts_match_brute_force(code_ctxs, name):
     classes += [fold(c, 2) for c in classes[:: max(1, len(classes) // 6)]]
     for cls in classes:
         fixing = sum(x == cls.elems for x in _all_conjugates(ctx, cls.elems, cls.grid))
-        assert weyl_order(cls) == 2 * fixing // cls.order, cls.name()
+        assert weyl_order(cls) == 2 * fixing // cls.size, cls.name()
     conjugates = {}
     for c1 in classes:
         for c2 in classes:
@@ -384,7 +385,7 @@ def test_fixed_dims_match_cyclotomic_sums(code_ctxs, name):
     ctx = code_ctxs.get(name) or GammaContext.from_signed_group(
         SignedGroup(bundled_table(name))
     )
-    cases = [(make_o2(ctx, kset), k) for kset in ctx.class_sets() for k in (0, 1)]
+    cases = [(make_o2(ctx, cls.rep_set), k) for cls in ctx.lattice.classes for k in (0, 1)]
     for g in range(ctx.n):
         powers = [ctx.identity]
         while ctx.mult[g][powers[-1]] != ctx.identity:
@@ -413,7 +414,8 @@ def _k0_orbit_classes_reference(ctx, l):
         total = sum((ctx.chars[l][g] for g in kset), Cyc.rational(0))
         return (total * Fraction(1, len(kset))).as_integer()
 
-    cands = [(ci, kset) for ci, kset in enumerate(ctx.class_sets()) if dim(kset) > 0]
+    sets = [cls.rep_set for cls in ctx.lattice.classes]
+    cands = [(ci, kset) for ci, kset in enumerate(sets) if dim(kset) > 0]
     out = []
     for ci, kset in cands:
         if not any(
@@ -429,7 +431,7 @@ def test_k0_orbit_types_match_lattice_reference(code_ctxs, name):
     ctx = code_ctxs.get(name) or GammaContext.from_signed_group(
         SignedGroup(bundled_table(name))
     )
-    ci = ctx.subgroup_class_index
+    ci = ctx.lattice.class_of
     for l in range(len(ctx.chars)):
         types = _k0_orbit_classes_reference(ctx, l)
         assert orbit_types(ctx, 0, l) == [make_o2(ctx, k) for k in types], l
@@ -459,18 +461,66 @@ def test_o2_products_mirror_finite_burnside_ring(d6ctx):
     # products of O(2) x K classes reduce to the Burnside ring of Gamma';
     # fixed-point marks are multiplicative, independently of the product rule
     lat = d6ctx.lattice
-    sets = d6ctx.class_sets()
+    sets = [cls.rep_set for cls in lat.classes]
     marks = [marks_row(lat, h) for h in range(len(sets))]
     for i in range(len(sets)):
         for j in range(i, len(sets)):
             c1, c2 = make_o2(d6ctx, sets[i]), make_o2(d6ctx, sets[j])
             got = {
-                d6ctx.subgroup_class_index(cls.K): m
+                lat.class_of(cls.K): m
                 for cls, m in class_product(c1, c2).items()
             }
             for l in range(len(sets)):
                 rhs = sum(m * marks[h][l] for h, m in got.items())
                 assert marks[i][l] * marks[j][l] == rhs, (i, j, l)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "D6"])
+def test_fin_products_satisfy_the_marks_identity(code_ctxs, name):
+    # marks are multiplicative (tom Dieck, Transformation Groups, IV):
+    # mark(L, H) * mark(L, K) = sum_M m_M * mark(L, M) for every class L,
+    # with mark(L, X) = n(L, X) * |W(X)|; checked on every pair of finite
+    # classes of the basic degrees at modes 1 and 2, at each class of the
+    # product and at H and K
+    ctx = code_ctxs[name]
+    support = sorted(
+        {
+            cls
+            for mode in (1, 2)
+            for l in range(len(ctx.chars))
+            for cls in basic_degree(ctx, mode, l).coeffs
+            if cls.kind == "fin"
+        },
+        key=lambda c: c.key,
+    )
+    for i, h in enumerate(support):
+        for k in support[i:]:
+            # the product itself, not the memo, which answers both orders
+            prod = og._product_fin_fin(ctx, h, k)
+            assert og._product_fin_fin(ctx, k, h) == prod, (h.name(), k.name())
+            for low in set(prod) | {h, k}:
+
+                def mark(cls):
+                    return n_count_amalgam(low, cls) * weyl_order(cls)
+
+                rhs = sum(m * mark(cls) for cls, m in prod.items())
+                assert mark(h) * mark(k) == rhs, (h.name(), k.name(), low.name())
+
+
+def test_memo_refuses_classes_of_another_context():
+    # classes compare by key, so a memo that looked a mixed pair up before
+    # checking the contexts would answer with the first context's result
+    ctx1, ctx2 = (
+        GammaContext.from_signed_group(SignedGroup(bundled_table("S3"))) for _ in range(2)
+    )
+    small1, big1 = mode1_candidates(ctx1)[-1], mode1_candidates(ctx1)[0]
+    small2, big2 = mode1_candidates(ctx2)[-1], mode1_candidates(ctx2)[0]
+    assert (small1, big1) == (small2, big2)
+    for fn in (class_product, subconjugate, n_count_amalgam):
+        fn(small1, big1)
+        for pair in ((small1, big2), (small2, big1), (big2, small1)):
+            with pytest.raises(ValueError, match="different groups"):
+                fn(*pair)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,21 @@ from eqdeg.permgroup import (
 from conftest import perm_closure
 
 
+def indices(group, perms):
+    """A set of permutations as the element indices the lattice uses."""
+    return frozenset(group.index[x] for x in perms)
+
+
+def perms_of(group, sub):
+    """A set of element indices as permutations."""
+    return frozenset(group.elements[x] for x in sub)
+
+
+def all_subgroups(group):
+    """Every subgroup as element indices, from the lattice's classes."""
+    return {member for c in subgroup_lattice(group).classes for member in c.conjugates}
+
+
 def brute_force_subgroups(group):
     """Oracle: all subgroups as closures of <= 2-element generating sets.
 
@@ -91,13 +106,13 @@ def test_d6_lattice_counts():
 
 def test_d6_subgroups_match_subset_oracle():
     g = Group.from_name("D6")
-    assert set(g.subgroups()) == brute_force_subsets(g)
+    assert all_subgroups(g) == {indices(g, s) for s in brute_force_subsets(g)}
 
 
 def test_lattice_matches_two_generator_oracle():
     for name in ("S4", "Z6", "S3"):
         g = Group.from_name(name)
-        assert set(g.subgroups()) == brute_force_subgroups(g)
+        assert all_subgroups(g) == {indices(g, s) for s in brute_force_subgroups(g)}
 
 
 def test_s4_class_count():
@@ -114,20 +129,20 @@ def test_trivial_and_z2_lattices():
 def test_weyl_orders_d6():
     g = Group.from_name("D6")
     lat = subgroup_lattice(g)
-    whole = lat.class_of(frozenset(g.elements))
-    triv = lat.class_of(frozenset([g.identity]))
-    rot = lat.class_of(perm_closure(g, {parse_cycles("(1 2 3 4 5 6)")}))
-    assert lat.weyl_order(whole) == 1
-    assert lat.weyl_order(triv) == 12
-    assert lat.weyl_order(rot) == 2
+    whole = lat.class_of(indices(g, g.elements))
+    triv = lat.class_of(indices(g, [g.identity]))
+    rot = lat.class_of(indices(g, perm_closure(g, {parse_cycles("(1 2 3 4 5 6)")})))
+    assert lat.classes[whole].weyl_order == 1
+    assert lat.classes[triv].weyl_order == 12
+    assert lat.classes[rot].weyl_order == 2
 
 
 def test_n_counts_d6():
     g = Group.from_name("D6")
     lat = subgroup_lattice(g)
-    kappa = lat.class_of(perm_closure(g, {parse_cycles("(2 6)(3 5)", 6)}))
-    whole = lat.class_of(frozenset(g.elements))
-    triv = lat.class_of(frozenset([g.identity]))
+    kappa = lat.class_of(indices(g, perm_closure(g, {parse_cycles("(2 6)(3 5)", 6)})))
+    whole = lat.class_of(indices(g, g.elements))
+    triv = lat.class_of(indices(g, [g.identity]))
     # the order-4 class {1, r^3, kappa r^i, kappa r^(i+3)}
     d2 = next(i for i, c in enumerate(lat.classes) if c.order == 4)
     assert lat.n_count(kappa, d2) == 1
@@ -144,11 +159,11 @@ def test_leq_matches_brute_force_embedding():
         for i, ci in enumerate(lat.classes):
             for j, cj in enumerate(lat.classes):
                 expected = any(
-                    frozenset(g.conj(x, h) for h in ci.rep_set) <= member
+                    frozenset(g.conj(x, h) for h in perms_of(g, ci.rep_set))
+                    <= perms_of(g, cj.rep_set)
                     for x in g.elements
-                    for member in [cj.rep_set]
                 )
-                assert lat.leq[i][j] == expected, (name, i, j)
+                assert (lat.nHK[i][j] > 0) == expected, (name, i, j)
 
 
 def test_nHK_matches_direct_counting():
@@ -174,10 +189,9 @@ def test_nHK_against_element_counting_oracle():
         lat = subgroup_lattice(g)
         for i, ci in enumerate(lat.classes):
             for j, cj in enumerate(lat.classes):
+                h_perms, k_perms = perms_of(g, ci.rep_set), perms_of(g, cj.rep_set)
                 count = sum(
-                    1
-                    for x in g.elements
-                    if all(g.conj(x, h) in cj.rep_set for h in ci.rep_set)
+                    1 for x in g.elements if all(g.conj(x, h) in k_perms for h in h_perms)
                 )
                 assert count % cj.normalizer_order == 0
                 assert lat.nHK[i][j] == count // cj.normalizer_order
@@ -188,7 +202,9 @@ def tuple_lattice(group):
 
     Subgroups by cyclic extension closed with p_mul, conjugacy classes and
     normalizers by conjugating element by element, classes sorted by
-    (order, sorted representative); returns (classes, nHK, leq).
+    (order, sorted representative), n(H, K) by counting conjugates;
+    returns (classes, nHK, sizes), the classes with their subgroups
+    written as element indices and sizes their (class size, Weyl order).
     """
     trivial = frozenset([group.identity])
     found = {trivial}
@@ -204,7 +220,7 @@ def tuple_lattice(group):
                         nxt.append(ext)
         frontier = nxt
     remaining = set(found)
-    classes = []
+    perm_classes = []  # (conjugates, normalizer order)
     while remaining:
         sub = min(remaining, key=lambda s: (len(s), sorted(s)))
         orbit = {frozenset(group.conj(g, x) for x in sub) for g in group.elements}
@@ -214,29 +230,25 @@ def tuple_lattice(group):
         n_order = sum(
             1 for g in group.elements if all(group.conj(g, x) in rep for x in rep)
         )
-        classes.append(
-            SubgroupClass(
-                representative=tuple(sorted(rep)),
-                conjugates=members,
-                class_size=len(members),
-                normalizer_order=n_order,
-                weyl_order=n_order // len(rep),
-            )
-        )
-    classes.sort(key=lambda c: (c.order, c.representative))
-    for cls, name in zip(classes, _class_names(classes)):
+        perm_classes.append((members, n_order))
+    perm_classes.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))
+    classes = [
+        SubgroupClass(tuple(indices(group, m) for m in members), n_order)
+        for members, n_order in perm_classes
+    ]
+    for cls, name in zip(classes, _class_names(group, classes)):
         object.__setattr__(cls, "name", name)
     nHK = [
         [
             0
-            if ck.order % ch.order
-            else sum(1 for member in ck.conjugates if ch.rep_set <= member)
-            for ck in classes
+            if len(k_members[0]) % len(h_members[0])
+            else sum(1 for member in k_members if h_members[0] <= member)
+            for k_members, _ in perm_classes
         ]
-        for ch in classes
+        for h_members, _ in perm_classes
     ]
-    leq = [[count > 0 for count in row] for row in nHK]
-    return classes, nHK, leq
+    sizes = [(len(members), n_order // len(members[0])) for members, n_order in perm_classes]
+    return classes, nHK, sizes
 
 
 @pytest.mark.parametrize("name", ["D6", "D8", "D12", "S4", "Z6", "D6xZ2"])
@@ -246,11 +258,13 @@ def test_lattice_matches_permutation_tuple_oracle(name):
     else:
         group = Group.from_name(name)
     lat = subgroup_lattice(group)
-    classes, nHK, leq = tuple_lattice(group)
-    assert lat.classes == classes  # representatives, conjugates, sizes, orders, names
+    classes, nHK, sizes = tuple_lattice(group)
+    assert lat.classes == classes  # conjugates, normalizer orders, names
+    assert [(c.class_size, c.weyl_order) for c in lat.classes] == sizes
     assert lat.nHK == nHK
-    assert lat.leq == leq
-    assert group.subgroups() == sorted(
+    # the lattice takes each class's least member from this order
+    masks = group.subgroup_masks()
+    assert [frozenset(x for x in range(group.order) if m >> x & 1) for m in masks] == sorted(
         {m for c in classes for m in c.conjugates}, key=lambda s: (len(s), sorted(s))
     )
 
@@ -274,7 +288,7 @@ def test_double_coset_reps_are_least_and_partition(name):
     # and the double cosets partition the group
     group = Group.from_name(name)
     elems, index = group.elements, group.index
-    subs = [[index[x] for x in c.representative] for c in subgroup_lattice(group).classes]
+    subs = [sorted(c.rep_set) for c in subgroup_lattice(group).classes]
     for a, b in itertools.product(subs, repeat=2):
         reps = list(group.double_coset_reps(a, b))
         cosets = [
