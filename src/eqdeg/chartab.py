@@ -292,11 +292,17 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     payload that lists `real_type` must agree with it.
     """
     data = json.loads(payload) if isinstance(payload, str) else payload
-    reps = tuple(parse_cycles(w, group.degree) for w in data["class_reps"])
-    sizes = tuple(int(s) for s in data["class_sizes"])
-    rows = tuple(
-        tuple(Cyc.rational(Fraction(str(v))) for v in row) for row in data["rows"]
-    )
+    keys = ("class_reps", "class_sizes", "rows")
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in keys):
+        raise CharacterError("a character table needs class_reps, class_sizes and rows as lists")
+    try:
+        reps = tuple(parse_cycles(w, group.degree) for w in data["class_reps"])
+        sizes = tuple(int(s) for s in data["class_sizes"])
+        rows = tuple(
+            tuple(Cyc.rational(Fraction(str(v))) for v in row) for row in data["rows"]
+        )
+    except TypeError as exc:
+        raise CharacterError(f"malformed character table: {exc}") from exc
     table = CharacterTable(group, reps, sizes, rows)
     table.check_orthonormal()
     # a class function has the same mean over conjugate subgroups

@@ -87,7 +87,12 @@ def _build_group_and_table(config):
         table = bundled_table(spec)
         return table.group, table
     if isinstance(spec, dict) and "generators" in spec:
-        group = Group.make(spec["generators"])
+        gens = spec["generators"]
+        if not isinstance(gens, list) or not all(
+            isinstance(g, str) or isinstance(g, list) and all(map(_is_int, g)) for g in gens
+        ):
+            raise ConfigError("generators must be a list of cycle words or of point lists")
+        group = Group.make(gens)
         tab_payload = config.get("character_table")
         if tab_payload is None:
             raise ConfigError("custom groups need an explicit character_table")
@@ -453,22 +458,13 @@ def run_verify(config) -> dict:
         "apriori": None,
     }
     if rep.converged and not sol.is_constant():
-        ctx = result.ctx
-        gamma = result.table.group
-        perms = sorted({tuple(g) for g in gamma.elements})
-
-        def perm_of_gamma_index(gidx):
-            gp, eps = ctx.signed.parts(ctx.elems[gidx])
-            return tuple(gp), eps
-
+        perms = sorted({tuple(g) for g in result.table.group.elements})
         syms = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=12)
-        guaranteed = []
-        for l in result.spectral.components:
-            guaranteed.extend(maximal_orbit_types(ctx, 1, l))
         out["matched_classes"] = sorted(
             cls.name()
-            for cls in guaranteed
-            if class_matches_symmetries(cls, syms, perm_of_gamma_index)
+            for l in result.spectral.components
+            for cls in maximal_orbit_types(result.ctx, 1, l)
+            if class_matches_symmetries(cls, syms)
         )
         out["detected_symmetries"] = len(syms)
         out["apriori"] = apriori_check(spec, sol, radius=radius)

@@ -23,17 +23,20 @@ sets; two classes on different grids are first lifted to the lcm grid.
 The canonical key of a finite class is its least conjugate with a
 reflection axis at t = 0, written as sorted (numerator, denominator, s, g)
 with t in lowest terms, so it does not depend on the grid.  To find it,
-and to compare conjugates in Weyl orders and containment counts, each
-element on a grid M gets an integer code: the points t = u/M are ranked
-by (numerator, denominator), and (u, s, g) has code
+each element on a grid M gets an integer code: the points t = u/M are
+ranked by (numerator, denominator), and (u, s, g) has code
 (rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
 stand for, and conjugation by g in Gamma' is one table lookup per code
-(`_grid_codes`).
+(`_grid_codes`).  The same walk counts the conjugates equal to the least
+one, which gives the Weyl order.  Containment counts are read off the
+Burnside product: the coefficient of (L) in (L) * (H) is the mark
+|(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
 
-Every exact function of a context or class (code tables per grid, keys,
-fixed dimensions, Weyl orders, containment counts, products, candidates,
-basic degrees) is `memoised`: its results live in the one memo of the
-context, keyed by the function and its arguments, and go with it.
+Classes are interned per context, so they compare by identity.  Every
+exact function of a context or class (code tables per grid, keys, fixed
+dimensions, character powers, Weyl orders, containment, products,
+candidates, basic degrees) is `memoised`: its results live in the one
+memo of the context, keyed by the function and its arguments.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from functools import partial, wraps
 from math import gcd, lcm
 
-from .burnside import mult_classes
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc, _reduce
 from .permgroup import Group, SubgroupClassLattice, parse_cycles, subgroup_lattice
@@ -156,8 +158,8 @@ def memoised(fn=None, *, unordered: bool = False):
     The first argument is a GammaContext or a class over one; results are
     keyed by fn and all its (positional) arguments, so they live and die
     with the context.  A class argument over another context raises
-    ValueError before the lookup: classes compare by key only, so the memo
-    would answer with this context's result.  With unordered=True, the key
+    ValueError before the lookup: fn would compute with this context's
+    tables on a class of the other.  With unordered=True, the key
     lists the arguments by identity, so the context's interned classes get
     one entry per unordered pair, computed in the order it is first asked
     for.  fn never returns None.
@@ -185,7 +187,7 @@ def memoised(fn=None, *, unordered: bool = False):
 # amalgamated classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmalgamatedClass:
     """One conjugacy class of closed subgroups of O(2) x Gamma'.
 
@@ -195,7 +197,9 @@ class AmalgamatedClass:
                 vectors; "G" itself is the case K = Gamma').
 
     The Goursat parts H, Z, R and L = K/R are read off finite classes only;
-    `name` and `fingerprint` spell out O(2) x K directly.
+    `name` and `fingerprint` spell out O(2) x K directly.  make_fin and
+    make_o2 intern one instance per class and context, so instances
+    compare by identity.
     """
 
     ctx: GammaContext
@@ -204,12 +208,6 @@ class AmalgamatedClass:
     K: frozenset | None
     key: tuple
     grid: int
-
-    def __eq__(self, other):
-        return isinstance(other, AmalgamatedClass) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     # -- structural data ---------------------------------------------------
 
@@ -281,17 +279,6 @@ class AmalgamatedClass:
 # -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --
 
 
-def _common_grid(c1: AmalgamatedClass, c2: AmalgamatedClass):
-    """Both element sets on the lcm of their grids, and that grid."""
-    m = lcm(c1.grid, c2.grid)
-
-    def lift(cls):
-        f = m // cls.grid
-        return cls.elems if f == 1 else frozenset((u * f, s, g) for (u, s, g) in cls.elems)
-
-    return lift(c1), lift(c2), m
-
-
 def _kappa_conj(elems, grid):
     return frozenset(((-u) % grid, s, g) for (u, s, g) in elems)
 
@@ -327,36 +314,42 @@ def _grid_codes(ctx: GammaContext, grid: int):
     return rank, decode, conj_tabs
 
 
-def _encode(ctx: GammaContext, elems, grid: int) -> list[int]:
-    rank, n = _grid_codes(ctx, grid)[0], ctx.n
-    return [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in elems]
-
-
-def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int, a: int):
+def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int):
     """The conjugates of a finite subgroup, moved so a reflection axis sits
-    at a, as lists of element codes.
+    at 0, as lists of element codes.
 
     One conjugate per (kappa twist, reflection axis b, g in Gamma'): twist,
-    shift axis b onto a, conjugate by g.  A rotation-only subgroup has no
+    shift axis b onto 0, conjugate by g.  A rotation-only subgroup has no
     axis and is taken as is.  The twist and shift loops sit outside the
     Gamma' loop, so each call shifts and encodes only 2 * |axes| element
     sets; conjugation by g is a table lookup per code.
     """
-    conj_tabs = _grid_codes(ctx, grid)[2]
+    rank, _, conj_tabs = _grid_codes(ctx, grid)
+    n = ctx.n
     for base in (elems, _kappa_conj(elems, grid)):
-        for b in sorted({u for (u, s, _) in base if s == -1}) or [a]:
-            codes = _encode(ctx, _shift_refl(base, a - b, grid), grid)
+        for b in sorted({u for (u, s, _) in base if s == -1}) or [0]:
+            codes = [
+                (rank[u] * 2 + (s == 1)) * n + g
+                for (u, s, g) in _shift_refl(base, -b, grid)
+            ]
             for tab in conj_tabs:
                 yield list(map(tab.__getitem__, codes))
 
 
 @memoised
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
-    """The least conjugate with an axis at 0, as sorted (numerator,
-    denominator, s, g); independent of the grid the set is on."""
+    """The key of the class of a finite subgroup H, and how many aligned
+    conjugates equal its least one.
+
+    The key is that least conjugate, as sorted (numerator, denominator, s,
+    g); it does not depend on the grid.  The elements that carry H onto one
+    conjugate form a coset of N(H), two per (twist, axis, g), so the count
+    is |N(H)| / 2 when H has a reflection.
+    """
     decode = _grid_codes(ctx, grid)[1]
-    best = min(sorted(x) for x in _aligned_conjugates(ctx, elems, grid, 0))
-    return ("fin", tuple(decode[c] for c in best))
+    conjugates = [sorted(x) for x in _aligned_conjugates(ctx, elems, grid)]
+    best = min(conjugates)
+    return ("fin", tuple(decode[c] for c in best)), conjugates.count(best)
 
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
@@ -364,7 +357,7 @@ def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
     c = gcd(grid, *(u for (u, _, _) in elems))
     elems = frozenset((u // c, s, g) for (u, s, g) in elems)
     grid //= c
-    key = _fin_key(ctx, elems, grid)
+    key = _fin_key(ctx, elems, grid)[0]
     cached = ctx._interned.get(key)
     if cached is None:
         cached = ctx._interned[key] = AmalgamatedClass(ctx, "fin", elems, None, key, grid)
@@ -487,47 +480,31 @@ def weyl_order(cls: AmalgamatedClass) -> int:
         raise InfiniteWeylError(
             "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
         )
-    elems = cls.elems
-    target = sorted(_encode(ctx, elems, cls.grid))
-    conjugates = _aligned_conjugates(ctx, elems, cls.grid, cls.axes()[0])
-    count = sum(1 for x in conjugates if sorted(x) == target)
-    # each (shift, twist, gamma) action is realised by exactly two rotations
-    return 2 * count // len(elems)
+    # |W(H)| = |N(H)| / |H|, with |N(H)| / 2 counted by the key walk
+    return 2 * _fin_key(ctx, cls.elems, cls.grid)[1] // cls.size
 
 
 @memoised
 def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
-    return _containment_count(c1, c2, count_all=False) > 0
+    return n_count_amalgam(c1, c2) > 0
 
 
 @memoised
 def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
-    """Number of conjugates of c2 containing a fixed representative of c1."""
-    return _containment_count(c1, c2, count_all=True)
+    """Number of conjugates of c2 containing a fixed representative of c1.
 
-
-def _containment_count(c1, c2, count_all: bool) -> int:
-    ctx = c1.ctx
-    if c2.kind == "o2":
-        lattice = ctx.lattice
-        return lattice.n_count(lattice.class_of(c1.k_part()), lattice.class_of(c2.K))
-    if c1.kind == "o2":
-        return 0
-    if not c1.is_dihedral():
+    No class of the product (c1) * (c2) lies above c1, so the coefficient
+    of (c1) there is the mark |(G/c2)^c1| = n(c1, c2) * |W(c2)|.
+    """
+    if c1.kind == "fin" and not c1.is_dihedral():
         raise InfiniteWeylError("containment counts need a reflection in the smaller class")
-    if c2.size % c1.size:
+    if c1.kind == "o2" and c2.kind == "fin":
         return 0
-    small, big, grid = _common_grid(c1, c2)
-    axis = c1.axes()[0] * (grid // c1.grid)
-    small_codes = _encode(ctx, small, grid)
-    hits = (
-        x
-        for x in map(frozenset, _aligned_conjugates(ctx, big, grid, axis))
-        if x.issuperset(small_codes)
-    )
-    if count_all:
-        return len(set(hits))
-    return int(any(hits))
+    if c1.kind == c2.kind and c2.size % c1.size:
+        return 0
+    mark = class_product(c1, c2).get(c1, 0)
+    # a class that contains c1 has a reflection, hence a finite Weyl group
+    return mark // weyl_order(c2) if mark else 0
 
 
 # ---------------------------------------------------------------------------
@@ -690,39 +667,36 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     the memo keeps one entry per unordered pair.
     """
     ctx = c1.ctx
-    if c1.kind == "o2" and c2.kind == "o2":
-        return _product_o2_o2(ctx, c1, c2)
     if c1.kind == "o2":
-        return _product_o2_fin(ctx, c1, c2)
+        return _product_o2(ctx, c1, c2)
     if c2.kind == "o2":
-        return _product_o2_fin(ctx, c2, c1)
+        return _product_o2(ctx, c2, c1)
     return _product_fin_fin(ctx, c1, c2)
 
 
-def _product_o2_o2(ctx, c1, c2) -> dict:
-    # (O(2) x K1) * (O(2) x K2) is the Burnside product (K1) * (K2) of Gamma'
-    lattice = ctx.lattice
-    prod = mult_classes(lattice, lattice.class_of(c1.K), lattice.class_of(c2.K))
-    return {make_o2(ctx, lattice.classes[k].rep_set): m for k, m in prod.items()}
-
-
-def _product_o2_fin(ctx, c_o2, c_fin) -> dict:
-    # one term per double coset K g K_fin: c_fin meets O(2) x g^-1 K g
+def _product_o2(ctx, c_o2, other) -> dict:
+    # one term per double coset K g K': the other class meets O(2) x g^-1 K g,
+    # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g)
     out: dict = {}
     kset = c_o2.K
-    for g in ctx.group.double_coset_reps(kset, c_fin.k_part()):
+    for g in ctx.group.double_coset_reps(kset, other.k_part()):
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
-        inter = frozenset(
-            (u, s, x) for (u, s, x) in c_fin.elems if x in target
-        )
-        if any(s == -1 for (_, s, _) in inter):
-            cls = make_fin(ctx, inter, c_fin.grid)
-            out[cls] = out.get(cls, 0) + 1
+        if other.kind == "o2":
+            cls = make_o2(ctx, other.K & target)
+        else:
+            inter = frozenset((u, s, x) for (u, s, x) in other.elems if x in target)
+            if not any(s == -1 for (_, s, _) in inter):
+                continue
+            cls = make_fin(ctx, inter, other.grid)
+        out[cls] = out.get(cls, 0) + 1
     return out
 
 
 def _product_fin_fin(ctx, c1, c2) -> dict:
-    a_elems, b_elems, grid = _common_grid(c1, c2)
+    grid = lcm(c1.grid, c2.grid)
+    a_elems, b_elems = (
+        [(u * (grid // c.grid), s, g) for (u, s, g) in c.elems] for c in (c1, c2)
+    )
     a_rot = {(u, g) for (u, s, g) in a_elems if s == 1}
     a_refl = [(u, g) for (u, s, g) in a_elems if s == -1]
     b_rot = {(u, g) for (u, s, g) in b_elems if s == 1}

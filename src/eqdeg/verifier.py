@@ -432,22 +432,28 @@ def isotropy_of_trajectory(
     return out
 
 
-def class_matches_symmetries(
-    cls,
-    detected: list[DetectedSymmetry],
-    perm_of_gamma_index,
-) -> bool:
-    """Does every element of the amalgamated class appear among the detected
+def element_symmetry(cls, elem) -> tuple:
+    """The element (u, s, g) of a finite class over Gamma x Z2 as the
+    trajectory map (theta_turns, reverse, perm, sign) that
+    `FourierSolution.transformed` applies (theta = 2*pi*theta_turns) and
+    `isotropy_of_trajectory` reports.
+
+    The map is the inverse of the element's action: `transformed` shifts
+    time the other way, so perm is the inverse of g's permutation too.
+    The maps of a class then form a group whose mean projects onto Fix(H).
+    """
+    u, s, g = elem
+    gamma, sign = cls.ctx.signed.parts(cls.ctx.elems[g])
+    return Fraction(u, cls.grid), s == -1, tuple(perm_inverse_columns(gamma)), sign
+
+
+def class_matches_symmetries(cls, detected: list[DetectedSymmetry]) -> bool:
+    """Does every element of the finite class appear among the detected
     trajectory symmetries?"""
     found = {
         (sym.theta_turns, sym.reverse, sym.gamma, sym.sign) for sym in detected
     }
-    for (u, s, gidx) in cls.elems:
-        perm, eps = perm_of_gamma_index(gidx)
-        key = (Fraction(u, cls.grid), s == -1, tuple(perm), eps)
-        if key not in found:
-            return False
-    return True
+    return all(element_symmetry(cls, elem) in found for elem in cls.elems)
 
 
 # ---------------------------------------------------------------------------

@@ -280,15 +280,11 @@ def test_acceptance_9_end_to_end(d6ctx):
     assert rep.residual_sup < 1e-8
     perms = sorted({tuple(g) for g in d6ctx.signed.gamma.elements})
 
-    def perm_of_gamma_index(gidx):
-        gp, eps = d6ctx.signed.parts(d6ctx.elems[gidx])
-        return tuple(gp), eps
-
     syms = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=12)
     guaranteed = []
     for l in (0, 3, 4, 5):
         guaranteed.extend(maximal_orbit_types(d6ctx, 1, l))
     matched = [
-        c for c in guaranteed if class_matches_symmetries(c, syms, perm_of_gamma_index)
+        c for c in guaranteed if class_matches_symmetries(c, syms)
     ]
     assert matched, "converged orbit carries no guaranteed symmetry class"

@@ -375,6 +375,21 @@ def three_delay_config(group, leading):
             ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2"],
             "e7d54b1a2ceb5ad5699c107224049911f1dcacbf02bd00339a2111616b0f79d1",
         ),
+        (
+            "D5",
+            ["-15/2", "-13/4", "-17/3", "-1/3"],
+            "b652bf8c5bf4a52459d68c6602f2383461e09273d046218280a8397549dbea91",
+        ),
+        (
+            "D10",
+            ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2", "-7/2", "-9/4", "-5/2"],
+            "e3f8051b8f7d13c8b2804c97350988f9c722a33533fa52371f7a9bce74539575",
+        ),
+        (
+            "D12",
+            ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2", "-7/2", "-9/4", "-5/2", "-19/4"],
+            "c51d6689e014de524974913a4104531858d571bbd07273bc283b08e7c98c40f9",
+        ),
     ],
 )
 def test_negative_blocks_at_modes_up_to_three_are_byte_stable(group, leading, digest):
@@ -468,6 +483,18 @@ def test_verify_rejects_invalid_config(tmp_path, capsys, config, message):
 
 
 D3_MATRIX = [["-2", "3/10", "3/10"], ["3/10", "-2", "3/10"], ["3/10", "3/10", "-2"]]
+Z2_TABLE = {"class_reps": ["()", "(1 2)"], "class_sizes": [1, 1], "rows": [["1", "1"], ["1", "-1"]]}
+
+
+def z2_config(generators=("(1 2)",), **table):
+    """A custom two-point Z2 group; table entries given as None are left out."""
+    table = {key: v for key, v in {**Z2_TABLE, **table}.items() if v is not None}
+    return {
+        "group": {"generators": generators},
+        "character_table": table,
+        "delays": 1,
+        "linearization": {"mu": {"1": ["-3"], "2": ["-3"]}},
+    }
 
 
 @pytest.mark.parametrize(
@@ -489,6 +516,10 @@ D3_MATRIX = [["-2", "3/10", "3/10"], ["3/10", "-2", "3/10"], ["3/10", "3/10", "-
         ("analyze", d3_config(representation={"images": 5}), "representation images must be"),
         ("analyze", "group delays linearization", "config must be a JSON object"),
         ("verify", verify_config(seed_component=1, fourier_modes=0), "fourier_modes must be"),
+        ("analyze", z2_config(generators=5), "generators must be"),
+        ("analyze", z2_config(generators=[5]), "generators must be"),
+        ("analyze", z2_config(class_sizes=None), "needs class_reps, class_sizes and rows"),
+        ("analyze", z2_config(rows=7), "needs class_reps, class_sizes and rows"),
     ],
     ids=[
         "linearization-not-object",
@@ -499,6 +530,10 @@ D3_MATRIX = [["-2", "3/10", "3/10"], ["3/10", "-2", "3/10"], ["3/10", "3/10", "-
         "images-not-list",
         "config-is-string",
         "zero-fourier-modes",
+        "generators-not-list",
+        "generator-is-integer",
+        "table-without-class-sizes",
+        "table-rows-not-list",
     ],
 )
 def test_malformed_config_values_exit_3(tmp_path, capsys, command, config, message):

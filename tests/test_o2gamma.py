@@ -245,7 +245,7 @@ def test_class_product_unit_and_commutativity(d6ctx):
             assert og._product_fin_fin(d6ctx, c2, c1) == expected
         for c_o2 in o2s:
             expected = _coset_id_product_o2_fin(d6ctx, c_o2, c1)
-            assert og._product_o2_fin(d6ctx, c_o2, c1) == expected
+            assert og._product_o2(d6ctx, c_o2, c1) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_canonical_keys_match_tuple_serialisation(code_ctxs, name):
     rng = np.random.default_rng(5)
     for base in mode1_candidates(ctx):
         for cls in (base, fold(base, 2), fold(base, 3)):
-            assert og._fin_key(ctx, cls.elems, cls.grid) == _reference_key(
+            assert og._fin_key(ctx, cls.elems, cls.grid)[0] == _reference_key(
                 ctx, cls.elems, cls.grid
             ), cls.name()
         # the key of a random conjugate, on a grid twice as fine
@@ -508,14 +508,14 @@ def test_fin_products_satisfy_the_marks_identity(code_ctxs, name):
 
 
 def test_memo_refuses_classes_of_another_context():
-    # classes compare by key, so a memo that looked a mixed pair up before
-    # checking the contexts would answer with the first context's result
+    # classes of two contexts differ, but a memoised function given a mixed
+    # pair would compute with the first context's tables
     ctx1, ctx2 = (
         GammaContext.from_signed_group(SignedGroup(bundled_table("S3"))) for _ in range(2)
     )
     small1, big1 = mode1_candidates(ctx1)[-1], mode1_candidates(ctx1)[0]
     small2, big2 = mode1_candidates(ctx2)[-1], mode1_candidates(ctx2)[0]
-    assert (small1, big1) == (small2, big2)
+    assert small1 != small2 and big1 != big2
     for fn in (class_product, subconjugate, n_count_amalgam):
         fn(small1, big1)
         for pair in ((small1, big2), (small2, big1), (big2, small1)):

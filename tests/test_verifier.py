@@ -13,6 +13,7 @@ from eqdeg.verifier import (
     basis_matrix,
     class_matches_symmetries,
     delayed_arguments,
+    element_symmetry,
     isotropy_of_trajectory,
     newton_solve,
     normalize,
@@ -20,6 +21,10 @@ from eqdeg.verifier import (
     residual,
     second_derivative_matrix,
 )
+
+from eqdeg.cli import bundled_example_path, load_config, run_analyze
+from eqdeg.ddedeg import _isotypic_projector
+from eqdeg.o2gamma import fixed_dim
 
 from conftest import hexagon_delay_matrices, zero_jacobian_mode_blocks
 
@@ -334,15 +339,41 @@ def test_end_to_end_orbit_and_symmetry(d6ctx):
     assert not sol.is_constant()
     assert rep.residual_sup < 1e-8
 
-    def perm_of_gamma_index(gidx):
-        gamma_part, eps = d6ctx.signed.parts(d6ctx.elems[gidx])
-        return tuple(gamma_part), eps
-
     syms = isotropy_of_trajectory(sol, hexagon_perms(), tol=1e-6, theta_denominator=12)
     guaranteed = []
     for l in (0, 3, 4, 5):
         guaranteed.extend(og.maximal_orbit_types(d6ctx, 1, l))
     matches = [
-        cls for cls in guaranteed if class_matches_symmetries(cls, syms, perm_of_gamma_index)
+        cls for cls in guaranteed if class_matches_symmetries(cls, syms)
     ]
     assert matches, "no guaranteed class matched the detected symmetries"
+
+
+def _mode_block_map(K, k, n, theta_turns, reverse, perm, sign):
+    """The matrix of `transformed` on the mode-k coefficient rows, acting
+    on the flattened (cos, sin) x n block."""
+    cols = []
+    for j in range(2 * n):
+        coeffs = np.zeros((2 * K + 1, n))
+        coeffs[[k, K + k][j // n], j % n] = 1.0
+        out = FourierSolution(K, coeffs).transformed(2 * pi * theta_turns, reverse, perm, sign)
+        cols.append(out.coeffs[[k, K + k]].ravel())
+    return np.array(cols).T
+
+
+def test_class_maps_project_onto_the_fixed_space_of_every_conclusion():
+    # the mean of a class's maps over its elements, on W_k (x) V_l, must be
+    # the projector onto Fix(H) there: idempotent, of rank dim Fix(H)
+    result = run_analyze(load_config(bundled_example_path()))
+    assert len(result.report.conclusions) == 15
+    n = result.table.group.degree
+    for conc in result.report.conclusions:
+        cls, k, l = conc.cls, conc.mode, conc.component
+        iso = np.array(_isotypic_projector(result.table, l), dtype=float)
+        on_block = np.kron(np.eye(2), iso)
+        mean = sum(
+            _mode_block_map(k, k, n, *element_symmetry(cls, elem)) for elem in cls.elems
+        ) / len(cls.elems)
+        proj = mean @ on_block
+        assert np.allclose(proj @ proj, proj, atol=1e-9), cls.name()
+        assert np.linalg.matrix_rank(proj, tol=1e-7) == fixed_dim(cls, k, l), cls.name()
