@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burnside import format_terms
 from .o2gamma import (
     AmalgamatedClass,
     GammaContext,
@@ -31,6 +30,19 @@ from .o2gamma import (
 
 class RecurrenceError(ArithmeticError):
     pass
+
+
+def format_terms(terms) -> str:
+    """A ring element as text, from (name, nonzero coefficient) pairs in
+    display order: "(G) - 2(Z1)", or "0" when there are none."""
+    parts = []
+    for name, c in terms:
+        mag = "" if abs(c) == 1 else str(abs(c))
+        parts.append(f"{'-' if c < 0 else '+'} {mag}({name})")
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 @dataclass

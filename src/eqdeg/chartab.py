@@ -27,7 +27,6 @@ class CharacterTable:
     class_reps: tuple[Perm, ...]
     class_sizes: tuple[int, ...]
     rows: tuple[tuple[Cyc, ...], ...]
-    class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if sum(self.class_sizes) != self.group.order:
@@ -66,9 +65,6 @@ class CharacterTable:
             total = sum((row[c] for c in squares), Cyc.rational(0))
             flags.append(total == Cyc.rational(group.order))
         return tuple(flags)
-
-    def value(self, irrep: int, g: Perm) -> Cyc:
-        return self.rows[irrep][self.class_of(g)]
 
     def inner(self, chi: tuple, psi: tuple) -> Fraction:
         """<chi, psi> = (1/|G|) sum size * chi * conj(psi); must be rational."""
@@ -160,9 +156,7 @@ def bundled_table(name: str) -> CharacterTable:
 def _cyclic(n: int) -> CharacterTable:
     g = Group.from_name(f"Z{n}")
     if n == 1:
-        return CharacterTable(
-            g, (g.identity,), (1,), ((Cyc.rational(1),),), ("(1)",)
-        )
+        return CharacterTable(g, (g.identity,), (1,), ((Cyc.rational(1),),))
     gen = tuple((i + 1) % n for i in range(n))
     reps = []
     x = g.identity
@@ -172,8 +166,7 @@ def _cyclic(n: int) -> CharacterTable:
     rows = tuple(
         tuple(Cyc.root_of_unity(j * a, n) for a in range(n)) for j in range(n)
     )
-    names = tuple(f"(g^{a})" if a else "(1)" for a in range(n))
-    return CharacterTable(g, tuple(reps), (1,) * n, rows, names)
+    return CharacterTable(g, tuple(reps), (1,) * n, rows)
 
 
 def _dihedral(n: int) -> CharacterTable:
@@ -185,7 +178,7 @@ def _dihedral(n: int) -> CharacterTable:
             (Cyc.rational(1), Cyc.rational(1)),
             (Cyc.rational(1), Cyc.rational(-1)),
         )
-        return CharacterTable(z2, reps, (1, 1), rows, ("(1)", "(k)"))
+        return CharacterTable(z2, reps, (1, 1), rows)
     if n == 2:
         rot = next(x for x in g.elements if x[:2] == (1, 0) and x[2:] == (2, 3))
         refl = next(x for x in g.elements if x[:2] == (0, 1) and x[2:] == (3, 2))
@@ -194,9 +187,7 @@ def _dihedral(n: int) -> CharacterTable:
         one = Cyc.rational(1)
         neg = Cyc.rational(-1)
         rows = ((one,) * 4, (one, neg, one, neg), (one, one, neg, neg), (one, neg, neg, one))
-        return CharacterTable(
-            g, reps, (1, 1, 1, 1), rows, ("(1)", "(r)", "(k)", "(rk)")
-        )
+        return CharacterTable(g, reps, (1, 1, 1, 1), rows)
     rot = parse_cycles("(" + " ".join(str(i + 1) for i in range(n)) + ")")
     refl = tuple((-i) % n for i in range(n))  # fixes vertex 1
     rots = [g.identity]
@@ -207,7 +198,6 @@ def _dihedral(n: int) -> CharacterTable:
     if n % 2:
         reps = [g.identity] + [rots[a] for a in range(1, (n + 1) // 2)] + [refl]
         sizes = [1] + [2] * ((n - 1) // 2) + [n]
-        names = ["(1)"] + [f"(r^{a})" if a > 1 else "(r)" for a in range(1, (n + 1) // 2)] + ["(k)"]
         rows = [tuple([one] * len(reps))]
         rows.append(tuple([one] * ((n + 1) // 2) + [neg]))
         for j in range(1, (n - 1) // 2 + 1):
@@ -222,8 +212,6 @@ def _dihedral(n: int) -> CharacterTable:
         reps = [g.identity, refl] + [rots[a] for a in range(1, half)]
         reps += [g.mul(rots[1], refl), rots[half]]
         sizes = [1, half] + [2] * (half - 1) + [half, 1]
-        names = ["(1)", "(k)"] + [f"(r^{a})" if a > 1 else "(r)" for a in range(1, half)]
-        names += ["(rk)", f"(r^{half})"]
         # linear characters: k -> e1, r -> e2
         def linear(e1, e2):
             row = [one, Cyc.rational(e1)]
@@ -242,7 +230,7 @@ def _dihedral(n: int) -> CharacterTable:
             row.append(Cyc.rational(0))
             row.append(Cyc.root_of_unity(j * half, n) * 2)
             rows.append(tuple(row))
-    return CharacterTable(g, tuple(reps), tuple(sizes), tuple(rows), tuple(names))
+    return CharacterTable(g, tuple(reps), tuple(sizes), tuple(rows))
 
 
 def _symmetric3() -> CharacterTable:
@@ -254,7 +242,7 @@ def _symmetric3() -> CharacterTable:
         (r(1), r(-1), r(1)),
         (r(2), r(0), r(-1)),
     )
-    return CharacterTable(g, reps, (1, 3, 2), rows, ("(1)", "(12)", "(123)"))
+    return CharacterTable(g, reps, (1, 3, 2), rows)
 
 
 def _symmetric4() -> CharacterTable:
@@ -274,13 +262,7 @@ def _symmetric4() -> CharacterTable:
         (r(3), r(1), r(-1), r(0), r(-1)),
         (r(3), r(-1), r(-1), r(0), r(1)),
     )
-    return CharacterTable(
-        g,
-        reps,
-        (1, 6, 3, 8, 6),
-        rows,
-        ("(1)", "(12)", "(12)(34)", "(123)", "(1234)"),
-    )
+    return CharacterTable(g, reps, (1, 6, 3, 8, 6), rows)
 
 
 def table_from_json(group: Group, payload: str | dict) -> CharacterTable:

@@ -20,8 +20,7 @@ from math import pi
 from pathlib import Path
 
 from . import __version__
-from .burnside import format_terms, mult_classes
-from .basicdeg import basic_degree
+from .basicdeg import basic_degree, format_terms
 from .chartab import (
     CharacterError,
     SignedGroup,
@@ -40,7 +39,7 @@ from .ddedeg import (
     require_real_components,
     theorem_conclusions_resonant,
 )
-from .o2gamma import GammaContext, weyl_order
+from .o2gamma import GammaContext, class_product, make_o2, weyl_order
 from .permgroup import Group, p_mul, parse_cycles, subgroup_lattice
 
 EXIT_OK = 0
@@ -200,10 +199,7 @@ def _build_linearization(config, table, decomposition) -> LinearizationData:
             if not 0 <= l < table.n_irreps:
                 raise ConfigError(f"mu component {key} out of range")
             mu[l] = tuple(_parse_values(row, 1))
-        exact = all(
-            isinstance(v, Fraction) for row in mu.values() for v in row
-        )
-        return LinearizationData(m=m, mu=mu, exact=exact)
+        return LinearizationData(m=m, mu=mu)
     raise ConfigError("linearization needs 'matrices' or 'mu'")
 
 
@@ -564,12 +560,14 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "burnside":
-        lat = subgroup_lattice(Group.from_name(args.group))
-        names = [c.name for c in lat.classes]
+        # A(Gamma) is the O(2) x K slice of the ring over O(2) x Gamma
+        ctx = GammaContext(Group.from_name(args.group), [])
+        lat, names = ctx.lattice, ctx.names
+        gens = [make_o2(ctx, cls.rep_set) for cls in lat.classes]
         print("generators: " + ", ".join(f"({n})" for n in names))
-        for i in range(len(lat.classes)):
-            for j in range(i, len(lat.classes)):
-                prod = mult_classes(lat, i, j)
+        for i in range(len(gens)):
+            for j in range(i, len(gens)):
+                prod = {lat.class_of(c.K): m for c, m in class_product(gens[i], gens[j]).items()}
                 order = sorted(prod, key=lambda l: (-lat.classes[l].order, l))
                 terms = format_terms((names[l], prod[l]) for l in order)
                 print(f"  ({names[i]})*({names[j]}) = {terms}")

@@ -61,14 +61,18 @@ class LinearizationData:
     """Scalar values mu_j^l of the linearization on each isotypic component.
 
     mu[l] is the tuple (mu_0^l, ..., mu_{m-1}^l); reversibility demands
-    mu_j = mu_{m-j} for every component.
+    mu_j = mu_{m-j} for every component.  The data is exact when every
+    value is an int or a Fraction; floats are compared within 1e-12.
     """
 
     m: int
     mu: dict[int, tuple]
-    exact: bool = True
+    exact: bool = field(init=False)
 
     def __post_init__(self):
+        self.exact = all(
+            isinstance(v, (int, Fraction)) for row in self.mu.values() for v in row
+        )
         for l, row in self.mu.items():
             if len(row) != self.m:
                 raise ValueError(f"component {l}: expected {self.m} delay values")
@@ -129,7 +133,7 @@ class LinearizationData:
                 val = _scalar_on_component(mat, proj, basis_cols, exact, tol, l)
                 row_vals.append(val)
             mu[l] = tuple(row_vals)
-        return LinearizationData(m=len(matrices), mu=mu, exact=exact)
+        return LinearizationData(m=len(matrices), mu=mu)
 
     def component_indices(self) -> list[int]:
         return sorted(self.mu)
@@ -197,9 +201,7 @@ def coupling_coefficient(data: LinearizationData, l: int, k: int):
 
 def xi(data: LinearizationData, l: int, k: int):
     c = coupling_coefficient(data, l, k)
-    if isinstance(c, Fraction):
-        return (k * k + c) / (1 + k * k)
-    return (k * k + c) / (1.0 + k * k)
+    return (k * k + c) / (1 + k * k)
 
 
 def default_k_max(data: LinearizationData) -> int:

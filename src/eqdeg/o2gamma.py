@@ -217,9 +217,6 @@ class AmalgamatedClass:
         another of its kind only if its size is a multiple of the other's."""
         return len(self.elems) if self.kind == "fin" else len(self.K)
 
-    def axes(self) -> list[int]:
-        return sorted({u for (u, s, g) in self.elems if s == -1})
-
     def is_dihedral(self) -> bool:
         return self.kind == "fin" and any(s == -1 for (_, s, _) in self.elems)
 
@@ -664,7 +661,8 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
 
     Orbit types with a rotation-only O(2)-part have infinite Weyl group and
     carry no coefficient; they are dropped.  The product is commutative, so
-    the memo keeps one entry per unordered pair.
+    the memo keeps one entry per unordered pair.  The O(2) x K classes span
+    the Burnside ring A(Gamma') (`eqdeg burnside`).
     """
     ctx = c1.ctx
     if c1.kind == "o2":
@@ -676,19 +674,25 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
 
 def _product_o2(ctx, c_o2, other) -> dict:
     # one term per double coset K g K': the other class meets O(2) x g^-1 K g,
-    # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g)
+    # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g); the double cosets,
+    # of sizes |K||K'| / |K' ∩ g^-1 K g|, must cover Gamma'
     out: dict = {}
-    kset = c_o2.K
-    for g in ctx.group.double_coset_reps(kset, other.k_part()):
+    kset, other_k = c_o2.K, other.k_part()
+    covered = 0
+    for g in ctx.group.double_coset_reps(kset, other_k):
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
+        meet = other_k & target
+        covered += len(kset) * len(other_k) // len(meet)
         if other.kind == "o2":
-            cls = make_o2(ctx, other.K & target)
+            cls = make_o2(ctx, meet)
         else:
             inter = frozenset((u, s, x) for (u, s, x) in other.elems if x in target)
             if not any(s == -1 for (_, s, _) in inter):
                 continue
             cls = make_fin(ctx, inter, other.grid)
         out[cls] = out.get(cls, 0) + 1
+    if covered != ctx.n:
+        raise AssertionError("double cosets do not cover Gamma' in Burnside product")
     return out
 
 

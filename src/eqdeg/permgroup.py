@@ -4,10 +4,10 @@ Groups are given by permutation generators on {1..degree} (stored 0-based
 as image tuples).  The elements are enumerated once, sorted; after that the
 group works on element indices through a Cayley table, built on first use.
 The lattice enumerates every subgroup as a bitmask over element indices,
-keeps each as a frozenset of element indices, partitions them into
-conjugacy classes with deterministic representatives, and records the
-containment counts n(H, K) used by degree recurrences, which are positive
-exactly on the subconjugation order.
+keeps each as a frozenset of element indices, and partitions them into
+conjugacy classes with deterministic representatives, orders and Weyl
+orders.  Containment counts n(H, K) are not kept here: they are read off
+the Burnside product of O(2) x H and O(2) x K (`o2gamma.n_count_amalgam`).
 """
 
 from __future__ import annotations
@@ -271,26 +271,20 @@ class SubgroupClass:
 
 @dataclass
 class SubgroupClassLattice:
-    """Conjugacy classes of subgroups with order data and n(H, K) counts;
-    nHK[h][k] > 0 exactly when class h is subconjugate to class k."""
+    """Conjugacy classes of subgroups, with order data."""
 
     group: Group
     classes: list[SubgroupClass]
-    nHK: list[list[int]] = field(default_factory=list)
     _class_of: dict[frozenset[int], int] = field(default_factory=dict)
 
     def class_of(self, sub: frozenset[int]) -> int:
         """The class of a subgroup given as element indices."""
         return self._class_of[frozenset(sub)]
 
-    def n_count(self, h: int, k: int) -> int:
-        return self.nHK[h][k]
-
 
 def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClassLattice:
     conj = group.conj_table
     classes: list[SubgroupClass] = []
-    class_masks: list[list[int]] = []
     seen: set[int] = set()
     # subgroups come sorted by (order, sorted elements), so the first member
     # of each class met here is its least one, and classes come out sorted
@@ -307,24 +301,14 @@ def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClas
             orbit.add(image)
             n_order += image == sub
         seen |= orbit
-        masks = sorted(orbit, key=_mask_members)
-        conjugates = tuple(frozenset(_mask_members(m)) for m in masks)
+        conjugates = tuple(frozenset(_mask_members(m)) for m in sorted(orbit, key=_mask_members))
         classes.append(SubgroupClass(conjugates=conjugates, normalizer_order=n_order))
-        class_masks.append(masks)
     lattice = SubgroupClassLattice(group=group, classes=classes)
     names = _class_names(group, classes)
     for i, cls in enumerate(classes):
         object.__setattr__(cls, "name", names[i])
         for member in cls.conjugates:
             lattice._class_of[member] = i
-    n = len(classes)
-    lattice.nHK = [[0] * n for _ in range(n)]
-    for h in range(n):
-        hrep = class_masks[h][0]
-        for k in range(n):
-            if classes[k].order % classes[h].order:
-                continue
-            lattice.nHK[h][k] = sum(1 for member in class_masks[k] if hrep & member == hrep)
     return lattice
 
 

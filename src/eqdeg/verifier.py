@@ -148,7 +148,6 @@ class FourierSolution:
 
     K: int
     coeffs: np.ndarray
-    residual_norm: float = float("nan")
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -160,7 +159,7 @@ class FourierSolution:
         return self.coeffs.shape[1]
 
     def copy(self) -> "FourierSolution":
-        return FourierSolution(self.K, self.coeffs.copy(), self.residual_norm)
+        return FourierSolution(self.K, self.coeffs.copy())
 
     def values(self, tgrid: np.ndarray, shift: float = 0.0) -> np.ndarray:
         return basis_matrix(self.K, tgrid, shift) @ self.coeffs
@@ -347,18 +346,12 @@ def newton_solve(
                 f"mode-space norm {norm:.3g} < tol but grid sup residual "
                 f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
             )
-            return (
-                FourierSolution(K, sol.coeffs, sup),
-                NewtonReport(ok, it, sup, history, message),
-            )
+            return sol, NewtonReport(ok, it, sup, history, message)
         J = _mode_jacobian(spec.rhs_jacobian(args), P, PD2, Bs)
         try:
             step = np.linalg.solve(J.reshape(M * n, M * n), G.reshape(-1))
         except np.linalg.LinAlgError:
-            return (
-                FourierSolution(K, sol.coeffs, float("inf")),
-                NewtonReport(False, it, float("inf"), history, "singular Jacobian"),
-            )
+            return sol, NewtonReport(False, it, float("inf"), history, "singular Jacobian")
         lam = 1.0
         for _ in range(20):
             trial = sol.coeffs - lam * step.reshape(M, n)
@@ -369,16 +362,10 @@ def newton_solve(
             lam /= 2
         else:
             sup = residual(spec, sol, forcing=forcing)
-            return (
-                FourierSolution(K, sol.coeffs, sup),
-                NewtonReport(False, it, sup, history, "line search stalled"),
-            )
+            return sol, NewtonReport(False, it, sup, history, "line search stalled")
     sup = residual(spec, sol, forcing=forcing)
-    return (
-        FourierSolution(K, sol.coeffs, sup),
-        NewtonReport(
-            sup <= SUP_RESIDUAL_TOL, max_iter, sup, history, "iteration budget reached"
-        ),
+    return sol, NewtonReport(
+        sup <= SUP_RESIDUAL_TOL, max_iter, sup, history, "iteration budget reached"
     )
 
 
@@ -393,15 +380,6 @@ class DetectedSymmetry:
     gamma: tuple
     sign: int
     error: float
-
-    def jsonable(self) -> dict:
-        return {
-            "theta_turns": str(self.theta_turns),
-            "reverse": self.reverse,
-            "gamma": list(self.gamma),
-            "sign": self.sign,
-            "error": self.error,
-        }
 
 
 def isotropy_of_trajectory(

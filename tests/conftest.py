@@ -29,6 +29,17 @@ def perm_closure(group, seed):
     return frozenset(elems)
 
 
+def marks_row(lattice, h):
+    """Fixed-point counts |(G/H)^L| = n(L, H) * |W(H)| for every class L,
+    with n(L, H) counted on the conjugates of H: an oracle independent of
+    any product rule."""
+    cls = lattice.classes[h]
+    return [
+        sum(1 for member in cls.conjugates if low.rep_set <= member) * cls.weyl_order
+        for low in lattice.classes
+    ]
+
+
 # The quaternion group Q8 in its regular action on eight points; row 5 is
 # the 2-dim character of quaternionic type (Frobenius-Schur indicator -1).
 Q8_GENERATORS = ["(1 3 2 4)(5 7 6 8)", "(1 5 2 6)(3 8 4 7)"]

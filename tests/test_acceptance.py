@@ -11,7 +11,6 @@ import numpy as np
 
 from eqdeg import o2gamma as og
 from eqdeg.basicdeg import GRingElement, basic_degree, degree_product, x_o
-from eqdeg.burnside import mult_classes
 from eqdeg.chartab import (
     SignedGroup,
     bundled_table,
@@ -151,11 +150,13 @@ def test_acceptance_6_burnside_properties():
     for name in ("D6", "S3"):
         ctx = GammaContext.from_character_table(bundled_table(name))
         lat = ctx.lattice
-        gens = [GRingElement(ctx, {og.make_o2(ctx, c.rep_set): 1}) for c in lat.classes]
+        classes = [og.make_o2(ctx, c.rep_set) for c in lat.classes]
+        gens = [GRingElement(ctx, {c: 1}) for c in classes]
         n = len(gens)
         for i in range(n):
             for j in range(n):
-                assert mult_classes(lat, i, j) == mult_classes(lat, j, i)
+                c1, c2 = classes[i], classes[j]
+                assert og._product_o2(ctx, c1, c2) == og._product_o2(ctx, c2, c1)
                 prod = gens[i] * gens[j]
                 assert prod == gens[j] * gens[i]
                 total = sum(

@@ -1,19 +1,23 @@
 """Burnside-ring laws on the production product path.
 
 A plain Gamma' context multiplies O(2) x K classes through
-`GRingElement` -> `class_product` -> `mult_classes`, so the finite ring
-A(Gamma') is checked as the engine uses it.  Class index i of the lattice
-stands for O(2) x K_i.
+`GRingElement` -> `class_product` -> `_product_o2`, the double-coset rule
+of Gamma', so the finite ring A(Gamma') is checked as the engine (and
+`eqdeg burnside`) uses it.  Class index i of the lattice stands for
+O(2) x K_i.
 """
 
 import itertools
 
 import pytest
 
+from eqdeg import o2gamma as og
 from eqdeg.basicdeg import GRingElement
-from eqdeg.burnside import marks_row, mult_classes
 from eqdeg.chartab import bundled_table
 from eqdeg.o2gamma import GammaContext, class_product, make_o2
+from eqdeg.permgroup import Group
+
+from conftest import marks_row
 
 RINGS = {}
 
@@ -85,13 +89,14 @@ def test_diagonal_coefficient_is_weyl_order():
 
 def test_commutativity_and_associativity_exhaustive():
     for name in ("D6", "S3"):
-        ctx, _, gens = ring_for(name)
+        ctx, classes, gens = ring_for(name)
         n = len(gens)
         for i in range(n):
             for j in range(n):
                 # the ring caches products on the unordered pair, so the
                 # double-coset rule itself is also run in both orders
-                assert mult_classes(ctx.lattice, i, j) == mult_classes(ctx.lattice, j, i)
+                c1, c2 = classes[i], classes[j]
+                assert og._product_o2(ctx, c1, c2) == og._product_o2(ctx, c2, c1)
                 assert gens[i] * gens[j] == gens[j] * gens[i]
         for i, j, k in itertools.product(range(n), repeat=3):
             assert (gens[i] * gens[j]) * gens[k] == gens[i] * (gens[j] * gens[k])
@@ -128,6 +133,20 @@ def test_marks_oracle_inverts_products():
                     lhs = marks[i][l] * marks[j][l]
                     rhs = sum(c * marks[h][l] for h, c in prod.items())
                     assert lhs == rhs, (name, i, j, l)
+
+
+def test_product_rejects_double_cosets_that_miss_the_group(monkeypatch):
+    # a double-coset walk that skips a representative leaves part of Gamma'
+    # uncovered, which the product reports instead of returning a wrong sum
+    ctx = GammaContext(Group.from_name("S3"), [])
+    classes = [make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes]
+    reps = Group.double_coset_reps
+    monkeypatch.setattr(
+        Group, "double_coset_reps", lambda self, a, b: itertools.islice(reps(self, a, b), 1, None)
+    )
+    for c1, c2 in itertools.product(classes, repeat=2):
+        with pytest.raises(AssertionError, match="do not cover"):
+            og._product_o2(ctx, c1, c2)
 
 
 def test_lattice_mismatch_rejected():

@@ -164,6 +164,8 @@ def test_burnside_subcommand(capsys):
         ("D6", "ae01cbd64fac158eae5c0df509d30e548db6ad35f8ebf4151605d99a61d03dff"),
         ("S4", "e0575f5b444cb8e9f7aca887ac5fb40a8c7eaceaaccb356df5d543a4014c7914"),
         ("D12", "217a325c1ca27622ed1c3189cab633c7630606aceb27209ac634ae5fdfca9e97"),
+        # no bundled character table: a context without character rows
+        ("S5", "a2266da59a1c770a8c0dd337271b90843d31db402b1f8c21b11562e837efa49d"),
     ],
 )
 def test_burnside_output_is_byte_stable(capsys, group, digest):

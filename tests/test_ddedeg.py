@@ -68,6 +68,16 @@ def test_reversibility_enforced():
     LinearizationData(m=1, mu={0: (F(-2),)})
 
 
+def test_float_values_are_compared_within_tolerance():
+    # exactness is read off the values: floats that agree up to rounding
+    # are reversible, as they are in a config
+    lin = LinearizationData(m=3, mu={0: (1.0, 0.1 + 0.2, 0.3)})
+    assert not lin.exact
+    with pytest.raises(ReversibilityError):
+        LinearizationData(m=3, mu={0: (1.0, 0.1, 0.3)})
+    assert LinearizationData(m=3, mu={0: (1, F(1, 2), F(1, 2))}).exact
+
+
 def test_coupling_values(d6_analysis):
     lin = d6_analysis.lin
     # weight factors (d + 2a + 2b + c) etc. scale the component eigenvalue

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.o2gamma import GammaContext, make_o2, n_count_amalgam
 from eqdeg.permgroup import (
     Group,
     GroupTooLargeError,
@@ -24,6 +25,15 @@ def indices(group, perms):
 def perms_of(group, sub):
     """A set of element indices as permutations."""
     return frozenset(group.elements[x] for x in sub)
+
+
+def o2_lattice_counts(group):
+    """The lattice of a plain context over the group, and n(H, K) for every
+    pair of its classes, read off the Burnside products of O(2) x H and
+    O(2) x K (`n_count_amalgam`)."""
+    ctx = GammaContext(group, [])
+    gens = [make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes]
+    return ctx.lattice, [[n_count_amalgam(h, k) for k in gens] for h in gens]
 
 
 def all_subgroups(group):
@@ -139,23 +149,23 @@ def test_weyl_orders_d6():
 
 def test_n_counts_d6():
     g = Group.from_name("D6")
-    lat = subgroup_lattice(g)
+    lat, counts = o2_lattice_counts(g)
     kappa = lat.class_of(indices(g, perm_closure(g, {parse_cycles("(2 6)(3 5)", 6)})))
     whole = lat.class_of(indices(g, g.elements))
     triv = lat.class_of(indices(g, [g.identity]))
     # the order-4 class {1, r^3, kappa r^i, kappa r^(i+3)}
     d2 = next(i for i, c in enumerate(lat.classes) if c.order == 4)
-    assert lat.n_count(kappa, d2) == 1
+    assert counts[kappa][d2] == 1
     for h in range(len(lat.classes)):
-        assert lat.n_count(h, whole) == 1
-        assert lat.n_count(triv, h) == lat.classes[h].class_size
-        assert lat.n_count(h, h) == 1
+        assert counts[h][whole] == 1
+        assert counts[triv][h] == lat.classes[h].class_size
+        assert counts[h][h] == 1
 
 
 def test_leq_matches_brute_force_embedding():
     for name in ("D6", "S3"):
         g = Group.from_name(name)
-        lat = subgroup_lattice(g)
+        lat, counts = o2_lattice_counts(g)
         for i, ci in enumerate(lat.classes):
             for j, cj in enumerate(lat.classes):
                 expected = any(
@@ -163,16 +173,16 @@ def test_leq_matches_brute_force_embedding():
                     <= perms_of(g, cj.rep_set)
                     for x in g.elements
                 )
-                assert (lat.nHK[i][j] > 0) == expected, (name, i, j)
+                assert (counts[i][j] > 0) == expected, (name, i, j)
 
 
 def test_nHK_matches_direct_counting():
     g = Group.from_name("D6")
-    lat = subgroup_lattice(g)
+    lat, counts = o2_lattice_counts(g)
     for i, ci in enumerate(lat.classes):
         for j, cj in enumerate(lat.classes):
             direct = sum(1 for member in cj.conjugates if ci.rep_set <= member)
-            assert lat.nHK[i][j] == direct
+            assert counts[i][j] == direct
 
 
 def test_class_names_unique():
@@ -186,7 +196,7 @@ def test_nHK_against_element_counting_oracle():
     # independent formula: n(H, K) = #{g : g H g^-1 <= K_rep} / |N(K)|
     for name in ("D6", "S3"):
         g = Group.from_name(name)
-        lat = subgroup_lattice(g)
+        lat, counts = o2_lattice_counts(g)
         for i, ci in enumerate(lat.classes):
             for j, cj in enumerate(lat.classes):
                 h_perms, k_perms = perms_of(g, ci.rep_set), perms_of(g, cj.rep_set)
@@ -194,7 +204,7 @@ def test_nHK_against_element_counting_oracle():
                     1 for x in g.elements if all(g.conj(x, h) in k_perms for h in h_perms)
                 )
                 assert count % cj.normalizer_order == 0
-                assert lat.nHK[i][j] == count // cj.normalizer_order
+                assert counts[i][j] == count // cj.normalizer_order
 
 
 def tuple_lattice(group):
@@ -257,11 +267,11 @@ def test_lattice_matches_permutation_tuple_oracle(name):
         group = SignedGroup(bundled_table("D6")).group
     else:
         group = Group.from_name(name)
-    lat = subgroup_lattice(group)
+    lat, counts = o2_lattice_counts(group)
     classes, nHK, sizes = tuple_lattice(group)
     assert lat.classes == classes  # conjugates, normalizer orders, names
     assert [(c.class_size, c.weyl_order) for c in lat.classes] == sizes
-    assert lat.nHK == nHK
+    assert counts == nHK
     # the lattice takes each class's least member from this order
     masks = group.subgroup_masks()
     assert [frozenset(x for x in range(group.order) if m >> x & 1) for m in masks] == sorted(
