@@ -282,25 +282,56 @@ def _collocation(spec: SystemSpec, K: int):
     return P, PD2, Bs
 
 
-def _mode_jacobian(
-    jac_pointwise: np.ndarray, P: np.ndarray, PD2: np.ndarray, Bs: np.ndarray
-) -> np.ndarray:
-    """Mode-space Jacobian J[:, c, :, d] = PD2 [c == d] - sum_j P diag(Df_j[c, d]) B_j.
+def _mode_jacobian(jac_pointwise: np.ndarray, PD2: np.ndarray) -> np.ndarray:
+    """Mode-space Jacobian J[:, c, :, d] = PD2 [c == d] - sum_j P diag(w_j) B_j,
+    read off the discrete Fourier coefficients of the pointwise Jacobian.
 
-    jac_pointwise is d f / d args on the grid, shape (N, n, m*n).  The sum
-    over delay blocks j and grid points is one GEMM per (c, d) over the
-    stacked grid of length m*N, so no temporary is larger than P tiled m
-    times.
+    jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N = 4K+1, shape
+    (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d] and B_j is the basis
+    shifted by the delay s_j = 2*pi*j/m.  Let F_j[q] = sum_i w_j(t_i)
+    exp(i q t_i): the conjugate of the rfft for q = 0..2K, and F_j[-q] =
+    conj F_j[q].  The product-to-sum rules give for the modes k, l = 0..K
+
+        a = sum_j exp(i l s_j) F_j[k - l],   b = sum_j exp(-i l s_j) F_j[k + l],
+
+        sum_j cos_k w_j cos_l(. - s_j) = Re(a + b) / 2,
+        sum_j cos_k w_j sin_l(. - s_j) = -Im(a - b) / 2,
+        sum_j sin_k w_j cos_l(. - s_j) = Im(a + b) / 2,
+        sum_j sin_k w_j sin_l(. - s_j) = Re(a - b) / 2,
+
+    and P weights row k by 1/N for k = 0 and 2/N otherwise (Boyd, Chebyshev
+    and Fourier Spectral Methods, ch. 9).  One rfft covers every (c, d, j);
+    the delay sum is one (2K+2) x m by m x (3K+1) product per (c, d) pair,
+    so besides J the temporaries are F, with (3K+1) m n^2 entries, and one
+    such product.
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
-    M = P.shape[0]
-    Df = jac_pointwise.reshape(N, n, m, n).transpose(1, 3, 2, 0).reshape(n, n, m * N)
-    Ps = np.tile(P, m)
+    K = (N - 1) // 4
+    M = 2 * K + 1
+    R = np.fft.rfft(jac_pointwise, axis=0).reshape(M, n, m, n)
+    F = np.concatenate([R[K:0:-1], R.conj()])  # F[q] at row q + K, q = -K..2K
+    del R
+    l = np.arange(K + 1)
+    # -1/N is P's row weight 2/N times the 1/2 of the rules; row 0 is halved below
+    phase = np.exp(1j * np.outer(l, 2 * pi * np.arange(m) / m)) / -N
+    rot = np.concatenate([phase, phase.conj()])
+    # flat indices of a (rows of exp(i l s_j)) and b (rows of exp(-i l s_j))
+    # in rot @ F_cd, indexed [k, l]
+    width = 3 * K + 1
+    k = l[:, None]
+    idx = np.stack([l * width + (k - l + K), (K + 1 + l) * width + (k + l + K)])
     J = np.empty((M, n, M, n))
     for c in range(n):
         for d in range(n):
-            J[:, c, :, d] = -((Ps * Df[c, d]) @ Bs)
+            a, b = np.take(rot @ F[:, c, :, d].T, idx)
+            plus, minus = a + b, a - b
+            J[: K + 1, c, : K + 1, d] = plus.real
+            J[: K + 1, c, K + 1 :, d] = -minus.imag[:, 1:]
+            J[K + 1 :, c, : K + 1, d] = plus.imag[1:]
+            J[K + 1 :, c, K + 1 :, d] = minus.real[1:, 1:]
+    J[0] *= 0.5
+    for c in range(n):
         J[:, c, :, c] += PD2
     return J
 
@@ -347,7 +378,7 @@ def newton_solve(
                 f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
             )
             return sol, NewtonReport(ok, it, sup, history, message)
-        J = _mode_jacobian(spec.rhs_jacobian(args), P, PD2, Bs)
+        J = _mode_jacobian(spec.rhs_jacobian(args), PD2)
         try:
             step = np.linalg.solve(J.reshape(M * n, M * n), G.reshape(-1))
         except np.linalg.LinAlgError:
@@ -392,17 +423,30 @@ def isotropy_of_trajectory(
 
     Shifts run over multiples of 1/theta_denominator turns.  The output is
     numerical evidence, with the matching error attached.
+
+    The time map is applied once per (shift, reversal); each gamma is then a
+    column gather and the sign -1 a negation, both exact, so every error
+    equals that of `sol.transformed(theta, reverse, perm, sign)`.
     """
     scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
+    gathers = np.array(
+        [perm_inverse_columns(perm) for perm in gamma_perms], dtype=int
+    ).reshape(len(gamma_perms), sol.n)
+    target = sol.coeffs[:, None, :]
     out = []
     for num in range(theta_denominator):
         theta = Fraction(num, theta_denominator)
         angle = 2 * pi * float(theta)
         for reverse in (False, True):
-            for perm in gamma_perms:
+            moved = sol.transformed(angle, reverse).coeffs[:, gathers]
+            # -x - y rounds to exactly -(x + y)
+            errs = {
+                1: np.max(np.abs(moved - target), axis=(0, 2)),
+                -1: np.max(np.abs(moved + target), axis=(0, 2)),
+            }
+            for i, perm in enumerate(gamma_perms):
                 for sign in (1, -1):
-                    cand = sol.transformed(angle, reverse, perm, sign)
-                    err = float(np.max(np.abs(cand.coeffs - sol.coeffs)))
+                    err = float(errs[sign][i])
                     if err <= tol * scale:
                         out.append(
                             DetectedSymmetry(theta, reverse, tuple(perm), sign, err)
@@ -457,9 +501,11 @@ def apriori_check(
         float(np.max(np.abs(x_part))),
     )
     bound = max(radius, m1, 2 * pi * m1) + 1
-    x_sup = sol.sup_norm()
-    dx_sup = sol.derivative().sup_norm()
-    ddx_sup = sol.derivative().derivative().sup_norm()
+    dx = sol.derivative()
+    basis = basis_matrix(sol.K, np.linspace(0, 2 * pi, 512, endpoint=False))
+    x_sup, dx_sup, ddx_sup = (
+        float(np.max(np.abs(basis @ s.coeffs))) for s in (sol, dx, dx.derivative())
+    )
     return {
         "bound": bound,
         "x_sup": x_sup,

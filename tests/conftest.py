@@ -71,7 +71,7 @@ def zero_jacobian_mode_blocks(spec, K):
 
     P, PD2, Bs = _collocation(spec, K)
     zero = np.zeros((P.shape[1], spec.m * spec.n))
-    J = _mode_jacobian(spec.rhs_jacobian(zero), P, PD2, Bs)
+    J = _mode_jacobian(spec.rhs_jacobian(zero), PD2)
     blocks = {}
     for k in range(K + 1):
         rows = [0] if k == 0 else [k, K + k]

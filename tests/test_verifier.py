@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -156,22 +157,28 @@ def coupled_spec(n, m, rng):
     return SystemSpec(n=n, m=m, period=2 * pi, linear=lin, terms=terms)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+def collocation_operators(K, m):
+    """Grid, projection, P @ D2 and the m shifted bases of the 4K+1 grid."""
+    t = np.linspace(0, 2 * pi, 4 * K + 1, endpoint=False)
+    P = projection_matrix(K, t)
+    PD2 = P @ second_derivative_matrix(K, t)
+    B = [basis_matrix(K, t, shift=2 * pi * j / m) for j in range(m)]
+    return t, P, PD2, B
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_mode_jacobian_matches_einsum_and_finite_differences(m):
     rng = np.random.default_rng(40 + m)
     n, K = 3, 5
     spec = coupled_spec(n, m, rng)
-    M, N = 2 * K + 1, 4 * K + 1
-    t = np.linspace(0, 2 * pi, N, endpoint=False)
-    P = projection_matrix(K, t)
-    PD2 = P @ second_derivative_matrix(K, t)
-    B = [basis_matrix(K, t, shift=2 * pi * j / m) for j in range(m)]
+    M = 2 * K + 1
+    t, P, PD2, B = collocation_operators(K, m)
     for _ in range(3):
         sol = FourierSolution(K, 0.5 * rng.standard_normal((M, n)))
         jac_pointwise = spec.rhs_jacobian(delayed_arguments(spec, sol, t))
         off_diagonal = jac_pointwise[:, 0, (m - 1) * n + 1]
         assert np.max(np.abs(off_diagonal)) > 0.1
-        J = _mode_jacobian(jac_pointwise, P, PD2, np.concatenate(B))
+        J = _mode_jacobian(jac_pointwise, PD2)
         ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
         assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -187,6 +194,37 @@ def test_mode_jacobian_matches_einsum_and_finite_differences(m):
         ) / (2 * eps)
         jd = J.reshape(M * n, M * n) @ direction.reshape(-1)
         assert np.max(np.abs(fd.reshape(-1) - jd)) <= 1e-7 * np.max(np.abs(jd))
+
+
+@pytest.mark.parametrize("n, m, K", [(1, 1, 3), (2, 2, 6), (3, 3, 4), (2, 6, 7)])
+def test_mode_jacobian_matches_einsum_on_random_pointwise_jacobian(n, m, K):
+    # white-noise entries give weight to every DFT index 0..2K, which a
+    # Jacobian built from a spec at small amplitude need not
+    rng = np.random.default_rng(60 + 10 * n + m)
+    _, P, PD2, B = collocation_operators(K, m)
+    jac_pointwise = rng.standard_normal((4 * K + 1, n, m * n))
+    top = np.abs(np.fft.rfft(jac_pointwise, axis=0))
+    assert np.min(np.max(top, axis=(1, 2))) > 0.1
+    J = _mode_jacobian(jac_pointwise, PD2)
+    ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mode_jacobian_peak_memory_stays_near_its_output():
+    import tracemalloc
+
+    n = m = 6
+    K = 64
+    _, _, PD2, _ = collocation_operators(K, m)
+    jac_pointwise = np.random.default_rng(7).standard_normal((4 * K + 1, n, m * n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        J = _mode_jacobian(jac_pointwise, PD2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * J.nbytes
 
 
 def test_newton_linear_converges_to_zero():
@@ -281,6 +319,34 @@ def test_isotropy_constant_vector():
     # every (theta, gamma, +1) works, reversal too: 4 * 2 * 12 combos
     assert len(syms) == 4 * 2 * 12
     assert all(s.sign == 1 for s in syms)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_isotropy_scan_equals_a_transformed_loop(symmetric):
+    # a random 6-node solution, then its mean with its image under a
+    # half-period shift, a node reflection and the sign -1, which that map
+    # fixes besides the identity
+    rng = np.random.default_rng(11)
+    K, perms = 5, hexagon_perms()
+    sol = FourierSolution(K, rng.standard_normal((2 * K + 1, 6)))
+    if symmetric:
+        half = sol.transformed(pi, False, (0, 5, 4, 3, 2, 1), -1)
+        sol = FourierSolution(K, (sol.coeffs + half.coeffs) / 2)
+    scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
+    for tol in (1e-9, np.inf):
+        expected = []
+        for num in range(12):
+            theta = Fraction(num, 12)
+            for reverse in (False, True):
+                for perm in perms:
+                    for sign in (1, -1):
+                        cand = sol.transformed(2 * pi * float(theta), reverse, perm, sign)
+                        err = float(np.max(np.abs(cand.coeffs - sol.coeffs)))
+                        if err <= tol * scale:
+                            expected.append((theta, reverse, perm, sign, err))
+        got = isotropy_of_trajectory(sol, perms, tol=tol, theta_denominator=12)
+        assert [(s.theta_turns, s.reverse, s.gamma, s.sign, s.error) for s in got] == expected
+        assert len(expected) == (12 * 2 * 12 * 2 if tol == np.inf else 1 + symmetric)
 
 
 def test_isotropy_cosine_reversal():
