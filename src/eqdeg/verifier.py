@@ -161,8 +161,18 @@ class FourierSolution:
     def copy(self) -> "FourierSolution":
         return FourierSolution(self.K, self.coeffs.copy())
 
-    def values(self, tgrid: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        return basis_matrix(self.K, tgrid, shift) @ self.coeffs
+    def samples(self, N: int, shifts=(0.0,)) -> np.ndarray:
+        """x(t_i - s) on the grid t_i = 2*pi*i/N for each shift s, shape
+        (len(shifts), N, n): one irfft, with the shift as the phase
+        exp(-i k s) on mode k.  Exact for N >= 2K+1."""
+        K = self.K
+        if N < 2 * K + 1:
+            raise SpecError("the grid needs at least 2K+1 points")
+        spectrum = np.zeros((len(shifts), N // 2 + 1, self.n), dtype=complex)
+        spectrum[:, 0] = N * self.coeffs[0]
+        spectrum[:, 1 : K + 1] = N / 2 * (self.coeffs[1 : K + 1] - 1j * self.coeffs[K + 1 :])
+        spectrum[:, : K + 1] *= np.exp(-1j * np.outer(shifts, np.arange(K + 1)))[:, :, None]
+        return np.fft.irfft(spectrum, n=N, axis=1)
 
     def derivative(self) -> "FourierSolution":
         K = self.K
@@ -173,8 +183,7 @@ class FourierSolution:
         return FourierSolution(K, out)
 
     def sup_norm(self, samples: int = 512) -> float:
-        t = np.linspace(0, 2 * pi, samples, endpoint=False)
-        return float(np.max(np.abs(self.values(t))))
+        return float(np.max(np.abs(self.samples(samples))))
 
     def is_constant(self, tol: float = 1e-8) -> bool:
         return bool(np.max(np.abs(self.coeffs[1:])) <= tol)
@@ -202,37 +211,29 @@ def perm_inverse_columns(perm) -> list[int]:
     return inv
 
 
-def basis_matrix(K: int, tgrid: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    t = np.asarray(tgrid, dtype=float) - shift
-    cols = [np.ones_like(t)]
-    for k in range(1, K + 1):
-        cols.append(np.cos(k * t))
-    for k in range(1, K + 1):
-        cols.append(np.sin(k * t))
-    return np.stack(cols, axis=1)
+def modes(values: np.ndarray, K: int) -> np.ndarray:
+    """Rows [constant, cos 1..K, sin 1..K] of the trigonometric projection of
+    samples on the grid t_i = 2*pi*i/N (values of shape (N, n), N >= 2K+1),
+    by one rfft; the inverse of `FourierSolution.samples`."""
+    N = len(values)
+    if N < 2 * K + 1:
+        raise SpecError("the grid needs at least 2K+1 points")
+    R = np.fft.rfft(values, axis=0)[: K + 1] * (2 / N)
+    return np.concatenate([R[:1].real / 2, R[1:].real, -R[1:].imag])
 
 
-def second_derivative_matrix(K: int, tgrid: np.ndarray) -> np.ndarray:
-    B = basis_matrix(K, tgrid)
-    scale = np.concatenate(
-        [[0.0], [-(k**2) for k in range(1, K + 1)], [-(k**2) for k in range(1, K + 1)]]
-    )
-    return B * scale
+def _k_squared(K: int) -> np.ndarray:
+    """k^2 on the rows [constant, cos 1..K, sin 1..K]: x'' has the modes
+    -k^2 c."""
+    k2 = np.arange(K + 1) ** 2.0
+    return np.concatenate([k2, k2[1:]])
 
 
-def projection_matrix(K: int, tgrid: np.ndarray) -> np.ndarray:
-    """Trigonometric projection from grid samples back to mode coefficients."""
-    N = len(tgrid)
-    B = basis_matrix(K, tgrid)
-    weights = np.concatenate([[1.0], np.full(2 * K, 2.0)]) / N
-    return (B * weights).T
-
-
-def delayed_arguments(spec: SystemSpec, sol: FourierSolution, tgrid: np.ndarray) -> np.ndarray:
-    blocks = [
-        sol.values(tgrid, shift=2 * pi * j / spec.m) for j in range(spec.m)
-    ]
-    return np.concatenate(blocks, axis=1)
+def _checked_forcing(forcing, N: int, n: int) -> np.ndarray:
+    forcing = np.asarray(forcing, dtype=float)
+    if forcing.shape != (N, n):
+        raise SpecError(f"forcing must have shape {(N, n)}, not {forcing.shape}")
+    return forcing
 
 
 def residual(
@@ -242,17 +243,17 @@ def residual(
     forcing: np.ndarray | None = None,
 ) -> float:
     """Sup norm over the grid of x'' - f(x_t) - forcing; delays evaluated
-    exactly on modes.  forcing is sampled on the same grid."""
+    exactly on modes.  forcing is sampled on the same grid, shape (N, n)."""
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
     N = grid_size or (4 * sol.K + 1)
     if N < 4 * sol.K + 1:
         raise SpecError("grid must have at least 4K+1 points")
-    t = np.linspace(0, 2 * pi, N, endpoint=False)
-    acc = second_derivative_matrix(sol.K, t) @ sol.coeffs
-    f = spec.rhs(delayed_arguments(spec, sol, t))
+    delays = 2 * pi * np.arange(spec.m) / spec.m
+    acc = sol.derivative().derivative().samples(N)[0]
+    f = spec.rhs(np.concatenate(sol.samples(N, delays), axis=1))
     if forcing is not None:
-        f = f + forcing
+        f = f + _checked_forcing(forcing, N, sol.n)
     return float(np.max(np.abs(acc - f)))
 
 
@@ -270,27 +271,19 @@ class NewtonReport:
 SUP_RESIDUAL_TOL = 1e-6
 
 
-def _collocation(spec: SystemSpec, K: int):
-    """Projection P, P @ D2 and the m shifted bases stacked row-wise, on the
-    4K+1-point grid of a spec with period 2*pi."""
-    t = np.linspace(0, 2 * pi, 4 * K + 1, endpoint=False)
-    P = projection_matrix(K, t)
-    PD2 = P @ second_derivative_matrix(K, t)
-    Bs = np.concatenate(
-        [basis_matrix(K, t, shift=2 * pi * j / spec.m) for j in range(spec.m)]
-    )
-    return P, PD2, Bs
-
-
-def _mode_jacobian(jac_pointwise: np.ndarray, PD2: np.ndarray) -> np.ndarray:
-    """Mode-space Jacobian J[:, c, :, d] = PD2 [c == d] - sum_j P diag(w_j) B_j,
-    read off the discrete Fourier coefficients of the pointwise Jacobian.
+def _mode_jacobian(jac_pointwise: np.ndarray) -> np.ndarray:
+    """Mode-space Jacobian of the residual -k^2 c - modes(f(x_t)): the
+    diagonal -k^2 on the rows [constant, cos 1..K, sin 1..K] of every
+    component (sampling x'' and projecting it back is exact on this grid),
+    minus J_f[:, c, :, d] = sum_j P diag(w_j) B_j, read off the discrete
+    Fourier coefficients of the pointwise Jacobian.
 
     jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N = 4K+1, shape
-    (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d] and B_j is the basis
-    shifted by the delay s_j = 2*pi*j/m.  Let F_j[q] = sum_i w_j(t_i)
-    exp(i q t_i): the conjugate of the rfft for q = 0..2K, and F_j[-q] =
-    conj F_j[q].  The product-to-sum rules give for the modes k, l = 0..K
+    (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d], B_j samples the rows at
+    t_i - s_j for the delay s_j = 2*pi*j/m, and P is the projection `modes`.
+    Let F_j[q] = sum_i w_j(t_i) exp(i q t_i): the conjugate of the rfft for
+    q = 0..2K, and F_j[-q] = conj F_j[q].  The product-to-sum rules give for
+    the modes k, l = 0..K
 
         a = sum_j exp(i l s_j) F_j[k - l],   b = sum_j exp(-i l s_j) F_j[k + l],
 
@@ -331,8 +324,7 @@ def _mode_jacobian(jac_pointwise: np.ndarray, PD2: np.ndarray) -> np.ndarray:
             J[K + 1 :, c, : K + 1, d] = plus.imag[1:]
             J[K + 1 :, c, K + 1 :, d] = minus.real[1:, 1:]
     J[0] *= 0.5
-    for c in range(n):
-        J[:, c, :, c] += PD2
+    J.reshape(M * n, M * n)[np.diag_indices(M * n)] -= np.repeat(_k_squared(K), n)
     return J
 
 
@@ -353,18 +345,19 @@ def newton_solve(
         spec = normalize(spec)
     K = initial.K
     n = spec.n
-    M = 2 * K + 1
-    P, PD2, Bs = _collocation(spec, K)
+    M, N = 2 * K + 1, 4 * K + 1
+    delays = 2 * pi * np.arange(spec.m) / spec.m
+    k2 = _k_squared(K)[:, None]
     g_modes = 0.0
     if forcing is not None:
-        g_modes = P @ forcing
+        g_modes = modes(_checked_forcing(forcing, N, n), K)
 
     sol = initial.copy()
     history = []
 
     def mode_residual(c):
-        args = np.hstack(np.split(Bs @ c, spec.m))
-        return PD2 @ c - P @ spec.rhs(args) - g_modes, args
+        args = np.concatenate(FourierSolution(K, c).samples(N, delays), axis=1)
+        return -k2 * c - modes(spec.rhs(args), K) - g_modes, args
 
     for it in range(max_iter):
         G, args = mode_residual(sol.coeffs)
@@ -378,7 +371,7 @@ def newton_solve(
                 f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
             )
             return sol, NewtonReport(ok, it, sup, history, message)
-        J = _mode_jacobian(spec.rhs_jacobian(args), PD2)
+        J = _mode_jacobian(spec.rhs_jacobian(args))
         try:
             step = np.linalg.solve(J.reshape(M * n, M * n), G.reshape(-1))
         except np.linalg.LinAlgError:
@@ -502,9 +495,8 @@ def apriori_check(
     )
     bound = max(radius, m1, 2 * pi * m1) + 1
     dx = sol.derivative()
-    basis = basis_matrix(sol.K, np.linspace(0, 2 * pi, 512, endpoint=False))
     x_sup, dx_sup, ddx_sup = (
-        float(np.max(np.abs(basis @ s.coeffs))) for s in (sol, dx, dx.derivative())
+        s.sup_norm(max(512, 2 * sol.K + 1)) for s in (sol, dx, dx.derivative())
     )
     return {
         "bound": bound,

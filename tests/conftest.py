@@ -1,6 +1,7 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from eqdeg.chartab import SignedGroup, bundled_table, isotypic_multiplicities, permutation_character
@@ -62,16 +63,42 @@ Q8_TABLE = {
 }
 
 
+def basis_matrix(K, tgrid, shift=0.0):
+    """Dense oracle: the rows [constant, cos 1..K, sin 1..K] sampled at
+    tgrid - shift, one column per row, as an (N, 2K+1) matrix."""
+    t = np.asarray(tgrid, dtype=float) - shift
+    k = np.arange(1, K + 1)
+    return np.hstack([np.ones((len(t), 1)), np.cos(np.outer(t, k)), np.sin(np.outer(t, k))])
+
+
+def second_derivative_matrix(K, tgrid):
+    """Dense oracle: samples of x'' from the coefficients of x."""
+    k2 = np.arange(1, K + 1) ** 2.0
+    return basis_matrix(K, tgrid) * -np.concatenate([[0.0], k2, k2])
+
+
+def projection_matrix(K, tgrid):
+    """Dense oracle: trigonometric projection from grid samples back to
+    mode coefficients."""
+    weights = np.concatenate([[1.0], np.full(2 * K, 2.0)]) / len(tgrid)
+    return (basis_matrix(K, tgrid) * weights).T
+
+
+def dense_delayed_arguments(spec, sol, tgrid):
+    """Dense oracle: x at the m delays 2*pi*j/m on tgrid, as the (N, m*n)
+    arguments of spec.rhs."""
+    return np.hstack(
+        [basis_matrix(sol.K, tgrid, 2 * np.pi * j / spec.m) @ sol.coeffs for j in range(spec.m)]
+    )
+
+
 def zero_jacobian_mode_blocks(spec, K):
     """The Newton Jacobian at the zero solution of a period-2*pi spec,
     restricted to the cos/sin rows of each mode k = 0..K: {k: square block}."""
-    import numpy as np
+    from eqdeg.verifier import _mode_jacobian
 
-    from eqdeg.verifier import _collocation, _mode_jacobian
-
-    P, PD2, Bs = _collocation(spec, K)
-    zero = np.zeros((P.shape[1], spec.m * spec.n))
-    J = _mode_jacobian(spec.rhs_jacobian(zero), PD2)
+    zero = np.zeros((4 * K + 1, spec.m * spec.n))
+    J = _mode_jacobian(spec.rhs_jacobian(zero))
     blocks = {}
     for k in range(K + 1):
         rows = [0] if k == 0 else [k, K + k]

@@ -21,8 +21,10 @@ from eqdeg.ddedeg import LinearizationData, SpectralTable, xi
 from eqdeg.o2gamma import GammaContext, fold, maximal_orbit_types, weyl_order
 
 from conftest import (
+    dense_delayed_arguments,
     hexagon_coupling_matrix,
     hexagon_delay_matrices,
+    second_derivative_matrix,
     zero_jacobian_mode_blocks,
 )
 
@@ -198,14 +200,7 @@ def test_acceptance_7_involution_and_lemmas():
 
 @criterion(8, "verifier cross-validation: blocks, manufactured Newton, reversibility")
 def test_acceptance_8_verifier_cross_validation(d6_analysis):
-    from eqdeg.verifier import (
-        FourierSolution,
-        delayed_arguments,
-        newton_solve,
-        residual,
-        second_derivative_matrix,
-        SystemSpec,
-    )
+    from eqdeg.verifier import FourierSolution, newton_solve, residual, SystemSpec
 
     lin_mats = [
         [[float(v) for v in row] for row in m] for m in hexagon_delay_matrices()
@@ -238,7 +233,7 @@ def test_acceptance_8_verifier_cross_validation(d6_analysis):
     t = np.linspace(0, 2 * pi, N, endpoint=False)
     forcing = (
         second_derivative_matrix(Km, t) @ exact.coeffs
-        - small.rhs(delayed_arguments(small, exact, t))
+        - small.rhs(dense_delayed_arguments(small, exact, t))
     )
     sol, rep = newton_solve(small, FourierSolution(Km, target * 1.1),
                             tol=1e-13, forcing=forcing)

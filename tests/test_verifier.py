@@ -11,23 +11,27 @@ from eqdeg.verifier import (
     SystemSpec,
     _mode_jacobian,
     apriori_check,
-    basis_matrix,
     class_matches_symmetries,
-    delayed_arguments,
     element_symmetry,
     isotropy_of_trajectory,
+    modes,
     newton_solve,
     normalize,
-    projection_matrix,
     residual,
-    second_derivative_matrix,
 )
 
 from eqdeg.cli import bundled_example_path, load_config, run_analyze
 from eqdeg.ddedeg import _isotypic_projector
 from eqdeg.o2gamma import fixed_dim
 
-from conftest import hexagon_delay_matrices, zero_jacobian_mode_blocks
+from conftest import (
+    basis_matrix,
+    dense_delayed_arguments,
+    hexagon_delay_matrices,
+    projection_matrix,
+    second_derivative_matrix,
+    zero_jacobian_mode_blocks,
+)
 
 
 def d6_linear_spec(cubic=0.0):
@@ -102,16 +106,50 @@ def test_delay_shift_matches_fft_oracle():
     rng = np.random.default_rng(3)
     K = 9
     sol = FourierSolution(K, rng.standard_normal((2 * K + 1, 3)))
-    N = 64
+    shifts = 2 * pi * np.arange(5) / 5
+    # oracle: the dense cos/sin basis evaluated at t - shift
+    for N in (2 * K + 1, 64):
+        t = np.linspace(0, 2 * pi, N, endpoint=False)
+        direct = sol.samples(N, shifts)
+        assert direct.shape == (len(shifts), N, 3)
+        for tau, block in zip(shifts, direct):
+            assert np.max(np.abs(block - basis_matrix(K, t, shift=tau) @ sol.coeffs)) < 1e-12
+
+
+# 2K+1, 2K+2 and 4K+1 points for K = 9, and 64
+@pytest.mark.parametrize("N", [19, 20, 37, 64])
+def test_modes_inverts_samples(N):
+    rng = np.random.default_rng(N)
+    K = 9
+    sol = FourierSolution(K, rng.standard_normal((2 * K + 1, 3)))
+    assert np.max(np.abs(modes(sol.samples(N)[0], K) - sol.coeffs)) < 1e-12
+    # on any samples, modes is the dense trigonometric projection
+    values = rng.standard_normal((N, 3))
     t = np.linspace(0, 2 * pi, N, endpoint=False)
-    tau = 2 * pi / 5
-    direct = sol.values(t, shift=tau)
-    # oracle: sample, FFT, multiply by the phase, inverse FFT
-    samples = sol.values(t)
-    freq = np.fft.fft(samples, axis=0)
-    ks = np.fft.fftfreq(N, d=1.0 / N)
-    shifted = np.fft.ifft(freq * np.exp(-1j * ks * tau)[:, None], axis=0).real
-    assert np.max(np.abs(direct - shifted)) < 1e-12
+    assert np.max(np.abs(modes(values, K) - projection_matrix(K, t) @ values)) < 1e-12
+
+
+def test_grid_with_fewer_than_2K_plus_1_points_is_rejected():
+    K = 4
+    sol = FourierSolution(K, np.ones((2 * K + 1, 2)))
+    with pytest.raises(SpecError):
+        sol.samples(2 * K)
+    with pytest.raises(SpecError):
+        modes(np.ones((2 * K, 2)), K)
+
+
+def test_forcing_of_the_wrong_shape_is_rejected():
+    spec = small_spec()
+    K = 4
+    sol = FourierSolution(K, np.zeros((2 * K + 1, 2)))
+    for bad in (np.array([1.0, 2.0]), np.zeros((4 * K, 2)), np.zeros((4 * K + 1, 3))):
+        with pytest.raises(SpecError):
+            newton_solve(spec, sol, forcing=bad)
+        with pytest.raises(SpecError):
+            residual(spec, sol, forcing=bad)
+    with pytest.raises(SpecError):
+        residual(spec, sol, grid_size=64, forcing=np.zeros((4 * K + 1, 2)))
+    assert residual(spec, sol, grid_size=64, forcing=np.ones((64, 2))) == 1.0
 
 
 def test_jacobian_matches_finite_differences():
@@ -158,7 +196,8 @@ def coupled_spec(n, m, rng):
 
 
 def collocation_operators(K, m):
-    """Grid, projection, P @ D2 and the m shifted bases of the 4K+1 grid."""
+    """Dense oracles on the 4K+1 grid: the grid, the projection, P @ D2 and
+    the m shifted bases."""
     t = np.linspace(0, 2 * pi, 4 * K + 1, endpoint=False)
     P = projection_matrix(K, t)
     PD2 = P @ second_derivative_matrix(K, t)
@@ -175,15 +214,15 @@ def test_mode_jacobian_matches_einsum_and_finite_differences(m):
     t, P, PD2, B = collocation_operators(K, m)
     for _ in range(3):
         sol = FourierSolution(K, 0.5 * rng.standard_normal((M, n)))
-        jac_pointwise = spec.rhs_jacobian(delayed_arguments(spec, sol, t))
+        jac_pointwise = spec.rhs_jacobian(dense_delayed_arguments(spec, sol, t))
         off_diagonal = jac_pointwise[:, 0, (m - 1) * n + 1]
         assert np.max(np.abs(off_diagonal)) > 0.1
-        J = _mode_jacobian(jac_pointwise, PD2)
+        J = _mode_jacobian(jac_pointwise)
         ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
         assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         def mode_residual(coeffs):
-            args = delayed_arguments(spec, FourierSolution(K, coeffs), t)
+            args = dense_delayed_arguments(spec, FourierSolution(K, coeffs), t)
             return PD2 @ coeffs - P @ spec.rhs(args)
 
         direction = rng.standard_normal((M, n))
@@ -205,7 +244,7 @@ def test_mode_jacobian_matches_einsum_on_random_pointwise_jacobian(n, m, K):
     jac_pointwise = rng.standard_normal((4 * K + 1, n, m * n))
     top = np.abs(np.fft.rfft(jac_pointwise, axis=0))
     assert np.min(np.max(top, axis=(1, 2))) > 0.1
-    J = _mode_jacobian(jac_pointwise, PD2)
+    J = _mode_jacobian(jac_pointwise)
     ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -215,12 +254,11 @@ def test_mode_jacobian_peak_memory_stays_near_its_output():
 
     n = m = 6
     K = 64
-    _, _, PD2, _ = collocation_operators(K, m)
     jac_pointwise = np.random.default_rng(7).standard_normal((4 * K + 1, n, m * n))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        J = _mode_jacobian(jac_pointwise, PD2)
+        J = _mode_jacobian(jac_pointwise)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -247,11 +285,9 @@ def test_manufactured_solution_recovery():
     exact = FourierSolution(K, target)
     N = 4 * K + 1
     t = np.linspace(0, 2 * pi, N, endpoint=False)
-    from eqdeg.verifier import delayed_arguments
-
     forcing = (
         second_derivative_matrix(K, t) @ exact.coeffs
-        - spec.rhs(delayed_arguments(spec, exact, t))
+        - spec.rhs(dense_delayed_arguments(spec, exact, t))
     )
     start = FourierSolution(K, target * 1.1)
     assert residual(spec, exact, forcing=forcing) < 1e-12
