@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi
+from math import inf, nan, pi
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +30,7 @@ from .chartab import (
     table_from_json,
 )
 from .ddedeg import (
+    DEFAULT_TOL,
     DegreeReport,
     LinearizationData,
     SpectralTable,
@@ -238,7 +239,7 @@ class AnalysisResult:
                     for (k, l, m) in spectral.negative_factors()
                 ],
                 "degenerate": [[k, l + 1] for (k, l) in spectral.degenerate],
-                "resonances": sorted(self.report.resonances) if self.report else [],
+                "resonances": sorted(spectral.resonance_set()),
             },
             "omega": self.report.omega.to_jsonable()
             if self.report and self.report.omega is not None
@@ -308,14 +309,28 @@ def _decompose(config):
 
 
 def _options(config) -> dict:
-    """The config's options; k_max and s must be null or integers >= 0."""
+    """The config's options; k_max and s must be null or integers >= 0,
+    tol null or a tolerance."""
     options = config.get("options", {})
     if not isinstance(options, dict) or any(
         options.get(key) is not None and not (_is_int(options[key]) and options[key] >= 0)
         for key in ("k_max", "s")
     ):
         raise ConfigError("options must be an object whose k_max and s are integers >= 0")
+    _tolerance(options.get("tol"))
     return options
+
+
+def _tolerance(value) -> float:
+    """A zero-test tolerance: a finite number >= 0, where 0 and null pick
+    the default."""
+    try:
+        tol = nan if isinstance(value, bool) else float(DEFAULT_TOL if value is None else value)
+    except (TypeError, ValueError):
+        tol = nan
+    if not 0 <= tol < inf:  # nan fails both comparisons
+        raise ConfigError(f"tol must be a finite number >= 0, got {value!r}")
+    return tol or DEFAULT_TOL
 
 
 def _spectral_table(config, table, decomposition, k_max=None, tol=None):
@@ -323,7 +338,7 @@ def _spectral_table(config, table, decomposition, k_max=None, tol=None):
     lin = _build_linearization(config, table, decomposition)
     options = _options(config)
     k_max = k_max or options.get("k_max") or default_k_max(lin)
-    tol = tol or _number(options, "tol", 1e-9)
+    tol = _tolerance(tol or options.get("tol"))
     return lin, SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
 
 

@@ -8,15 +8,16 @@ mu_j = mu_{m-j} (time reversibility).  The block eigenvalue on mode k is
 
 negative exactly when c_k^l < -k^2, so only finitely many blocks carry
 degree contributions.  Everything here is exact rational when the inputs
-are rational and the cosines are (m in {1,2,3,4,6}); otherwise floats with
-a tolerance band are used and near-zero eigenvalues are flagged.
+are rational and the cosines are (m in {1,2,3,4,6}); otherwise floats are
+used.  Every zero test goes through `_is_zero`: an exact value is zero only
+when it is 0, a float when it lies within the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, isqrt, pi
+from math import cos, pi
 
 from .basicdeg import GRingElement, degree_product, x_o
 from .chartab import CharacterTable, IsotypicDecomposition
@@ -30,6 +31,11 @@ from .o2gamma import (
 )
 
 DEFAULT_TOL = 1e-9
+
+
+def _is_zero(v, tol) -> bool:
+    """v == 0 for an int or a Fraction, |v| <= tol for a float."""
+    return v == 0 if isinstance(v, (int, Fraction)) else abs(v) <= tol
 
 
 class ReversibilityError(ValueError):
@@ -77,13 +83,7 @@ class LinearizationData:
             if len(row) != self.m:
                 raise ValueError(f"component {l}: expected {self.m} delay values")
             for j in range(1, self.m):
-                a, b = row[j], row[(self.m - j) % self.m]
-                if self.exact:
-                    if a != b:
-                        raise ReversibilityError(
-                            f"component {l}: mu_{j} != mu_{self.m - j}"
-                        )
-                elif abs(a - b) > 1e-12:
+                if not _is_zero(row[j] - row[self.m - j], 1e-12):
                     raise ReversibilityError(
                         f"component {l}: mu_{j} != mu_{self.m - j}"
                     )
@@ -101,9 +101,6 @@ class LinearizationData:
         decomposition; a non-scalar block is rejected, and so is a component
         of complex type, whose projector has no rational entries.
         """
-        exact = all(
-            isinstance(v, (int, Fraction)) for mat in matrices for row in mat for v in row
-        )
         group = table.group
         n = group.degree
         for mat in matrices:
@@ -120,19 +117,8 @@ class LinearizationData:
                     "isotypic projector is not rational; give the linearization "
                     "in 'mu' form"
                 )
-            proj = _isotypic_projector(table, l)
-            basis_cols = [
-                tuple(proj[r][c] for r in range(n))
-                for c in range(n)
-                if any(proj[r][c] for r in range(n))
-            ]
-            if not basis_cols:
-                raise ScalarityError(f"component {l}: empty isotypic projector")
-            row_vals = []
-            for mat in matrices:
-                val = _scalar_on_component(mat, proj, basis_cols, exact, tol, l)
-                row_vals.append(val)
-            mu[l] = tuple(row_vals)
+            cols = [col for col in zip(*_isotypic_projector(table, l)) if any(col)]
+            mu[l] = tuple(_scalar_on_component(mat, cols, tol, l) for mat in matrices)
         return LinearizationData(m=len(matrices), mu=mu)
 
     def component_indices(self) -> list[int]:
@@ -153,32 +139,20 @@ def _isotypic_projector(table: CharacterTable, l: int):
     return proj
 
 
-def _scalar_on_component(mat, proj, basis_cols, exact, tol, l):
-    n = len(proj)
-    ref = None
-    for col in basis_cols:
-        image = [sum(mat[r][i] * col[i] for i in range(n)) for r in range(n)]
-        norm2 = sum(x * x for x in col)
-        val = sum(image[i] * col[i] for i in range(n)) / norm2
-        resid = [image[i] - val * col[i] for i in range(n)]
-        if exact:
-            if any(resid):
-                raise ScalarityError(
-                    f"component {l}: matrix is not scalar on the isotypic block"
-                )
-        else:
-            scale = max(1.0, max(abs(float(x)) for x in image))
-            if any(abs(float(r)) > tol * scale for r in resid):
-                raise ScalarityError(
-                    f"component {l}: matrix is not scalar on the isotypic block"
-                )
-        if ref is None:
-            ref = val
-        elif exact and val != ref:
-            raise ScalarityError(f"component {l}: inconsistent scalar values")
-        elif not exact and abs(float(val - ref)) > tol:
-            raise ScalarityError(f"component {l}: inconsistent scalar values")
-    return ref
+def _scalar_on_component(mat, cols, tol, l):
+    """The scalar mu with mat.P = mu.P, checked on the nonzero columns of
+    the isotypic projector P; mu is read off the first of them."""
+    mu = None
+    for col in cols:
+        image = [sum(a * c for a, c in zip(row, col)) for row in mat]
+        if mu is None:
+            mu = sum(x * c for x, c in zip(image, col)) / sum(c * c for c in col)
+        scale = max(1.0, max(abs(x) for x in image))
+        if not all(_is_zero(x - mu * c, tol * scale) for x, c in zip(image, col)):
+            raise ScalarityError(
+                f"component {l}: matrix is not scalar on the isotypic block"
+            )
+    return mu
 
 
 def coupling_coefficient(data: LinearizationData, l: int, k: int):
@@ -240,10 +214,7 @@ class SpectralTable:
             for k in range(0, self.k_max + 1):
                 v = xi(self.data, l, k)
                 self.xi_values[(k, l)] = v
-                if isinstance(v, Fraction):
-                    sign = 0 if v == 0 else (1 if v > 0 else -1)
-                else:
-                    sign = 0 if abs(v) <= self.tol else (1 if v > 0 else -1)
+                sign = 0 if _is_zero(v, self.tol) else (1 if v > 0 else -1)
                 self.signs[(k, l)] = sign
                 if sign == 0:
                     self.degenerate.append((k, l))
@@ -282,32 +253,13 @@ class SpectralTable:
             for k in range(self.k_max + 1)
         ]
 
-    def resonance_set(self, k_search: int | None = None) -> set[int]:
+    def resonance_set(self) -> set[int]:
         """All modes where some block eigenvalue vanishes.
 
-        Exact inputs: solved in closed form from k^2 = -c_k (the coupling
-        only depends on k mod m).  Float inputs: scanned up to the bound.
+        _check_tail makes k_max^2 > m max|mu| >= |c_k|, so no block beyond
+        k_max can vanish and the degenerate blocks are all of them.
         """
-        out = set()
-        m = self.data.m
-        for l in self.components:
-            for r in range(m):
-                c = coupling_coefficient(self.data, l, r)
-                if isinstance(c, Fraction):
-                    if c > 0:
-                        continue
-                    target = -c
-                    if target.denominator != 1:
-                        continue
-                    root = isqrt(target.numerator)
-                    if root * root == target.numerator and root % m == r % m:
-                        out.add(root)
-                else:
-                    limit = k_search or default_k_max(self.data)
-                    for k in range(r, limit + 1, m):
-                        if abs(k * k + c) <= self.tol:
-                            out.add(k)
-        return out
+        return {k for (k, l) in self.degenerate}
 
 
 def survival_parity(table: SpectralTable, cls: AmalgamatedClass, k: int) -> int:
@@ -349,8 +301,6 @@ class Conclusion:
 class DegreeReport:
     omega: GRingElement | None
     conclusions: list[Conclusion]
-    zero_spectrum_flag: bool
-    resonances: set[int] = field(default_factory=set)
 
 
 def assemble_omega(ctx: GammaContext, spectral: SpectralTable) -> DegreeReport:
@@ -375,8 +325,6 @@ def assemble_omega(ctx: GammaContext, spectral: SpectralTable) -> DegreeReport:
         conclusions=_conclusions(
             ctx, spectral, blocks, lambda cls, parity: omega.coeff(cls)
         ),
-        zero_spectrum_flag=False,
-        resonances=spectral.resonance_set(),
     )
 
 
@@ -412,8 +360,7 @@ def theorem_conclusions_resonant(
     s must be chosen so that no odd multiple of s is resonant; conclusions
     come from the parity counts at those modes.
     """
-    resonances = spectral.resonance_set()
-    bad = sorted(r for r in resonances if r > 0 and (r // s) % 2 == 1 and r % s == 0)
+    bad = sorted(r for r in spectral.resonance_set() if r > 0 and (r // s) % 2 == 1 and r % s == 0)
     if bad:
         raise ValueError(
             f"s={s} is not admissible: resonant mode {bad[0]} is an odd multiple of s"
@@ -427,8 +374,6 @@ def theorem_conclusions_resonant(
         conclusions=_conclusions(
             ctx, spectral, blocks, lambda cls, parity: None if parity % 2 else 0
         ),
-        zero_spectrum_flag=spectral.zero_spectrum(),
-        resonances=resonances,
     )
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eqdeg.chartab import SignedGroup, bundled_table, isotypic_multiplicities, permutation_character
-from eqdeg.ddedeg import LinearizationData, SpectralTable
+from eqdeg.ddedeg import LinearizationData, SpectralTable, coupling_coefficient
 from eqdeg.o2gamma import GammaContext
 from eqdeg.permgroup import p_mul
 
@@ -61,6 +62,21 @@ Q8_TABLE = {
         [2, -2, 0, 0, 0],
     ],
 }
+
+
+def closed_form_resonances(data):
+    """Oracle: the modes k >= 0 where k^2 = -c_k^l for some component,
+    solved in closed form from the m residues of k (c_k only depends on
+    k mod m).  Needs exact data with rational cosines (m in {1,2,3,4,6})."""
+    out = set()
+    for l in data.mu:
+        for r in range(data.m):
+            target = -coupling_coefficient(data, l, r)
+            if target >= 0 and target.denominator == 1:
+                root = isqrt(target.numerator)
+                if root * root == target.numerator and root % data.m == r:
+                    out.add(root)
+    return out
 
 
 def basis_matrix(K, tgrid, shift=0.0):

@@ -133,6 +133,46 @@ def test_degenerate_with_s_runs_parity_route():
     )
 
 
+def z1_config(mu, **changes):
+    return {"group": "Z1", "delays": 1, "linearization": {"mu": {"1": [mu]}}, **changes}
+
+
+def test_near_zero_block_is_a_resonance():
+    # mu = -1 + 1.5e-9: xi at (k=1, l=1) is 7.5e-10, zero within the default
+    # tol, so mode 1 is resonant and s = 1 is not admissible
+    config = z1_config(-0.9999999985)
+    result = run_analyze(config)
+    assert result.exit_code == EXIT_DEGENERATE
+    assert result.spectral.degenerate == [(1, 0)]
+    assert result.spectral.resonance_set() == {1}
+    result2 = run_analyze(config, s=1)
+    assert result2.exit_code == EXIT_INVALID
+    assert "not admissible" in result2.message
+
+
+@pytest.mark.parametrize(
+    "options, args",
+    [({"tol": -1}, []), ({"tol": "nan"}, []), ({"tol": True}, []), ({}, ["--tol", "-1"])],
+    ids=["negative", "nan", "bool", "negative-flag"],
+)
+def test_invalid_tolerance_exit_3(tmp_path, capsys, options, args):
+    # mu = -1 makes the k = 1 block zero; a negative or nan tolerance would
+    # turn it into a negative one and report a conclusion
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(z1_config(-1.0, options=options)))
+    code = main(["analyze", str(path), "--out", str(tmp_path), "--json-only", *args])
+    assert code == EXIT_INVALID
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options, args", [({"tol": 0}, []), ({"tol": None}, ["--tol", "0"])])
+def test_zero_or_null_tolerance_picks_the_default(tmp_path, options, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(z1_config(-0.9999999985, options=options)))
+    code = main(["analyze", str(path), "--out", str(tmp_path), "--json-only", *args])
+    assert code == EXIT_DEGENERATE
+
+
 def test_malformed_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")

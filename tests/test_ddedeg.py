@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from eqdeg.ddedeg import (
     xi,
 )
 from eqdeg.o2gamma import maximal_orbit_types
+
+from conftest import closed_form_resonances, hexagon_delay_matrices
 
 
 F = Fraction
@@ -76,6 +79,23 @@ def test_float_values_are_compared_within_tolerance():
     with pytest.raises(ReversibilityError):
         LinearizationData(m=3, mu={0: (1.0, 0.1, 0.3)})
     assert LinearizationData(m=3, mu={0: (1, F(1, 2), F(1, 2))}).exact
+
+
+def test_float_matrices_are_scalar_within_tolerance(d6_analysis):
+    # the hexagon's delay matrices given as floats: the same mu values up to
+    # rounding, a rounding-size change is accepted and a real one is not
+    table, dec = d6_analysis.table, d6_analysis.decomposition
+    mats = [[[float(v) for v in row] for row in mat] for mat in hexagon_delay_matrices()]
+    lin = LinearizationData.from_matrices(table, dec, mats)
+    assert not lin.exact
+    assert lin.mu.keys() == d6_analysis.lin.mu.keys()
+    for l, row in d6_analysis.lin.mu.items():
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(lin.mu[l], row))
+    mats[0][0][0] += 1e-13
+    LinearizationData.from_matrices(table, dec, mats)
+    mats[0][0][0] += 1e-6
+    with pytest.raises(ScalarityError):
+        LinearizationData.from_matrices(table, dec, mats)
 
 
 def test_coupling_values(d6_analysis):
@@ -161,6 +181,28 @@ def test_resonance_set_exact():
     assert t36.resonance_set() == {6}
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_resonance_set_matches_closed_form(m):
+    # reversible integer rows in -40..0, given by mu_0..mu_{m//2}: every
+    # row for m = 1, a seeded sample of 250 otherwise (about one in ten is
+    # resonant)
+    free = m // 2 + 1
+    rng = random.Random(m)
+    if m == 1:
+        rows = [(v,) for v in range(-40, 1)]
+    else:
+        rows = [tuple(rng.randint(-40, 0) for _ in range(free)) for _ in range(250)]
+    dec_like = type("D", (), {"multiplicities": (1,)})()
+    resonant = 0
+    for half in rows:
+        row = tuple(half[min(j, m - j)] for j in range(m))
+        lin = LinearizationData(m=m, mu={0: row})
+        table = SpectralTable(lin, dec_like, k_max=default_k_max(lin)).build()
+        assert table.resonance_set() == closed_form_resonances(lin), row
+        resonant += bool(table.resonance_set())
+    assert resonant >= 5
+
+
 def test_survival_parities(d6_analysis):
     ctx, spectral = d6_analysis.ctx, d6_analysis.spectral
     top11 = maximal_orbit_types(ctx, 1, 0)[0]
@@ -204,7 +246,7 @@ def test_small_product_single_negative_mode(z1ctx):
     dec_like = type("D", (), {"multiplicities": (1,)})()
     spectral = SpectralTable(lin, dec_like, k_max=3).build()
     report = assemble_omega(z1ctx, spectral)
-    assert not report.zero_spectrum_flag
+    assert not spectral.zero_spectrum()
     assert len(report.conclusions) == 1
     conc = report.conclusions[0]
     assert conc.mode == 1
