@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, pi
+from math import cos, lcm, pi
 
 from .basicdeg import GRingElement, degree_product, x_o
 from .chartab import CharacterTable, IsotypicDecomposition
@@ -141,18 +141,36 @@ def _isotypic_projector(table: CharacterTable, l: int):
 
 def _scalar_on_component(mat, cols, tol, l):
     """The scalar mu with mat.P = mu.P, checked on the nonzero columns of
-    the isotypic projector P; mu is read off the first of them."""
+    the isotypic projector P; mu is read off the first of them.
+
+    An exact matrix is the int matrix A over the common denominator d of
+    its entries, and scaling a column of P keeps mat.P = mu.P, so each
+    column is scaled to ints too: the products A.c are then in int
+    arithmetic and each column is tested as A.c == d.mu.c.
+    """
+    d = 1
+    if all(isinstance(a, (int, Fraction)) for row in mat for a in row):
+        d = lcm(*(a.denominator for row in mat for a in row))
+        mat = [[a.numerator * (d // a.denominator) for a in row] for row in mat]
+        cols = [_integer_column(col) for col in cols]
+        d = Fraction(d)
     mu = None
     for col in cols:
         image = [sum(a * c for a, c in zip(row, col)) for row in mat]
         if mu is None:
-            mu = sum(x * c for x, c in zip(image, col)) / sum(c * c for c in col)
+            mu = sum(x * c for x, c in zip(image, col)) / (d * sum(c * c for c in col))
+            d_mu = d * mu
         scale = max(1.0, max(abs(x) for x in image))
-        if not all(_is_zero(x - mu * c, tol * scale) for x, c in zip(image, col)):
+        if not all(_is_zero(x - d_mu * c, tol * scale) for x, c in zip(image, col)):
             raise ScalarityError(
                 f"component {l}: matrix is not scalar on the isotypic block"
             )
     return mu
+
+
+def _integer_column(col) -> list[int]:
+    e = lcm(*(c.denominator for c in col))
+    return [c.numerator * (e // c.denominator) for c in col]
 
 
 def coupling_coefficient(data: LinearizationData, l: int, k: int):

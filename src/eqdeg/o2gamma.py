@@ -31,6 +31,8 @@ stand for, and conjugation by g in Gamma' is one table lookup per code
 one, which gives the Weyl order.  Containment counts are read off the
 Burnside product: the coefficient of (L) in (L) * (H) is the mark
 |(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
+A product of two finite classes takes one term per double coset of the
+Gamma'-parts of their rotation elements, weighted by the coset's size.
 
 Classes are interned per context, so they compare by identity.  Every
 exact function of a context or class (code tables per grid, keys, fixed
@@ -672,31 +674,55 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     return _product_fin_fin(ctx, c1, c2)
 
 
+def _double_cosets(ctx, a: frozenset, b: frozenset):
+    """Each double coset A g B of Gamma' as (g, g^-1 A g, its size).
+
+    The size is |A||B| / |B ∩ g^-1 A g|; once the walk is done, the sizes
+    must sum to |Gamma'|, else a double coset was missed and the product
+    built from them would be wrong.
+    """
+    covered = 0
+    for g in ctx.group.double_coset_reps(a, b):
+        target = frozenset(ctx.conj[ctx.inv[g]][x] for x in a)
+        size = len(a) * len(b) // len(b & target)
+        covered += size
+        yield g, target, size
+    if covered != ctx.n:
+        raise AssertionError("double cosets do not cover Gamma' in Burnside product")
+
+
 def _product_o2(ctx, c_o2, other) -> dict:
     # one term per double coset K g K': the other class meets O(2) x g^-1 K g,
-    # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g); the double cosets,
-    # of sizes |K||K'| / |K' ∩ g^-1 K g|, must cover Gamma'
+    # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g)
     out: dict = {}
-    kset, other_k = c_o2.K, other.k_part()
-    covered = 0
-    for g in ctx.group.double_coset_reps(kset, other_k):
-        target = frozenset(ctx.conj[ctx.inv[g]][x] for x in kset)
-        meet = other_k & target
-        covered += len(kset) * len(other_k) // len(meet)
+    other_k = other.k_part()
+    for _, target, _ in _double_cosets(ctx, c_o2.K, other_k):
         if other.kind == "o2":
-            cls = make_o2(ctx, meet)
+            cls = make_o2(ctx, other_k & target)
         else:
             inter = frozenset((u, s, x) for (u, s, x) in other.elems if x in target)
             if not any(s == -1 for (_, s, _) in inter):
                 continue
             cls = make_fin(ctx, inter, other.grid)
         out[cls] = out.get(cls, 0) + 1
-    if covered != ctx.n:
-        raise AssertionError("double cosets do not cover Gamma' in Burnside product")
     return out
 
 
 def _product_fin_fin(ctx, c1, c2) -> dict:
+    """(c1) * (c2) for two finite classes, by the double-coset formula.
+
+    Both classes are lifted to the lcm grid.  For g in Gamma' and a rotation
+    r of O(2), c1 meets the conjugate of c2 by (r, g); the rotations split
+    into buckets with the same meet, one per offset of a reflection of c1
+    against a reflection of c2.  The term of g, the classes of these meets
+    with their bucket weights, is unchanged by g -> x g y when x is the
+    Gamma'-part of a rotation element of c1 and y that of c2: conjugating a
+    class by its own rotation element only shifts the rotation offsets, and
+    the buckets sum over every offset.  So one g per double coset A g B of
+    the rotation projections A and B is enough, weighted by the size
+    |A||B| / |B ∩ g^-1 A g|.  The full projections would not do: a
+    reflection element also twists the other class by kappa.
+    """
     grid = lcm(c1.grid, c2.grid)
     a_elems, b_elems = (
         [(u * (grid // c.grid), s, g) for (u, s, g) in c.elems] for c in (c1, c2)
@@ -708,8 +734,10 @@ def _product_fin_fin(ctx, c1, c2) -> dict:
     for (u, s, g) in b_elems:
         if s == -1:
             b_refl_at.setdefault(g, []).append(u)
+    a_k = frozenset(g for (_, g) in a_rot)
+    b_k = frozenset(g for (_, g) in b_rot)
     weights: dict = {}
-    for g in range(ctx.n):
+    for g, _, size in _double_cosets(ctx, a_k, b_k):
         inv_tab = ctx.conj[ctx.inv[g]]
         rot_part = frozenset(
             (u, 1, x) for (u, x) in a_rot if (u, inv_tab[x]) in b_rot
@@ -724,7 +752,7 @@ def _product_fin_fin(ctx, c1, c2) -> dict:
                 buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
         for refls in buckets.values():
             inter = rot_part | frozenset(refls)
-            weights[inter] = weights.get(inter, 0) + 2 * len(inter)
+            weights[inter] = weights.get(inter, 0) + 2 * size * len(inter)
     total = len(a_elems) * len(b_elems)
     out: dict = {}
     for inter, weight in weights.items():

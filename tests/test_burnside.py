@@ -13,7 +13,7 @@ import pytest
 
 from eqdeg import o2gamma as og
 from eqdeg.basicdeg import GRingElement
-from eqdeg.chartab import bundled_table
+from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.o2gamma import GammaContext, class_product, make_o2
 from eqdeg.permgroup import Group
 
@@ -137,9 +137,14 @@ def test_marks_oracle_inverts_products():
 
 def test_product_rejects_double_cosets_that_miss_the_group(monkeypatch):
     # a double-coset walk that skips a representative leaves part of Gamma'
-    # uncovered, which the product reports instead of returning a wrong sum
+    # uncovered, which the product reports instead of returning a wrong sum;
+    # the finite pairs are mode-1 candidates of S3 x Z2, each with a
+    # reflection, whose product runs over double cosets of their rotations
     ctx = GammaContext(Group.from_name("S3"), [])
     classes = [make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes]
+    signed_ctx = GammaContext.from_signed_group(SignedGroup(bundled_table("S3")))
+    fins = og.mode1_candidates(signed_ctx)
+    assert len(fins) > 2 and all(c.is_dihedral() for c in fins)
     reps = Group.double_coset_reps
     monkeypatch.setattr(
         Group, "double_coset_reps", lambda self, a, b: itertools.islice(reps(self, a, b), 1, None)
@@ -147,6 +152,9 @@ def test_product_rejects_double_cosets_that_miss_the_group(monkeypatch):
     for c1, c2 in itertools.product(classes, repeat=2):
         with pytest.raises(AssertionError, match="do not cover"):
             og._product_o2(ctx, c1, c2)
+    for c1, c2 in itertools.product(fins, repeat=2):
+        with pytest.raises(AssertionError, match="do not cover"):
+            og._product_fin_fin(signed_ctx, c1, c2)
 
 
 def test_lattice_mismatch_rejected():

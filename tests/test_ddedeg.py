@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eqdeg.basicdeg import GRingElement
+from eqdeg.cli import bundled_example_path, load_config
 from eqdeg.chartab import (
     IsotypicDecomposition,
     bundled_table,
@@ -62,6 +63,49 @@ def test_scalarity_rejection(d6_table):
     bad = [[F(1) if (i, j) == (0, 0) else F(0) for j in range(6)] for i in range(6)]
     with pytest.raises(ScalarityError):
         LinearizationData.from_matrices(d6_table, dec, [bad])
+
+
+def test_exact_matrices_are_tested_in_integers(d6_table):
+    # an exact matrix and the projector columns are scaled to integers
+    # before mat.P = mu.P is tested: a non-scalar int matrix and a
+    # perturbation far below any float tolerance are rejected, and the
+    # bundled config keeps its mu values
+    chi = permutation_character(d6_table)
+    dec = isotypic_multiplicities(chi, d6_table)
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(6)] for i in range(6)]
+    with pytest.raises(ScalarityError):
+        LinearizationData.from_matrices(d6_table, dec, [swap])
+    near = [[F(3) * (i == j) for j in range(6)] for i in range(6)]
+    assert LinearizationData.from_matrices(d6_table, dec, [near]).mu[0] == (F(3),)
+    near[2][3] = F(1, 10**15)
+    with pytest.raises(ScalarityError):
+        LinearizationData.from_matrices(d6_table, dec, [near])
+    config = load_config(bundled_example_path())
+    mats = [[[F(v) for v in row] for row in mat] for mat in config["linearization"]["matrices"]]
+    lin = LinearizationData.from_matrices(d6_table, dec, mats)
+    expected = {
+        0: "-138/25 -16/5 -4/5 -12/5 -4/5 -16/5",
+        3: "-207/25 -24/5 -6/5 -18/5 -6/5 -24/5",
+        4: "-621/100 -18/5 -9/10 -27/10 -9/10 -18/5",
+        5: "-759/100 -22/5 -11/10 -33/10 -11/10 -22/5",
+    }
+    assert lin.mu == {l: tuple(map(F, row.split())) for l, row in expected.items()}
+    assert all(type(v) is F for row in lin.mu.values() for v in row)
+
+
+def test_exact_matrix_with_two_eigenvalues_on_a_component_is_rejected():
+    # every projector column can be an eigenvector while the eigenvalues
+    # differ between columns: D2 has two copies of the trivial component,
+    # on the orbits {0, 1} and {2, 3}, and D4 on the square has its 2-dim
+    # component on the lines of e0 - e2 and e1 - e3
+    diag = [[int(i == j) * (1 if i < 2 else 2) for j in range(4)] for i in range(4)]
+    v = (0, 1, 0, -1)
+    line = [[F(int(i == j)) + F(v[i] * v[j], 2) for j in range(4)] for i in range(4)]
+    for name, mat in (("D2", diag), ("D4", line)):
+        table = bundled_table(name)
+        dec = isotypic_multiplicities(permutation_character(table), table)
+        with pytest.raises(ScalarityError):
+            LinearizationData.from_matrices(table, dec, [mat])
 
 
 def test_reversibility_enforced():

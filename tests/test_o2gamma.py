@@ -239,12 +239,9 @@ def test_class_product_unit_and_commutativity(d6ctx):
         for c2 in samples:
             assert class_product(c1, c2) is class_product(c2, c1)
     # class_product keeps one memo entry per unordered pair, so call the
-    # products themselves in both orders and against the reference loops
+    # O(2) product itself against the reference loop (the finite products
+    # are checked in test_fin_products_match_the_all_g_reference)
     for c1 in fins:
-        for c2 in fins:
-            expected = _all_pairs_product_fin_fin(d6ctx, c1, c2)
-            assert og._product_fin_fin(d6ctx, c1, c2) == expected
-            assert og._product_fin_fin(d6ctx, c2, c1) == expected
         for c_o2 in o2s:
             expected = _coset_id_product_o2_fin(d6ctx, c_o2, c1)
             assert og._product_o2(d6ctx, c_o2, c1) == expected
@@ -261,6 +258,31 @@ def code_ctxs(d6ctx):
         "D4": GammaContext.from_signed_group(SignedGroup(bundled_table("D4"))),
         "S3": GammaContext.from_signed_group(SignedGroup(bundled_table("S3"))),
     }
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "D6"])
+def test_fin_products_match_the_all_g_reference(code_ctxs, name):
+    # every pair of finite classes of the basic degrees at modes 1 and 2,
+    # among them folded classes on grids > 1, whose product runs on the lcm
+    # grid: one g per double coset of the rotation projections gives the
+    # product of the loop over every g in Gamma', in both orders
+    ctx = code_ctxs[name]
+    support = sorted(
+        {
+            cls
+            for mode in (1, 2)
+            for l in range(len(ctx.chars))
+            for cls in basic_degree(ctx, mode, l).coeffs
+            if cls.kind == "fin"
+        },
+        key=lambda c: c.key,
+    )
+    assert len({c.grid for c in support}) > 1
+    for i, c1 in enumerate(support):
+        for c2 in support[i:]:
+            expected = _all_pairs_product_fin_fin(ctx, c1, c2)
+            assert og._product_fin_fin(ctx, c1, c2) == expected, (c1.name(), c2.name())
+            assert og._product_fin_fin(ctx, c2, c1) == expected, (c1.name(), c2.name())
 
 
 def _lifted(cls, grid):
