@@ -10,6 +10,7 @@ reported with their residuals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
@@ -19,6 +20,29 @@ import numpy as np
 
 class SpecError(ValueError):
     pass
+
+
+class _Monomials:
+    """A sum of monomials coeff * y_a * y_b * ..., each added to one output
+    column: every factor list is padded with the index of a column of ones
+    to one width, so an evaluation is one gather, one product and one
+    scatter product."""
+
+    def __init__(self, monomials, n_vars: int, n_out: int):
+        """monomials: (coeff, Counter of variable powers, output column)."""
+        width = max((sum(deg.values()) for _, deg, _ in monomials), default=0)
+        self.factors = np.full((len(monomials), width), n_vars)
+        self.coeffs = np.array([coeff for coeff, _, _ in monomials], dtype=float)
+        self.scatter = np.zeros((len(monomials), n_out))
+        for i, (_, deg, out) in enumerate(monomials):
+            factors = list(deg.elements())
+            self.factors[i, : len(factors)] = factors
+            self.scatter[i, out] = 1.0
+
+    def __call__(self, args: np.ndarray) -> np.ndarray:
+        """Values on rows of args (N, n_vars) -> (N, n_out)."""
+        padded = np.concatenate([args, np.ones((len(args), 1))], axis=1)
+        return (self.coeffs * np.prod(padded[:, self.factors], axis=2)) @ self.scatter
 
 
 @dataclass
@@ -51,16 +75,36 @@ class SystemSpec:
             self.terms = [[] for _ in range(self.n)]
         if len(self.terms) != self.n:
             raise SpecError("terms must list one entry per component")
+        # f(y) = y @ linear_stack + terms(y), d f / d y = linear part + the
+        # derivative of each term in each of its variables, as monomials
+        mn = self.m * self.n
+        self._linear_stack = np.zeros((mn, self.n))
+        if self.linear is not None:
+            self._linear_stack = np.concatenate([a.T for a in self.linear])
+        terms, derivatives = [], []
+        for c, comp_terms in enumerate(self.terms):
+            for coeff, powers in comp_terms:
+                deg = Counter()
+                for v, p in powers:
+                    if not (0 <= v < mn and int(v) == v and int(p) == p >= 0):
+                        raise SpecError(f"component {c}: factor {(v, p)} is not a variable power")
+                    deg[int(v)] += int(p)
+                terms.append((float(coeff), deg, c))
+                for v, p in deg.items():
+                    if p:
+                        derivatives.append((float(coeff) * p, deg - Counter({v: 1}), c * mn + v))
+        self._terms = _Monomials(terms, mn, self.n)
+        self._derivatives = _Monomials(derivatives, mn, self.n * mn)
 
     # -- structural checks --------------------------------------------------
 
     def check_reversible(self, tol: float = 0.0) -> None:
         """Delayed arguments must enter symmetrically: block j paired with
-        block m - j."""
+        block m - j, the linear blocks equal within the absolute tol."""
         if self.linear is not None:
             for j in range(1, self.m):
                 if not np.allclose(
-                    self.linear[j], self.linear[(self.m - j) % self.m], atol=tol
+                    self.linear[j], self.linear[(self.m - j) % self.m], rtol=0, atol=tol
                 ):
                     raise SpecError(f"linear blocks {j} and {self.m - j} differ")
         for c, comp_terms in enumerate(self.terms):
@@ -92,39 +136,16 @@ class SystemSpec:
     def rhs(self, args: np.ndarray) -> np.ndarray:
         """Evaluate f on rows of args (shape (N, m*n)) -> (N, n)."""
         args = np.atleast_2d(np.asarray(args, dtype=float))
-        out = np.zeros((args.shape[0], self.n))
-        if self.linear is not None:
-            for j in range(self.m):
-                block = args[:, j * self.n : (j + 1) * self.n]
-                out += block @ self.linear[j].T
-        for c, comp_terms in enumerate(self.terms):
-            for coeff, powers in comp_terms:
-                val = np.full(args.shape[0], float(coeff))
-                for (v, p) in powers:
-                    val = val * args[:, v] ** p
-                out[:, c] += val
+        out = self._terms(args)
+        out += args @ self._linear_stack
         return out
 
     def rhs_jacobian(self, args: np.ndarray) -> np.ndarray:
         """d f / d args on rows of args -> (N, n, m*n)."""
         args = np.atleast_2d(np.asarray(args, dtype=float))
-        N = args.shape[0]
-        jac = np.zeros((N, self.n, self.m * self.n))
-        if self.linear is not None:
-            for j in range(self.m):
-                jac[:, :, j * self.n : (j + 1) * self.n] += self.linear[j]
-        for c, comp_terms in enumerate(self.terms):
-            for coeff, powers in comp_terms:
-                # product rule over factor positions: a variable listed twice
-                # contributes once per position
-                for i, (v, p) in enumerate(powers):
-                    val = np.full(N, float(coeff) * p)
-                    val = val * args[:, v] ** (p - 1)
-                    for j, (w, q) in enumerate(powers):
-                        if j != i:
-                            val = val * args[:, w] ** q
-                    jac[:, c, v] += val
-        return jac
+        jac = self._derivatives(args)
+        jac += self._linear_stack.T.ravel()
+        return jac.reshape(len(args), self.n, self.m * self.n)
 
 
 def normalize(spec: SystemSpec) -> SystemSpec:
@@ -271,12 +292,14 @@ class NewtonReport:
 SUP_RESIDUAL_TOL = 1e-6
 
 
-def _mode_jacobian(jac_pointwise: np.ndarray) -> np.ndarray:
+def _mode_jacobian(jac_pointwise: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Mode-space Jacobian of the residual -k^2 c - modes(f(x_t)): the
     diagonal -k^2 on the rows [constant, cos 1..K, sin 1..K] of every
     component (sampling x'' and projecting it back is exact on this grid),
     minus J_f[:, c, :, d] = sum_j P diag(w_j) B_j, read off the discrete
-    Fourier coefficients of the pointwise Jacobian.
+    Fourier coefficients of the pointwise Jacobian.  With a boolean mask
+    keep over those 2K+1 rows, only the kept rows and columns are built,
+    shape (kept, n, kept, n); the entries equal those of the full J.
 
     jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N = 4K+1, shape
     (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d], B_j samples the rows at
@@ -294,38 +317,76 @@ def _mode_jacobian(jac_pointwise: np.ndarray) -> np.ndarray:
 
     and P weights row k by 1/N for k = 0 and 2/N otherwise (Boyd, Chebyshev
     and Fourier Spectral Methods, ch. 9).  One rfft covers every (c, d, j);
-    the delay sum is one (2K+2) x m by m x (3K+1) product per (c, d) pair,
-    so besides J the temporaries are F, with (3K+1) m n^2 entries, and one
-    such product.
+    the delay sum is one 2nc x m by m x (3K+1) product per (c, d) pair, nc
+    the number of kept cos modes (K + 1 for the full J), so besides J the
+    temporaries are F, with (3K+1) m n^2 entries, and one such product.
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
     K = (N - 1) // 4
     M = 2 * K + 1
+    if keep is None:
+        keep = np.ones(M, dtype=bool)
+    # the kept cos modes (the constant as mode 0) and the kept sin modes;
+    # these must be cos_k[t:], as in every mask of `_invariant_rows`
+    cos_k = np.flatnonzero(keep[: K + 1])
+    sin_k = np.flatnonzero(keep[K + 1 :]) + 1
+    nc, t = len(cos_k), len(cos_k) - len(sin_k)
+    if not np.array_equal(cos_k[t:], sin_k):
+        raise ValueError("the kept sin modes must be the last kept cos modes")
     R = np.fft.rfft(jac_pointwise, axis=0).reshape(M, n, m, n)
     F = np.concatenate([R[K:0:-1], R.conj()])  # F[q] at row q + K, q = -K..2K
     del R
-    l = np.arange(K + 1)
     # -1/N is P's row weight 2/N times the 1/2 of the rules; row 0 is halved below
-    phase = np.exp(1j * np.outer(l, 2 * pi * np.arange(m) / m)) / -N
+    phase = np.exp(1j * np.outer(cos_k, 2 * pi * np.arange(m) / m)) / -N
     rot = np.concatenate([phase, phase.conj()])
     # flat indices of a (rows of exp(i l s_j)) and b (rows of exp(-i l s_j))
-    # in rot @ F_cd, indexed [k, l]
+    # in rot @ F_cd, indexed [k, l] over the kept cos modes
     width = 3 * K + 1
-    k = l[:, None]
-    idx = np.stack([l * width + (k - l + K), (K + 1 + l) * width + (k + l + K)])
-    J = np.empty((M, n, M, n))
+    pos = np.arange(nc)
+    k, l = cos_k[:, None], cos_k
+    idx = np.stack([pos * width + (k - l + K), (nc + pos) * width + (k + l + K)])
+    J = np.empty((nc + len(sin_k), n, nc + len(sin_k), n))
     for c in range(n):
         for d in range(n):
             a, b = np.take(rot @ F[:, c, :, d].T, idx)
             plus, minus = a + b, a - b
-            J[: K + 1, c, : K + 1, d] = plus.real
-            J[: K + 1, c, K + 1 :, d] = -minus.imag[:, 1:]
-            J[K + 1 :, c, : K + 1, d] = plus.imag[1:]
-            J[K + 1 :, c, K + 1 :, d] = minus.real[1:, 1:]
-    J[0] *= 0.5
-    J.reshape(M * n, M * n)[np.diag_indices(M * n)] -= np.repeat(_k_squared(K), n)
+            J[:nc, c, :nc, d] = plus.real
+            J[:nc, c, nc:, d] = -minus.imag[:, t:]
+            J[nc:, c, :nc, d] = plus.imag[t:]
+            J[nc:, c, nc:, d] = minus.real[t:, t:]
+    if nc and cos_k[0] == 0:
+        J[0] *= 0.5
+    size = J.shape[0] * n
+    J.reshape(size, size)[np.diag_indices(size)] -= np.repeat(_k_squared(K)[keep], n)
     return J
+
+
+def _invariant_rows(spec: SystemSpec, *coeffs: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows [constant, cos 1..K, sin 1..K] that Newton
+    solves for, given the seed and forcing modes as coeffs (each of shape
+    (2K+1, n)).
+
+    Two maps may commute with the residual of spec.  Reversal x(t) ->
+    x(-t) does when block j of f equals block m - j (`check_reversible`);
+    its fixed rows are the constant and cos rows.  The half-period map
+    x(t) -> -x(t + pi) does when f is odd (`check_odd`); its fixed rows
+    are the cos and sin rows of odd k.  A map whose check passes and
+    whose fixed rows hold every nonzero entry of coeffs drops its other
+    rows; the mask keeps what no such map drops.
+    """
+    K = (len(coeffs[0]) - 1) // 2
+    k = np.concatenate([np.arange(K + 1), np.arange(1, K + 1)])
+    cos_rows = np.arange(2 * K + 1) <= K
+    keep = np.ones(2 * K + 1, dtype=bool)
+    for check, fixed in ((spec.check_reversible, cos_rows), (spec.check_odd, k % 2 == 1)):
+        try:
+            check()
+        except SpecError:
+            continue
+        if not any(np.any(c[~fixed]) for c in coeffs):
+            keep &= fixed
+    return keep
 
 
 def newton_solve(
@@ -340,6 +401,20 @@ def newton_solve(
     Returns the refined solution and a convergence report; non-convergence
     is reported, never raised.  Convergence needs both the mode-space norm
     below tol and a grid sup residual of at most SUP_RESIDUAL_TOL.
+
+    The step is solved on the rows of `_invariant_rows` only and is 0 on
+    the others.  The sin rows are dropped when the spec is reversible and
+    the seed and the forcing modes have only zeros there; the constant and
+    even-k rows are dropped when f is odd and both have only zeros there.
+    Otherwise every row is kept.  Each symmetry S used commutes with the
+    residual G (G(Sx) = S G(x)), so at an S-fixed iterate G and the Newton
+    step are S-fixed too and the Jacobian maps the fixed rows to
+    themselves: Newton on the kept rows is Newton in the fixed space, and
+    the dropped rows stay exactly 0.  Reversal also removes the time-shift
+    direction x', which lies in the sin rows of an even orbit and spans
+    the kernel of the full Jacobian at a periodic orbit.  The residual,
+    tol and the sup-residual test still cover every row, so a reduction
+    that does not hold can only show as non-convergence.
     """
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
@@ -348,9 +423,11 @@ def newton_solve(
     M, N = 2 * K + 1, 4 * K + 1
     delays = 2 * pi * np.arange(spec.m) / spec.m
     k2 = _k_squared(K)[:, None]
-    g_modes = 0.0
+    g_modes = np.zeros((M, n))
     if forcing is not None:
         g_modes = modes(_checked_forcing(forcing, N, n), K)
+    keep = _invariant_rows(spec, initial.coeffs, g_modes)
+    size = int(np.count_nonzero(keep)) * n
 
     sol = initial.copy()
     history = []
@@ -371,14 +448,15 @@ def newton_solve(
                 f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
             )
             return sol, NewtonReport(ok, it, sup, history, message)
-        J = _mode_jacobian(spec.rhs_jacobian(args))
+        J = _mode_jacobian(spec.rhs_jacobian(args), keep)
+        step = np.zeros((M, n))
         try:
-            step = np.linalg.solve(J.reshape(M * n, M * n), G.reshape(-1))
+            step[keep] = np.linalg.solve(J.reshape(size, size), G[keep].reshape(-1)).reshape(-1, n)
         except np.linalg.LinAlgError:
             return sol, NewtonReport(False, it, float("inf"), history, "singular Jacobian")
         lam = 1.0
         for _ in range(20):
-            trial = sol.coeffs - lam * step.reshape(M, n)
+            trial = sol.coeffs - lam * step
             Gt, _ = mode_residual(trial)
             if np.sqrt(np.sum(Gt * Gt)) < norm:
                 sol = FourierSolution(K, trial)

@@ -108,6 +108,44 @@ def dense_delayed_arguments(spec, sol, tgrid):
     )
 
 
+def rhs_oracle(spec, args):
+    """Oracle: f on rows of args (N, m*n), one block product per delay and
+    one product loop per term."""
+    args = np.atleast_2d(np.asarray(args, dtype=float))
+    out = np.zeros((args.shape[0], spec.n))
+    if spec.linear is not None:
+        for j in range(spec.m):
+            out += args[:, j * spec.n : (j + 1) * spec.n] @ spec.linear[j].T
+    for c, comp_terms in enumerate(spec.terms):
+        for coeff, powers in comp_terms:
+            val = np.full(args.shape[0], float(coeff))
+            for (v, p) in powers:
+                val = val * args[:, v] ** p
+            out[:, c] += val
+    return out
+
+
+def rhs_jacobian_oracle(spec, args):
+    """Oracle: d f / d args on rows of args -> (N, n, m*n), by the product
+    rule over the factor positions of each term (a variable listed twice
+    contributes once per position)."""
+    args = np.atleast_2d(np.asarray(args, dtype=float))
+    N = args.shape[0]
+    jac = np.zeros((N, spec.n, spec.m * spec.n))
+    if spec.linear is not None:
+        for j in range(spec.m):
+            jac[:, :, j * spec.n : (j + 1) * spec.n] += spec.linear[j]
+    for c, comp_terms in enumerate(spec.terms):
+        for coeff, powers in comp_terms:
+            for i, (v, p) in enumerate(powers):
+                val = np.full(N, float(coeff) * p) * args[:, v] ** (p - 1)
+                for j, (w, q) in enumerate(powers):
+                    if j != i:
+                        val = val * args[:, w] ** q
+                jac[:, c, v] += val
+    return jac
+
+
 def zero_jacobian_mode_blocks(spec, K):
     """The Newton Jacobian at the zero solution of a period-2*pi spec,
     restricted to the cos/sin rows of each mode k = 0..K: {k: square block}."""

@@ -18,6 +18,7 @@ from eqdeg.verifier import (
     newton_solve,
     normalize,
     residual,
+    _invariant_rows,
 )
 
 from eqdeg.cli import bundled_example_path, load_config, run_analyze
@@ -29,6 +30,8 @@ from conftest import (
     dense_delayed_arguments,
     hexagon_delay_matrices,
     projection_matrix,
+    rhs_jacobian_oracle,
+    rhs_oracle,
     second_derivative_matrix,
     zero_jacobian_mode_blocks,
 )
@@ -76,6 +79,13 @@ def test_reversibility_and_oddness_validation():
     even = SystemSpec(n=1, m=1, period=2 * pi, terms=[[(1.0, ((0, 2),))]])
     with pytest.raises(SpecError):
         even.check_odd()
+    # tol is absolute: numpy's default rtol of 1e-5 would accept blocks 1
+    # and m - 1 that differ by 5e-6 relative
+    base = np.array([[1.0, 0.2], [0.2, 1.0]])
+    near = SystemSpec(n=2, m=3, period=2 * pi, linear=[np.eye(2), base, base * (1 + 5e-6)])
+    with pytest.raises(SpecError):
+        near.check_reversible()
+    near.check_reversible(tol=1e-5)
 
 
 def test_residual_zero_solution():
@@ -167,6 +177,39 @@ def test_jacobian_matches_finite_differences():
             bumped[:, v] += eps
             fd = (spec.rhs(bumped) - spec.rhs(args)) / eps
             assert np.max(np.abs(fd - jac[:, :, v])) < 5e-5
+
+
+def test_rhs_and_jacobian_match_the_per_term_oracles():
+    # a term with a repeated variable (x_1 * x_1^2), one with three
+    # variables over two delay blocks, a constant term and a linear part
+    mixed = SystemSpec(
+        n=2,
+        m=2,
+        period=2 * pi,
+        linear=[[[-2.0, 0.3], [0.3, -2.0]], [[0.5, 0.1], [0.0, 0.5]]],
+        terms=[
+            [(0.7, ((1, 1), (1, 2))), (-0.4, ((0, 1), (3, 2), (2, 1))), (0.25, ())],
+            [(1.3, ((2, 3),)), (0.6, ((1, 1), (0, 1), (1, 1)))],
+        ],
+    )
+    rng = np.random.default_rng(8)
+    for spec in (small_spec(), mixed, coupled_spec(3, 6, rng), d6_linear_spec(cubic=0.5)):
+        for rows in (1, 37):
+            args = rng.standard_normal((rows, spec.m * spec.n))
+            for got, ref in (
+                (spec.rhs(args), rhs_oracle(spec, args)),
+                (spec.rhs_jacobian(args), rhs_jacobian_oracle(spec, args)),
+            ):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        one = rng.standard_normal(spec.m * spec.n)
+        assert spec.rhs(one).shape == (1, spec.n)
+
+
+def test_terms_must_be_powers_of_variables():
+    for factor in ((4, 1), (-1, 1), (0.5, 1), (0, -1), (0, 1.5)):
+        with pytest.raises(SpecError):
+            SystemSpec(n=2, m=2, period=2 * pi, terms=[[(1.0, (factor,))], []])
 
 
 def einsum_mode_jacobian(jac_pointwise, P, PD2, B):
@@ -263,6 +306,34 @@ def test_mode_jacobian_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * J.nbytes
+
+
+def row_masks(K):
+    """The four row masks Newton can use: every row, the constant and cos
+    rows, the odd-k rows, and the odd-k cos rows."""
+    k = np.concatenate([np.arange(K + 1), np.arange(1, K + 1)])
+    cos = np.arange(2 * K + 1) <= K
+    return {"all": np.ones(2 * K + 1, dtype=bool), "cos": cos, "odd": k % 2 == 1, "odd-cos": cos & (k % 2 == 1)}
+
+
+@pytest.mark.parametrize("K", [4, 7, 64])
+def test_restricted_mode_jacobian_is_the_slice_of_the_full_one(K):
+    n, m = 3, 6
+    jac_pointwise = np.random.default_rng(K).standard_normal((4 * K + 1, n, m * n))
+    full = _mode_jacobian(jac_pointwise)
+    for name, keep in row_masks(K).items():
+        J = _mode_jacobian(jac_pointwise, keep)
+        kept = int(np.count_nonzero(keep))
+        assert J.shape == (kept, n, kept, n), name
+        assert np.array_equal(J, full[keep][:, :, keep]), name
+
+
+def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
+    K = 3
+    keep = np.zeros(2 * K + 1, dtype=bool)
+    keep[[1, K + 2]] = True  # cos 1 and sin 2
+    with pytest.raises(ValueError):
+        _mode_jacobian(np.zeros((4 * K + 1, 1, 1)), keep)
 
 
 def test_newton_linear_converges_to_zero():
@@ -429,19 +500,67 @@ def test_newton_small_norm_with_large_grid_residual_is_not_converged():
     assert f"{rep.residual_sup:.3g}" in rep.message
 
 
+def test_newton_from_a_seed_with_a_sin_row_runs_in_the_full_space():
+    # a sin 2t entry breaks both fixed spaces, so every row is solved for
+    K = 32
+    spec = d6_linear_spec(cubic=0.5)
+    seed = hexagon_seed(K)
+    seed.coeffs[K + 2, 0] = 1e-3
+    assert _invariant_rows(spec, seed.coeffs).all()
+    sol, rep = newton_solve(spec, seed, tol=1e-12, max_iter=100)
+    assert rep.converged, rep.message
+    assert not sol.is_constant()
+
+
+def test_a_nearly_reversible_spec_is_not_reduced_by_reversal():
+    # block 1 differs from block m - 1 by 1e-9 relative: check_reversible
+    # rejects it, so the sin rows are solved for, while oddness still
+    # drops the even-k rows
+    K = 8
+    lin = [np.array(a, dtype=float) for a in hexagon_delay_matrices()]
+    lin[1] = lin[1] * (1 + 1e-9)
+    spec = SystemSpec(n=6, m=6, period=2 * pi, linear=lin, terms=[[(0.5, ((c, 3),))] for c in range(6)])
+    with pytest.raises(SpecError):
+        spec.check_reversible()
+    spec.check_odd()
+    assert np.array_equal(_invariant_rows(spec, hexagon_seed(K).coeffs), row_masks(K)["odd"])
+
+
+def test_forcing_modes_outside_the_fixed_rows_keep_them():
+    spec = d6_linear_spec(cubic=0.5)
+    K = 4
+    seed = hexagon_seed(K)
+    forcing_modes = np.zeros_like(seed.coeffs)
+    assert np.array_equal(_invariant_rows(spec, seed.coeffs, forcing_modes), row_masks(K)["odd-cos"])
+    forcing_modes[2, 3] = 1e-3  # cos 2t: even k
+    assert np.array_equal(_invariant_rows(spec, seed.coeffs, forcing_modes), row_masks(K)["cos"])
+    forcing_modes[K + 1, 3] = 1e-3  # sin t
+    assert _invariant_rows(spec, seed.coeffs, forcing_modes).all()
+
+
 def test_end_to_end_orbit_and_symmetry(d6ctx):
     from eqdeg import o2gamma as og
 
     spec = d6_linear_spec(cubic=0.5)
     spec.check_reversible()
     spec.check_odd()
-    sol, rep = newton_solve(spec, hexagon_seed(32), tol=1e-12, max_iter=100)
+    K = 32
+    seed = hexagon_seed(K)
+    # reversible, odd and seeded with cos t: Newton solves only the odd cos
+    # rows (16 modes x 6 nodes), and the other rows stay exactly 0
+    keep = _invariant_rows(spec, seed.coeffs)
+    assert np.array_equal(keep, row_masks(K)["odd-cos"])
+    sol, rep = newton_solve(spec, seed, tol=1e-12, max_iter=100)
     assert isinstance(rep, NewtonReport)
     assert rep.converged, rep.message
+    assert rep.iterations == 5
     assert not sol.is_constant()
     assert rep.residual_sup < 1e-8
+    assert not sol.coeffs[~keep].any()
 
     syms = isotropy_of_trajectory(sol, hexagon_perms(), tol=1e-6, theta_denominator=12)
+    assert len(syms) == 16
+    assert max(s.error for s in syms) <= 1e-12
     guaranteed = []
     for l in (0, 3, 4, 5):
         guaranteed.extend(og.maximal_orbit_types(d6ctx, 1, l))
