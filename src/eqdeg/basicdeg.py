@@ -1,12 +1,16 @@
 """Basic degrees of the blocks W_k (x) V_l and their Burnside products.
 
-The degree of -id on the unit ball of one irreducible block is computed
-by the top-down recurrence over the block's orbit-type lattice:
+The degree of -id on the unit ball of one irreducible block is the ring
+element sum n_L (L) whose mark at every orbit type H is (-1)^dim Fix(H)
+(Balanov-Krawcewicz-Steinlein, Applied Equivariant Degree, 2006):
 
-    n_H = ( (-1)^dim Fix(H) - sum_{(L) > (H)} n_L * n(H,L) * |W(L)| ) / |W(H)|
+    sum_{(L) >= (H)} n_L * mark(H, L) = (-1)^dim Fix(H),
 
-Every division must be exact; a remainder means the lattice data is wrong
-and is reported loudly.  Products reduce exponents mod 2 first (each basic
+solved top-down over the block's orbit types and the full group G, with
+mark(H, H) = |W(H)|.  Every division must be exact; a remainder means the
+lattice data is wrong and is reported loudly.  Each class is solved once,
+and the classes after H have mark 0 at H, so the relation holds by
+construction.  Products reduce exponents mod 2 first (each basic
 degree squares to the identity class).
 """
 
@@ -21,8 +25,8 @@ from .o2gamma import (
     fixed_dim,
     fold,
     full_group,
+    mark,
     memoised,
-    n_count_amalgam,
     orbit_types,
     weyl_order,
 )
@@ -118,74 +122,43 @@ def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
     return GRingElement(ctx, {fold(c, k): v for c, v in base.coeffs.items()})
 
 
-def _recurrence(ctx, lattice_classes, dims, ncounts, weyls) -> dict:
-    """Top-down coefficients over one orbit-type lattice (plus the full group).
-
-    lattice_classes are ordered by decreasing subgroup size, full group first.
-    """
-    coeffs: dict = {}
-    for i, cls in enumerate(lattice_classes):
-        d_h = -1 if dims[i] % 2 else 1
-        above = 0
-        for j in range(i):
-            n_hl = ncounts(i, j)
-            if n_hl:
-                above += coeffs[lattice_classes[j]] * n_hl * weyls[j]
-        num = d_h - above
-        if num % weyls[i]:
-            raise RecurrenceError(
-                f"recurrence is non-integral at {lattice_classes[i]}: "
-                f"{num} not divisible by Weyl order {weyls[i]}"
-            )
-        coeffs[cls] = num // weyls[i]
-    return coeffs
-
-
 def _basic_degree_base(ctx: GammaContext, k: int, l: int) -> GRingElement:
-    """The recurrence over the orbit types of W_k (x) V_l, k in {0, 1}."""
-    g_cls = full_group(ctx)
-    types = orbit_types(ctx, k, l)
-    ordered = [g_cls] + sorted(types, key=lambda c: (-c.size, c.key))
-    dims = [0] + [fixed_dim(c, k, l) for c in ordered[1:]]
-    weyls = [1] + [weyl_order(c) for c in ordered[1:]]
-
-    def ncounts(i, j):
-        if j == 0:
-            return 1
-        return n_count_amalgam(ordered[i], ordered[j])
-
-    coeffs = _recurrence(ctx, ordered, dims, ncounts, weyls)
-    _verify_recurrence(ordered, dims, ncounts, weyls, coeffs)
+    """Solve the marks identity over the orbit types of W_k (x) V_l, k in
+    {0, 1}, and the full group, larger classes first (no finite class lies
+    above an O(2) x K class)."""
+    ordered = sorted(
+        {full_group(ctx), *orbit_types(ctx, k, l)},
+        key=lambda c: (c.kind == "fin", -c.size, c.key),
+    )
+    coeffs: dict = {}
+    for cls in ordered:
+        num = (-1) ** fixed_dim(cls, k, l) - sum(
+            n * mark(cls, above) for above, n in coeffs.items() if n
+        )
+        w = weyl_order(cls)
+        if num % w:
+            raise RecurrenceError(
+                f"recurrence is non-integral at {cls.name()}: "
+                f"{num} not divisible by Weyl order {w}"
+            )
+        coeffs[cls] = num // w
     return GRingElement(ctx, coeffs)
 
 
-def _verify_recurrence(ordered, dims, ncounts, weyls, coeffs) -> None:
-    """Re-check the defining relation for every class in the lattice."""
-    for i, cls in enumerate(ordered):
-        total = coeffs[cls] * weyls[i]
-        for j in range(i):
-            total += coeffs[ordered[j]] * ncounts(i, j) * weyls[j]
-        expected = -1 if dims[i] % 2 else 1
-        if total != expected:
-            raise RecurrenceError(
-                f"degree coefficients violate the defining relation at {cls.name()}"
-            )
-
-
 def x_o(ctx: GammaContext, k: int, l: int, cls: AmalgamatedClass) -> int:
-    """Top-coefficient magnitude of a maximal class: 0, 1 or 2."""
-    dim = fixed_dim(cls, k, l)
-    if dim % 2 == 0:
-        return 0
+    """Top-coefficient magnitude of a maximal class H: 0, 1 or 2.
+
+    Only G, with n_G = 1 and mark 1, lies above H, so the marks identity
+    gives n_H = ((-1)^dim Fix(H) - 1) / |W(H)|, and x_o = |n_H|.
+    """
+    num = (-1) ** fixed_dim(cls, k, l) - 1
     w = weyl_order(cls)
-    if w == 2:
-        return 1
-    if w == 1:
-        return 2
-    raise ValueError(
-        f"maximal class {cls.name()} has odd fixed dimension but Weyl order {w}; "
-        "expected 1 or 2"
-    )
+    if num % w:
+        raise ValueError(
+            f"maximal class {cls.name()} has odd fixed dimension but Weyl order {w}; "
+            "expected 1 or 2"
+        )
+    return -num // w
 
 
 def degree_product(ctx: GammaContext, factors) -> GRingElement:

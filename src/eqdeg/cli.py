@@ -150,13 +150,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(section: dict, key: str, default, kind=float):
-    """section[key] converted by kind, or default when null or absent."""
-    value = section.get(key)
+def _real(value) -> float:
+    """value as a float; nan for a bool or what float() refuses."""
     try:
-        return default if value is None else kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        return nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        return nan
+
+
+def _system_value(system: dict, key: str, default, integer: bool = False):
+    """system[key], or default when null or absent: an int (not a bool)
+    when integer, else a finite number > 0."""
+    value = system.get(key)
+    if value is None:
+        return default
+    if integer:
+        if not _is_int(value):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return value
+    number = _real(value)
+    if not 0 < number < inf:  # nan fails both comparisons
+        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+    return number
 
 
 def _parse_value(v):
@@ -324,10 +339,7 @@ def _options(config) -> dict:
 def _tolerance(value) -> float:
     """A zero-test tolerance: a finite number >= 0, where 0 and null pick
     the default."""
-    try:
-        tol = nan if isinstance(value, bool) else float(DEFAULT_TOL if value is None else value)
-    except (TypeError, ValueError):
-        tol = nan
+    tol = _real(DEFAULT_TOL if value is None else value)
     if not 0 <= tol < inf:  # nan fails both comparisons
         raise ConfigError(f"tol must be a finite number >= 0, got {value!r}")
     return tol or DEFAULT_TOL
@@ -427,14 +439,15 @@ def run_verify(config) -> dict:
     lin = config["linearization"]
     if not isinstance(lin, dict) or "matrices" not in lin:
         raise ConfigError("verification needs the linearization as 'matrices'")
-    seed_l = _number(system, "seed_component", 5, int) - 1
+    seed_l = _system_value(system, "seed_component", 5, integer=True) - 1
     cubic = float(_parse_value(system.get("cubic", "1/2")))
-    radius = _number(system, "radius", 4.0)
-    samples = _number(system, "growth_samples", 500, int)
-    K = _number(system, "fourier_modes", 32, int)
-    amp = _number(system, "seed_amplitude", 4.0)
-    if K < 1:
-        raise ConfigError("fourier_modes must be a positive integer")
+    radius = _system_value(system, "radius", 4.0)
+    samples = _system_value(system, "growth_samples", 500, integer=True)
+    K = _system_value(system, "fourier_modes", 32, integer=True)
+    amp = _system_value(system, "seed_amplitude", 4.0)
+    for key, count in (("fourier_modes", K), ("growth_samples", samples)):
+        if count < 1:
+            raise ConfigError(f"{key} must be a positive integer")
     result = run_analyze(config)
     if result.exit_code != EXIT_OK:
         raise ConfigError("verification requires a nondegenerate analysis")

@@ -28,17 +28,17 @@ ranked by (numerator, denominator), and (u, s, g) has code
 (rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
 stand for, and conjugation by g in Gamma' is one table lookup per code
 (`_grid_codes`).  The same walk counts the conjugates equal to the least
-one, which gives the Weyl order.  Containment counts are read off the
-Burnside product: the coefficient of (L) in (L) * (H) is the mark
+one, which gives the Weyl order.  Every containment question is read off
+one `mark`: the coefficient of (L) in (L) * (H) is the mark
 |(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
 A product of two finite classes takes one term per double coset of the
 Gamma'-parts of their rotation elements, weighted by the coset's size.
 
 Classes are interned per context, so they compare by identity.  Every
 exact function of a context or class (code tables per grid, keys, fixed
-dimensions, character powers, Weyl orders, containment, products,
-candidates, basic degrees) is `memoised`: its results live in the one
-memo of the context, keyed by the function and its arguments.
+dimensions, character powers, Weyl orders, marks, double cosets, products,
+candidates, basic degrees) is `memoised`: its results live in the one memo
+of the context, keyed by the function and its arguments.
 """
 
 from __future__ import annotations
@@ -467,7 +467,7 @@ def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Weyl groups, containment, counts
+# Weyl groups and marks
 
 
 @memoised
@@ -484,26 +484,31 @@ def weyl_order(cls: AmalgamatedClass) -> int:
 
 
 @memoised
-def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
-    return n_count_amalgam(c1, c2) > 0
+def mark(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
+    """The mark |(G/c2)^c1| = n(c1, c2) * |W(c2)|: how many cosets of a
+    representative of c2 a representative of c1 fixes.
 
-
-@memoised
-def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
-    """Number of conjugates of c2 containing a fixed representative of c1.
-
-    No class of the product (c1) * (c2) lies above c1, so the coefficient
-    of (c1) there is the mark |(G/c2)^c1| = n(c1, c2) * |W(c2)|.
+    No class of the product (c1) * (c2) lies above c1, so the mark is the
+    coefficient of (c1) there (tom Dieck, Transformation Groups, IV.1).
     """
     if c1.kind == "fin" and not c1.is_dihedral():
-        raise InfiniteWeylError("containment counts need a reflection in the smaller class")
+        raise InfiniteWeylError("marks need a reflection in the smaller class")
     if c1.kind == "o2" and c2.kind == "fin":
         return 0
     if c1.kind == c2.kind and c2.size % c1.size:
         return 0
-    mark = class_product(c1, c2).get(c1, 0)
+    return class_product(c1, c2).get(c1, 0)
+
+
+def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
+    return mark(c1, c2) > 0
+
+
+def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
+    """Number of conjugates of c2 containing a fixed representative of c1."""
+    m = mark(c1, c2)
     # a class that contains c1 has a reflection, hence a finite Weyl group
-    return mark // weyl_order(c2) if mark else 0
+    return m // weyl_order(c2) if m else 0
 
 
 # ---------------------------------------------------------------------------
@@ -674,21 +679,21 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     return _product_fin_fin(ctx, c1, c2)
 
 
-def _double_cosets(ctx, a: frozenset, b: frozenset):
+@memoised
+def _double_cosets(ctx, a: frozenset, b: frozenset) -> tuple:
     """Each double coset A g B of Gamma' as (g, g^-1 A g, its size).
 
-    The size is |A||B| / |B ∩ g^-1 A g|; once the walk is done, the sizes
-    must sum to |Gamma'|, else a double coset was missed and the product
-    built from them would be wrong.
+    The size is |A||B| / |B ∩ g^-1 A g|; the sizes must sum to |Gamma'|,
+    else a double coset was missed and the product built from them would
+    be wrong.
     """
-    covered = 0
+    cosets = []
     for g in ctx.group.double_coset_reps(a, b):
         target = frozenset(ctx.conj[ctx.inv[g]][x] for x in a)
-        size = len(a) * len(b) // len(b & target)
-        covered += size
-        yield g, target, size
-    if covered != ctx.n:
+        cosets.append((g, target, len(a) * len(b) // len(b & target)))
+    if sum(size for (_, _, size) in cosets) != ctx.n:
         raise AssertionError("double cosets do not cover Gamma' in Burnside product")
+    return tuple(cosets)
 
 
 def _product_o2(ctx, c_o2, other) -> dict:

@@ -100,7 +100,8 @@ class SystemSpec:
 
     def check_reversible(self, tol: float = 0.0) -> None:
         """Delayed arguments must enter symmetrically: block j paired with
-        block m - j, the linear blocks equal within the absolute tol."""
+        block m - j, the linear blocks and the term coefficients equal
+        within the absolute tol."""
         if self.linear is not None:
             for j in range(1, self.m):
                 if not np.allclose(
@@ -116,7 +117,7 @@ class SystemSpec:
                 mirrored = tuple(
                     sorted((self._mirror_var(v), p) for (v, p) in key)
                 )
-                if abs(bag.get(mirrored, 0.0) - coeff) > max(tol, 1e-12):
+                if abs(bag.get(mirrored, 0.0) - coeff) > tol:
                     raise SpecError(
                         f"component {c}: term {key} has no mirrored partner"
                     )

@@ -109,7 +109,7 @@ def test_degree_product_reductions(d6ctx):
 
 
 def test_recurrence_consistency_reverification(d6ctx):
-    # the recurrence is re-verified internally; failure raises
+    # every division of the marks identity is exact; a remainder raises
     for (k, l) in [(0, 0), (1, 4), (2, 5)]:
         basic_degree(d6ctx, k, l)  # must not raise RecurrenceError
 

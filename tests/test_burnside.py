@@ -14,6 +14,7 @@ import pytest
 from eqdeg import o2gamma as og
 from eqdeg.basicdeg import GRingElement
 from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.cli import bundled_example_path, load_config, run_analyze
 from eqdeg.o2gamma import GammaContext, class_product, make_o2
 from eqdeg.permgroup import Group
 
@@ -155,6 +156,21 @@ def test_product_rejects_double_cosets_that_miss_the_group(monkeypatch):
     for c1, c2 in itertools.product(fins, repeat=2):
         with pytest.raises(AssertionError, match="do not cover"):
             og._product_fin_fin(signed_ctx, c1, c2)
+
+
+def test_double_cosets_are_walked_once_per_pair(monkeypatch):
+    # the bundled analysis asks for the double cosets of a few hundred pairs
+    # of subgroups of Gamma' thousands of times; the context keeps each walk
+    walks = []
+    reps = Group.double_coset_reps
+
+    def spy(self, a, b):
+        walks.append((a, b))
+        return reps(self, a, b)
+
+    monkeypatch.setattr(Group, "double_coset_reps", spy)
+    run_analyze(load_config(bundled_example_path()))
+    assert walks and len(walks) == len(set(walks))
 
 
 def test_lattice_mismatch_rejected():

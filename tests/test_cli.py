@@ -558,6 +558,12 @@ def z2_config(generators=("(1 2)",), **table):
         ("analyze", d3_config(representation={"images": 5}), "representation images must be"),
         ("analyze", "group delays linearization", "config must be a JSON object"),
         ("verify", verify_config(seed_component=1, fourier_modes=0), "fourier_modes must be"),
+        ("verify", verify_config(seed_component=1, radius="nan"), "radius must be a finite"),
+        ("verify", verify_config(seed_component=1, growth_samples=0), "growth_samples must be"),
+        ("verify", verify_config(seed_component=1, fourier_modes=8.9), "fourier_modes must be"),
+        ("verify", verify_config(seed_component=1, fourier_modes=True), "fourier_modes must be"),
+        ("verify", verify_config(seed_component=1, seed_amplitude="inf"), "seed_amplitude must be"),
+        ("verify", verify_config(seed_component="1"), "seed_component must be an integer"),
         ("analyze", z2_config(generators=5), "generators must be"),
         ("analyze", z2_config(generators=[5]), "generators must be"),
         ("analyze", z2_config(class_sizes=None), "needs class_reps, class_sizes and rows"),
@@ -572,6 +578,12 @@ def z2_config(generators=("(1 2)",), **table):
         "images-not-list",
         "config-is-string",
         "zero-fourier-modes",
+        "nan-radius",
+        "zero-growth-samples",
+        "float-fourier-modes",
+        "bool-fourier-modes",
+        "infinite-seed-amplitude",
+        "string-seed-component",
         "generators-not-list",
         "generator-is-integer",
         "table-without-class-sizes",

@@ -18,6 +18,7 @@ from eqdeg.o2gamma import (
     full_group,
     make_fin,
     make_o2,
+    mark,
     maximal_orbit_types,
     mode1_candidates,
     n_count_amalgam,
@@ -375,6 +376,56 @@ def test_weyl_orders_and_counts_match_brute_force(code_ctxs, name):
             assert n_count_amalgam(c1, c2) == expected, (c1.name(), c2.name())
 
 
+def _brute_mark(ctx, h, cls, conjugates):
+    """mark(h, cls) = |(G/cls)^h| from conjugates, not from products.
+
+    Into O(2) x K: the mark of h's Gamma'-part in K, from the lattice.
+    Into a finite class: every conjugate of cls by an element of
+    O(2) x Gamma' that can contain h has its reflections on the common
+    grid, two elements per (twist, shift, g); each coset of cls is counted
+    |cls| times.
+    """
+    lattice = ctx.lattice
+    if cls.kind == "o2":
+        return marks_row(lattice, lattice.class_of(cls.K))[lattice.class_of(h.k_part())]
+    if h.kind == "o2":
+        return 0
+    grid = lcm(h.grid, cls.grid)
+    if (cls, grid) not in conjugates:
+        conjugates[(cls, grid)] = _all_conjugates(ctx, _lifted(cls, grid), grid)
+    small = _lifted(h, grid)
+    return 2 * sum(small <= x for x in conjugates[(cls, grid)]) // cls.size
+
+
+@pytest.mark.parametrize(
+    "name, signed",
+    [("S3", True), ("D4", True), ("Z1", False), ("D1", False), ("S3", False)],
+    ids=["S3-signed", "D4-signed", "Z1", "D1", "S3"],
+)
+def test_basic_degrees_satisfy_brute_force_marks(name, signed):
+    # the basic degree of W_k (x) V_l is the element whose mark at each
+    # orbit type H (and at G) is (-1)^dim Fix(H); every row at k in {0, 1}
+    # over Gamma x Z2, and the trivial row at k = 0 over a plain Gamma,
+    # where V^G != 0 makes G itself the only orbit type
+    table = bundled_table(name)
+    if signed:
+        ctx = GammaContext.from_signed_group(SignedGroup(table))
+        blocks = [(k, l) for k in (0, 1) for l in range(len(ctx.chars))]
+    else:
+        ctx = GammaContext.from_character_table(table)
+        blocks = [(0, 0)]
+    conjugates = {}
+    for (k, l) in blocks:
+        deg = basic_degree(ctx, k, l)
+        for h in {full_group(ctx), *orbit_types(ctx, k, l)}:
+            marks = {cls: _brute_mark(ctx, h, cls, conjugates) for cls in deg.coeffs}
+            total = sum(n * marks[cls] for cls, n in deg.coeffs.items())
+            assert total == (-1) ** fixed_dim(h, k, l), (name, k, l, h.name())
+            assert all(mark(h, cls) == m for cls, m in marks.items()), (name, k, l, h.name())
+    if not signed:
+        assert basic_degree(ctx, 0, 0).render() == "-(G)"
+
+
 def _cyc_fixed_dim(cls, k, l, terms_cache):
     """Reference fixed-space dimension: the mean character summed term by
     term in cyclotomic arithmetic, one Cyc product per rotation (products
@@ -545,7 +596,7 @@ def test_memo_refuses_classes_of_another_context():
     small1, big1 = mode1_candidates(ctx1)[-1], mode1_candidates(ctx1)[0]
     small2, big2 = mode1_candidates(ctx2)[-1], mode1_candidates(ctx2)[0]
     assert small1 != small2 and big1 != big2
-    for fn in (class_product, subconjugate, n_count_amalgam):
+    for fn in (class_product, mark, subconjugate, n_count_amalgam):
         fn(small1, big1)
         for pair in ((small1, big2), (small2, big1), (big2, small1)):
             with pytest.raises(ValueError, match="different groups"):

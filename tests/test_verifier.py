@@ -86,6 +86,14 @@ def test_reversibility_and_oddness_validation():
     with pytest.raises(SpecError):
         near.check_reversible()
     near.check_reversible(tol=1e-5)
+    # term coefficients follow the same tol: at tol = 0 a mirrored partner
+    # 5e-13 off is no partner, so Newton must not drop the sin rows
+    skew = SystemSpec(
+        n=1, m=3, period=2 * pi, terms=[[(0.5, ((1, 1), (0, 2))), (0.5 + 5e-13, ((2, 1), (0, 2)))]]
+    )
+    with pytest.raises(SpecError):
+        skew.check_reversible()
+    skew.check_reversible(tol=1e-12)
 
 
 def test_residual_zero_solution():
