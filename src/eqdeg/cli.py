@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, nan, pi
+from math import inf, isfinite, nan, pi
 from pathlib import Path
 
 from . import __version__
@@ -176,8 +176,10 @@ def _system_value(system: dict, key: str, default, integer: bool = False):
 
 def _parse_value(v):
     """A config number: a string ("p/q") or an integer read exactly, a
-    float as it is."""
+    finite float as it is."""
     if isinstance(v, float):
+        if not isfinite(v):
+            raise ConfigError(f"not a finite number: {v!r}")
         return v
     if isinstance(v, (str, int)) and not isinstance(v, bool):
         try:

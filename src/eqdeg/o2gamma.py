@@ -27,9 +27,12 @@ each element on a grid M gets an integer code: the points t = u/M are
 ranked by (numerator, denominator), and (u, s, g) has code
 (rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
 stand for, and conjugation by g in Gamma' is one table lookup per code
-(`_grid_codes`).  The same walk counts the conjugates equal to the least
-one, which gives the Weyl order.  Every containment question is read off
-one `mark`: the coefficient of (L) in (L) * (H) is the mark
+(`_grid_codes`).  The walk skips the conjugates that the class's own
+elements repeat: no kappa twist, one reflection axis per orbit of its
+rotations, one g per coset of the Gamma'-parts of its rotations by 0 or
+1/2.  It counts the conjugates equal to the least one, skipped repeats
+included, which gives the Weyl order.  Every containment question is read
+off one `mark`: the coefficient of (L) in (L) * (H) is the mark
 |(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
 A product of two finite classes takes one term per double coset of the
 Gamma'-parts of their rotation elements, weighted by the coset's size.
@@ -314,31 +317,49 @@ def _grid_codes(ctx: GammaContext, grid: int):
 
 
 def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int):
-    """The conjugates of a finite subgroup, moved so a reflection axis sits
-    at 0, as lists of element codes.
+    """The conjugates of a finite subgroup H, moved so a reflection axis
+    sits at 0, as (weight, lists of element codes).
 
-    One conjugate per (kappa twist, reflection axis b, g in Gamma'): twist,
-    shift axis b onto 0, conjugate by g.  A rotation-only subgroup has no
-    axis and is taken as is.  The twist and shift loops sit outside the
-    Gamma' loop, so each call shifts and encodes only 2 * |axes| element
-    sets; conjugation by g is a table lookup per code.
+    The full walk takes one conjugate per (kappa twist, reflection axis b,
+    g in Gamma'): twist, shift axis b onto 0, conjugate by g.  When H has a
+    reflection, its own elements make most of these repeats, and only one
+    per repeat class is listed; each stands for `weight` of the full walk:
+    - conjugating by a reflection element of H maps H to itself, so the
+      kappa-twisted conjugates are the untwisted ones again;
+    - a rotation element (v, +1, x) of H gives entry(b, g) =
+      entry(b - 2v, g x), where entry(b, g) is H shifted by -b and
+      conjugated by g; so the d axes fall into gcd(2, d) orbits, and the
+      first gcd(2, d) sorted axes (b0, and b0 + grid/d for even d) meet
+      each orbit once;
+    - for x in R', the Gamma'-parts of the rotation elements with
+      2v = 0 on the grid, entry(b, g x) = entry(b, g), so one g per left
+      coset g R' is enough.
+    The weight is 2 (d / gcd(2, d)) |R'|.  A rotation-only subgroup has no
+    axis and is walked in full, weight 1.  Each listed axis is shifted and
+    encoded once; conjugation by g is a table lookup per code.
     """
     rank, _, conj_tabs = _grid_codes(ctx, grid)
     n = ctx.n
-    for base in (elems, _kappa_conj(elems, grid)):
-        for b in sorted({u for (u, s, _) in base if s == -1}) or [0]:
-            codes = [
-                (rank[u] * 2 + (s == 1)) * n + g
-                for (u, s, g) in _shift_refl(base, -b, grid)
-            ]
-            for tab in conj_tabs:
-                yield list(map(tab.__getitem__, codes))
+    axes = sorted({u for (u, s, _) in elems if s == -1})
+    if axes:
+        bases = [_shift_refl(elems, -b, grid) for b in axes[: gcd(2, len(axes))]]
+        r_prime = {g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0}
+        tabs = [conj_tabs[min(c)] for c in _cosets_of(ctx, range(n), r_prime)]
+        weight = 2 * len(axes) // len(bases) * len(r_prime)
+    else:
+        bases = [elems, _kappa_conj(elems, grid)]
+        tabs, weight = conj_tabs, 1
+    conjugates = []
+    for base in bases:
+        codes = [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in base]
+        conjugates += [list(map(tab.__getitem__, codes)) for tab in tabs]
+    return weight, conjugates
 
 
 @memoised
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
-    """The key of the class of a finite subgroup H, and how many aligned
-    conjugates equal its least one.
+    """The key of the class of a finite subgroup H, and how many conjugates
+    of the full walk of `_aligned_conjugates` equal its least one.
 
     The key is that least conjugate, as sorted (numerator, denominator, s,
     g); it does not depend on the grid.  The elements that carry H onto one
@@ -346,9 +367,10 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
     is |N(H)| / 2 when H has a reflection.
     """
     decode = _grid_codes(ctx, grid)[1]
-    conjugates = [sorted(x) for x in _aligned_conjugates(ctx, elems, grid)]
+    weight, conjugates = _aligned_conjugates(ctx, elems, grid)
+    conjugates = [sorted(x) for x in conjugates]
     best = min(conjugates)
-    return ("fin", tuple(decode[c] for c in best)), conjugates.count(best)
+    return ("fin", tuple(decode[c] for c in best)), weight * conjugates.count(best)
 
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
@@ -479,7 +501,8 @@ def weyl_order(cls: AmalgamatedClass) -> int:
         raise InfiniteWeylError(
             "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
         )
-    # |W(H)| = |N(H)| / |H|, with |N(H)| / 2 counted by the key walk
+    # |W(H)| = |N(H)| / |H|, with |N(H)| / 2 counted by the key walk (its
+    # walked count times the repeats that H's own elements make)
     return 2 * _fin_key(ctx, cls.elems, cls.grid)[1] // cls.size
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from eqdeg.chartab import SignedGroup, bundled_table, isotypic_multiplicities, permutation_character
 from eqdeg.ddedeg import LinearizationData, SpectralTable, coupling_coefficient
+from eqdeg import o2gamma as og
 from eqdeg.o2gamma import GammaContext
 from eqdeg.permgroup import p_mul
 
@@ -62,6 +63,34 @@ Q8_TABLE = {
         [2, -2, 0, 0, 0],
     ],
 }
+
+
+def three_delay_config(group, leading):
+    """mu[l] = [v_l, -1, -1] on every character row l of a preset group."""
+    mu = {str(l + 1): [v, "-1", "-1"] for l, v in enumerate(leading)}
+    return {
+        "group": group,
+        "representation": "natural",
+        "delays": 3,
+        "linearization": {"mu": mu},
+    }
+
+
+def full_key_walk(ctx, elems, grid):
+    """Oracle for `o2gamma._fin_key`: the least aligned conjugate and how
+    many equal it, over every (kappa twist, reflection axis, g in Gamma')
+    with nothing skipped."""
+    rank, decode, conj_tabs = og._grid_codes(ctx, grid)
+    conjugates = []
+    for base in (elems, og._kappa_conj(elems, grid)):
+        for b in sorted({u for (u, s, _) in base if s == -1}) or [0]:
+            codes = [
+                (rank[u] * 2 + (s == 1)) * ctx.n + g
+                for (u, s, g) in og._shift_refl(base, -b, grid)
+            ]
+            conjugates += [sorted(tab[c] for c in codes) for tab in conj_tabs]
+    best = min(conjugates)
+    return ("fin", tuple(decode[c] for c in best)), conjugates.count(best)
 
 
 def closed_form_resonances(data):

@@ -24,7 +24,7 @@ from eqdeg.cli import (
     validate_report,
 )
 
-from conftest import Q8_GENERATORS, Q8_TABLE
+from conftest import Q8_GENERATORS, Q8_TABLE, three_delay_config
 
 
 def report_sha256(result):
@@ -383,17 +383,6 @@ def test_triangle_network_pipeline():
     )
 
 
-def three_delay_config(group, leading):
-    """mu[l] = [v_l, -1, -1] on every character row l of a preset group."""
-    mu = {str(l + 1): [v, "-1", "-1"] for l, v in enumerate(leading)}
-    return {
-        "group": group,
-        "representation": "natural",
-        "delays": 3,
-        "linearization": {"mu": mu},
-    }
-
-
 @pytest.mark.parametrize(
     "group, leading, digest",
     [
@@ -554,6 +543,17 @@ def z2_config(generators=("(1 2)",), **table):
             d3_config(linearization={"matrices": [[*D3_MATRIX[:2], 5]]}),
             "expected a list of values, got 5",
         ),
+        (
+            "analyze",
+            d3_config(linearization={"matrices": [[*D3_MATRIX[:2], ["3/10", float("nan"), "-2"]]]}),
+            "not a finite number: nan",
+        ),
+        (
+            "analyze",
+            d3_config(linearization={"mu": {"1": [float("nan")], "3": ["-2"]}}),
+            "not a finite number: nan",
+        ),
+        ("verify", verify_config(seed_component=1, cubic=float("nan")), "not a finite number: nan"),
         ("analyze", d3_config(options={"k_max": "5"}), "k_max and s are integers"),
         ("analyze", d3_config(representation={"images": 5}), "representation images must be"),
         ("analyze", "group delays linearization", "config must be a JSON object"),
@@ -574,6 +574,9 @@ def z2_config(generators=("(1 2)",), **table):
         "zero-denominator",
         "null-matrix-entry",
         "matrix-row-not-list",
+        "nan-matrix-entry",
+        "nan-mu",
+        "nan-cubic",
         "k-max-string",
         "images-not-list",
         "config-is-string",

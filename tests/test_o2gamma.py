@@ -7,6 +7,7 @@ import pytest
 from eqdeg import o2gamma as og
 from eqdeg.basicdeg import basic_degree
 from eqdeg.chartab import SignedGroup, bundled_table
+from eqdeg.cli import bundled_example_path, load_config, run_analyze
 from eqdeg.cyclotomic import Cyc
 from eqdeg.permgroup import Group
 from eqdeg.o2gamma import (
@@ -27,7 +28,7 @@ from eqdeg.o2gamma import (
     weyl_order,
 )
 
-from conftest import marks_row
+from conftest import full_key_walk, marks_row, three_delay_config
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +356,29 @@ def test_canonical_keys_match_tuple_serialisation(code_ctxs, name):
             int(rng.integers(ctx.n)),
         )
         assert make_fin(ctx, moved, grid) is base, base.name()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        None,
+        three_delay_config("D5", ["-15/2", "-13/4", "-17/3", "-1/3"]),
+        three_delay_config("S4", ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2"]),
+    ],
+    ids=["D6-bundled", "D5", "S4"],
+)
+def test_key_walk_matches_the_full_walk(config):
+    # the key walk skips the conjugates that H's own elements repeat; its
+    # key and count must be those of the full walk, for every finite class
+    # an analysis interns: the bundled D6 example, D5 (an odd d has one
+    # axis orbit) and S4 (a non-abelian Gamma')
+    result = run_analyze(config or load_config(bundled_example_path()))
+    ctx = result.ctx
+    classes = [c for c in ctx._interned.values() if c.kind == "fin"]
+    assert classes
+    for cls in classes:
+        walked = og._fin_key(ctx, cls.elems, cls.grid)
+        assert walked == full_key_walk(ctx, cls.elems, cls.grid), cls.name()
 
 
 @pytest.mark.parametrize("name", ["D4", "S3"])
