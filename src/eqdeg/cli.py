@@ -198,7 +198,7 @@ def _parse_values(value, depth: int):
     return [_parse_values(v, depth - 1) for v in value]
 
 
-def _build_linearization(config, table, decomposition) -> LinearizationData:
+def _build_linearization(config, table, decomposition, tol) -> LinearizationData:
     lin = config["linearization"]
     m = config["delays"]
     if not isinstance(lin, dict):
@@ -207,7 +207,7 @@ def _build_linearization(config, table, decomposition) -> LinearizationData:
         mats = _parse_values(lin["matrices"], 3)
         if len(mats) != m:
             raise ConfigError(f"expected {m} matrices, got {len(mats)}")
-        return LinearizationData.from_matrices(table, decomposition, mats)
+        return LinearizationData.from_matrices(table, decomposition, mats, tol)
     if "mu" in lin:
         if not isinstance(lin["mu"], dict):
             raise ConfigError("mu must map character rows to lists of values")
@@ -348,11 +348,12 @@ def _tolerance(value) -> float:
 
 
 def _spectral_table(config, table, decomposition, k_max=None, tol=None):
-    """Linearization data and block sign table of a config."""
-    lin = _build_linearization(config, table, decomposition)
+    """Linearization data and block sign table of a config; one tolerance
+    serves the scalarity check and the zero test of the blocks."""
     options = _options(config)
-    k_max = k_max or options.get("k_max") or default_k_max(lin)
     tol = _tolerance(tol or options.get("tol"))
+    lin = _build_linearization(config, table, decomposition, tol)
+    k_max = k_max or options.get("k_max") or default_k_max(lin)
     return lin, SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
 
 

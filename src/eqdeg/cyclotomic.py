@@ -203,17 +203,19 @@ def _coerce(x) -> Cyc:
     raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
 
 
+# cos(2*pi*t) at the turns t in [0, 1) where it is rational
+RATIONAL_COS = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 6): Fraction(1, 2),
+    Fraction(1, 4): Fraction(0),
+    Fraction(1, 3): Fraction(-1, 2),
+    Fraction(1, 2): Fraction(-1),
+    Fraction(2, 3): Fraction(-1, 2),
+    Fraction(3, 4): Fraction(0),
+    Fraction(5, 6): Fraction(1, 2),
+}
+
+
 def rational_cos_turn(t: Fraction) -> Fraction | None:
     """cos(2*pi*t) when it is rational (t a multiple of 1/1,1/2,1/3,1/4,1/6)."""
-    t = Fraction(t) % 1
-    table = {
-        Fraction(0): Fraction(1),
-        Fraction(1, 6): Fraction(1, 2),
-        Fraction(1, 4): Fraction(0),
-        Fraction(1, 3): Fraction(-1, 2),
-        Fraction(1, 2): Fraction(-1),
-        Fraction(2, 3): Fraction(-1, 2),
-        Fraction(3, 4): Fraction(0),
-        Fraction(5, 6): Fraction(1, 2),
-    }
-    return table.get(t)
+    return RATIONAL_COS.get(Fraction(t) % 1)

@@ -81,11 +81,11 @@ class LinearizationData:
         )
         for l, row in self.mu.items():
             if len(row) != self.m:
-                raise ValueError(f"component {l}: expected {self.m} delay values")
+                raise ValueError(f"component {l + 1}: expected {self.m} delay values")
             for j in range(1, self.m):
                 if not _is_zero(row[j] - row[self.m - j], 1e-12):
                     raise ReversibilityError(
-                        f"component {l}: mu_{j} != mu_{self.m - j}"
+                        f"component {l + 1}: mu_{j} != mu_{self.m - j}"
                     )
 
     @staticmethod
@@ -163,7 +163,7 @@ def _scalar_on_component(mat, cols, tol, l):
         scale = max(1.0, max(abs(x) for x in image))
         if not all(_is_zero(x - d_mu * c, tol * scale) for x, c in zip(image, col)):
             raise ScalarityError(
-                f"component {l}: matrix is not scalar on the isotypic block"
+                f"component {l + 1}: matrix is not scalar on the isotypic block"
             )
     return mu
 

@@ -16,9 +16,14 @@ central on rotations; conjugating by a rotation r_phi shifts every
 reflection parameter by 2*phi; conjugating by kappa negates parameters.
 That makes all Dn with the same n conjugate, and Zn, SO(2), O(2) normal.
 
-Everything downstream (orbit types, Weyl orders, containment counts,
-Burnside products) reduces to finite exact computations on these element
-sets; two classes on different grids are first lifted to the lcm grid.
+The Burnside ring of O(2) x Gamma' is spanned by the classes with finite
+Weyl group: O(2) x K, and the finite subgroups whose O(2)-part has a
+reflection (Balanov, Krawcewicz and Steinlein, Applied Equivariant Degree,
+2006).  So every finite class has a reflection; `make_fin` refuses a
+rotation-only subgroup.  Everything downstream (orbit types, Weyl orders,
+containment counts, Burnside products) reduces to finite exact
+computations on these element sets; two classes on different grids are
+first lifted to the lcm grid.
 
 The canonical key of a finite class is its least conjugate with a
 reflection axis at t = 0, written as sorted (numerator, denominator, s, g)
@@ -53,10 +58,6 @@ from math import gcd, lcm
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc, _reduce
 from .permgroup import Group, SubgroupClassLattice, parse_cycles, subgroup_lattice
-
-
-class InfiniteWeylError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +197,9 @@ def memoised(fn=None, *, unordered: bool = False):
 class AmalgamatedClass:
     """One conjugacy class of closed subgroups of O(2) x Gamma'.
 
-    kind "fin": finite subgroup, elems = frozenset of (u, s, g) on the grid
-                of `grid` points (t = u/grid), K = None.
+    kind "fin": finite subgroup with a reflection, elems = frozenset of
+                (u, s, g) on the grid of `grid` points (t = u/grid),
+                K = None.
     kind "o2":  O(2) x K, elems = None, grid = 1 (isotropy shapes of mode-0
                 vectors; "G" itself is the case K = Gamma').
 
@@ -222,14 +224,9 @@ class AmalgamatedClass:
         another of its kind only if its size is a multiple of the other's."""
         return len(self.elems) if self.kind == "fin" else len(self.K)
 
-    def is_dihedral(self) -> bool:
-        return self.kind == "fin" and any(s == -1 for (_, s, _) in self.elems)
-
     def h_part(self) -> tuple[str, int]:
-        """O(2)-projection as (kind, rotation order)."""
-        rot = {u for (u, s, g) in self.elems if s == 1}
-        d = len(rot)
-        return ("D", d) if self.is_dihedral() else ("Z", d)
+        """O(2)-projection as (kind, rotation order): always D_d."""
+        return ("D", len({u for (u, s, g) in self.elems if s == 1}))
 
     def k_part(self) -> frozenset:
         if self.kind == "o2":
@@ -252,37 +249,29 @@ class AmalgamatedClass:
         """Structural identity used for acceptance matching and reports."""
         if self.kind == "o2":
             return (self.kind, len(self.K))
-        hk, d = self.h_part()
-        return (hk, 2 * d if hk == "D" else d, len(self.z_part()),
+        return ("D", 2 * self.h_part()[1], len(self.z_part()),
                 self.l_order(), len(self.r_part()), len(self.k_part()))
 
     def name(self) -> str:
         ctx = self.ctx
         if self.kind == "o2":
             return f"O(2) x {ctx.subgroup_name(self.K)}" if len(self.K) < ctx.n else "G"
-        hk, d = self.h_part()
-        hname = f"{hk}{d}"
+        d = self.h_part()[1]
         z = self.z_part()
         rz = sum(1 for (u, s) in z if s == 1)
-        fz = len(z) - rz
-        if fz:
+        q = d // rz
+        if len(z) > rz:  # the O(2)-side kernel has a reflection
             zname = f"D{rz}"
-            q = d // rz
             lname = "Z1" if q == 1 else f"Z{q}"
         else:
             zname = "Z1" if rz == 1 else f"Z{rz}"
-            q = d // rz
             lname = "Z2" if q == 1 else f"D{q}"
         rname = ctx.subgroup_name(self.r_part())
         kname = ctx.subgroup_name(self.k_part())
-        return f"{hname} ^{zname} x_{lname} ^{rname} {kname}"
+        return f"D{d} ^{zname} x_{lname} ^{rname} {kname}"
 
 
 # -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --
-
-
-def _kappa_conj(elems, grid):
-    return frozenset(((-u) % grid, s, g) for (u, s, g) in elems)
 
 
 def _shift_refl(elems, delta, grid):
@@ -316,65 +305,50 @@ def _grid_codes(ctx: GammaContext, grid: int):
     return rank, decode, conj_tabs
 
 
-def _aligned_conjugates(ctx: GammaContext, elems: frozenset, grid: int):
-    """The conjugates of a finite subgroup H, moved so a reflection axis
-    sits at 0, as (weight, lists of element codes).
-
-    The full walk takes one conjugate per (kappa twist, reflection axis b,
-    g in Gamma'): twist, shift axis b onto 0, conjugate by g.  When H has a
-    reflection, its own elements make most of these repeats, and only one
-    per repeat class is listed; each stands for `weight` of the full walk:
-    - conjugating by a reflection element of H maps H to itself, so the
-      kappa-twisted conjugates are the untwisted ones again;
-    - a rotation element (v, +1, x) of H gives entry(b, g) =
-      entry(b - 2v, g x), where entry(b, g) is H shifted by -b and
-      conjugated by g; so the d axes fall into gcd(2, d) orbits, and the
-      first gcd(2, d) sorted axes (b0, and b0 + grid/d for even d) meet
-      each orbit once;
-    - for x in R', the Gamma'-parts of the rotation elements with
-      2v = 0 on the grid, entry(b, g x) = entry(b, g), so one g per left
-      coset g R' is enough.
-    The weight is 2 (d / gcd(2, d)) |R'|.  A rotation-only subgroup has no
-    axis and is walked in full, weight 1.  Each listed axis is shifted and
-    encoded once; conjugation by g is a table lookup per code.
-    """
-    rank, _, conj_tabs = _grid_codes(ctx, grid)
-    n = ctx.n
-    axes = sorted({u for (u, s, _) in elems if s == -1})
-    if axes:
-        bases = [_shift_refl(elems, -b, grid) for b in axes[: gcd(2, len(axes))]]
-        r_prime = {g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0}
-        tabs = [conj_tabs[min(c)] for c in _cosets_of(ctx, range(n), r_prime)]
-        weight = 2 * len(axes) // len(bases) * len(r_prime)
-    else:
-        bases = [elems, _kappa_conj(elems, grid)]
-        tabs, weight = conj_tabs, 1
-    conjugates = []
-    for base in bases:
-        codes = [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in base]
-        conjugates += [list(map(tab.__getitem__, codes)) for tab in tabs]
-    return weight, conjugates
-
-
 @memoised
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
-    """The key of the class of a finite subgroup H, and how many conjugates
-    of the full walk of `_aligned_conjugates` equal its least one.
+    """The key of the class of a finite subgroup H, and |N(H)| / 2.
 
-    The key is that least conjugate, as sorted (numerator, denominator, s,
-    g); it does not depend on the grid.  The elements that carry H onto one
-    conjugate form a coset of N(H), two per (twist, axis, g), so the count
-    is |N(H)| / 2 when H has a reflection.
+    The key is the least conjugate of H with a reflection axis at 0, as
+    sorted (numerator, denominator, s, g); it does not depend on the grid.
+    The full walk takes one conjugate per (kappa twist, axis b, g in
+    Gamma'): twist, shift axis b onto 0, conjugate by g.  Two elements per
+    (twist, axis, g) do that, and those giving one conjugate form a coset
+    of N(H), so |N(H)| / 2 conjugates of the full walk equal the least.
+    H's own elements make most of them repeats; the walk takes one per
+    repeat class, each standing for `weight` of the full walk:
+    - a reflection element of H maps H to itself, so the kappa-twisted
+      conjugates are the untwisted ones again;
+    - a rotation element (v, +1, x) of H gives entry(b, g) =
+      entry(b - 2v, g x), where entry(b, g) is H shifted by -b and
+      conjugated by g; so the d axes fall into gcd(2, d) orbits, which the
+      first gcd(2, d) sorted axes meet once each;
+    - for x in R', the Gamma'-parts of the rotation elements with
+      2v = 0 on the grid, entry(b, g x) = entry(b, g): one g per coset g R'.
+    The weight is 2 (d / gcd(2, d)) |R'|.  Conjugation by g is one table
+    lookup per code.  A subgroup without a reflection has an infinite Weyl
+    group and no place in the ring: ValueError.
     """
-    decode = _grid_codes(ctx, grid)[1]
-    weight, conjugates = _aligned_conjugates(ctx, elems, grid)
-    conjugates = [sorted(x) for x in conjugates]
+    axes = sorted({u for (u, s, _) in elems if s == -1})
+    if not axes:
+        raise ValueError("a finite class needs a reflection in its O(2)-part")
+    rank, decode, conj_tabs = _grid_codes(ctx, grid)
+    n = ctx.n
+    bases = axes[: gcd(2, len(axes))]
+    r_prime = {g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0}
+    tabs = [conj_tabs[min(c)] for c in _cosets_of(ctx, range(n), r_prime)]
+    conjugates = []
+    for b in bases:
+        codes = [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in _shift_refl(elems, -b, grid)]
+        conjugates += [sorted(map(tab.__getitem__, codes)) for tab in tabs]
     best = min(conjugates)
+    weight = 2 * len(axes) // len(bases) * len(r_prime)
     return ("fin", tuple(decode[c] for c in best)), weight * conjugates.count(best)
 
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
-    """The class of the finite subgroup with elements (u, s, g), t = u/grid."""
+    """The class of the finite subgroup with elements (u, s, g), t = u/grid;
+    ValueError when it has no reflection."""
     c = gcd(grid, *(u for (u, _, _) in elems))
     elems = frozenset((u // c, s, g) for (u, s, g) in elems)
     grid //= c
@@ -430,11 +404,11 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     """dim of the fixed subspace of the class inside W_k (x) V_l.
 
     For k >= 1 the block is the complexification of V_l with rotations
-    acting by exp(-2*pi*i*k*t); the rotation-only part of the subgroup has
-    a complex fixed space, and each reflection-type element acts on it as
-    a real structure, cutting the real dimension in half.  The complex
-    dimension is the mean of exp(-2*pi*i*k*u/M) * chi_l(g) over the
-    rotations (u, +1, g), summed exactly by `_mean_char`.
+    acting by exp(-2*pi*i*k*t); the rotations of the subgroup have a
+    complex fixed space, and its reflections act there as a real
+    structure, so the real fixed dimension is the complex one: the mean of
+    exp(-2*pi*i*k*u/M) * chi_l(g) over the rotations (u, +1, g), summed
+    exactly by `_mean_char`.
     """
     ctx = cls.ctx
     if k == 0:
@@ -442,8 +416,7 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     if cls.kind == "o2":
         return 0
     rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
-    cdim = _mean_char(ctx, l, rot, cls.grid, k)
-    return cdim if cls.is_dihedral() else 2 * cdim
+    return _mean_char(ctx, l, rot, cls.grid, k)
 
 
 def _mean_char(ctx: GammaContext, l: int, terms, grid: int, k: int) -> int:
@@ -497,10 +470,6 @@ def weyl_order(cls: AmalgamatedClass) -> int:
     ctx = cls.ctx
     if cls.kind == "o2":
         return ctx.lattice.classes[ctx.lattice.class_of(cls.K)].weyl_order
-    if not cls.is_dihedral():
-        raise InfiniteWeylError(
-            "rotation-only classes have infinite Weyl group in O(2) x Gamma'"
-        )
     # |W(H)| = |N(H)| / |H|, with |N(H)| / 2 counted by the key walk (its
     # walked count times the repeats that H's own elements make)
     return 2 * _fin_key(ctx, cls.elems, cls.grid)[1] // cls.size
@@ -514,8 +483,6 @@ def mark(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
     No class of the product (c1) * (c2) lies above c1, so the mark is the
     coefficient of (c1) there (tom Dieck, Transformation Groups, IV.1).
     """
-    if c1.kind == "fin" and not c1.is_dihedral():
-        raise InfiniteWeylError("marks need a reflection in the smaller class")
     if c1.kind == "o2" and c2.kind == "fin":
         return 0
     if c1.kind == c2.kind and c2.size % c1.size:
@@ -530,7 +497,6 @@ def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
 def n_count_amalgam(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
     """Number of conjugates of c2 containing a fixed representative of c1."""
     m = mark(c1, c2)
-    # a class that contains c1 has a reflection, hence a finite Weyl group
     return m // weyl_order(c2) if m else 0
 
 
@@ -690,7 +656,9 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     """(c1) * (c2) in the Burnside ring: {class: multiplicity}.
 
     Orbit types with a rotation-only O(2)-part have infinite Weyl group and
-    carry no coefficient; they are dropped.  The product is commutative, so
+    carry no coefficient: `_product_o2` drops them, and two finite classes
+    meet in a reflection whenever they meet at all.  The product is
+    commutative, so
     the memo keeps one entry per unordered pair.  The O(2) x K classes span
     the Burnside ring A(Gamma') (`eqdeg burnside`).
     """

@@ -82,8 +82,9 @@ def full_key_walk(ctx, elems, grid):
     with nothing skipped."""
     rank, decode, conj_tabs = og._grid_codes(ctx, grid)
     conjugates = []
-    for base in (elems, og._kappa_conj(elems, grid)):
-        for b in sorted({u for (u, s, _) in base if s == -1}) or [0]:
+    for kappa in (1, -1):
+        base = {(kappa * u % grid, s, g) for (u, s, g) in elems}
+        for b in sorted({u for (u, s, _) in base if s == -1}):
             codes = [
                 (rank[u] * 2 + (s == 1)) * ctx.n + g
                 for (u, s, g) in og._shift_refl(base, -b, grid)

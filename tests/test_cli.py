@@ -173,6 +173,25 @@ def test_zero_or_null_tolerance_picks_the_default(tmp_path, options, args):
     assert code == EXIT_DEGENERATE
 
 
+# D3-symmetric up to 1e-7 in two entries: not scalar within the default tol
+NEAR_D3_MATRIX = [[-5, 1, 1.0000001], [1, -5, 1], [1.0000001, 1, -5]]
+
+
+@pytest.mark.parametrize(
+    "options, args, code",
+    [({}, [], EXIT_INVALID), ({}, ["--tol", "1e-5"], EXIT_OK), ({"tol": 1e-5}, [], EXIT_OK)],
+    ids=["default", "flag", "option"],
+)
+def test_tolerance_reaches_the_scalarity_check(tmp_path, capsys, options, args, code):
+    config = d3_config(options=options, linearization={"matrices": [NEAR_D3_MATRIX]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only", *args]) == code
+    if code == EXIT_INVALID:
+        err = capsys.readouterr().err
+        assert "error: component 1: matrix is not scalar on the isotypic block" in err
+
+
 def test_malformed_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")
@@ -568,6 +587,16 @@ def z2_config(generators=("(1 2)",), **table):
         ("analyze", z2_config(generators=[5]), "generators must be"),
         ("analyze", z2_config(class_sizes=None), "needs class_reps, class_sizes and rows"),
         ("analyze", z2_config(rows=7), "needs class_reps, class_sizes and rows"),
+        (
+            "analyze",
+            d3_config(delays=3, linearization={"mu": {"1": ["-2", "-1", "-3"], "3": ["-2", 0, 0]}}),
+            "error: component 1: mu_1 != mu_2\n",
+        ),
+        (
+            "analyze",
+            d3_config(linearization={"mu": {"1": ["-2", "-1"], "3": ["-2"]}}),
+            "error: component 1: expected 1 delay values\n",
+        ),
     ],
     ids=[
         "linearization-not-object",
@@ -591,6 +620,8 @@ def z2_config(generators=("(1 2)",), **table):
         "generator-is-integer",
         "table-without-class-sizes",
         "table-rows-not-list",
+        "irreversible-mu-row",
+        "mu-row-of-wrong-length",
     ],
 )
 def test_malformed_config_values_exit_3(tmp_path, capsys, command, config, message):

@@ -12,7 +12,6 @@ from eqdeg.cyclotomic import Cyc
 from eqdeg.permgroup import Group
 from eqdeg.o2gamma import (
     GammaContext,
-    InfiniteWeylError,
     class_product,
     fixed_dim,
     fold,
@@ -83,12 +82,11 @@ def test_full_group_and_so2_weyl(d6ctx):
     assert fixed_dim(g, 1, 4) == 0
 
 
-def test_rotation_only_class_has_infinite_weyl(d6ctx):
+def test_rotation_only_subgroup_is_refused(d6ctx):
+    # its Weyl group is infinite, so it is no class of the Burnside ring
     e = d6ctx.identity
-    cyc = make_fin(d6ctx, {(0, 1, e), (1, 1, e)}, 2)
-    assert not cyc.is_dihedral()
-    with pytest.raises(InfiniteWeylError):
-        weyl_order(cyc)
+    with pytest.raises(ValueError, match="needs a reflection"):
+        make_fin(d6ctx, {(0, 1, e), (1, 1, e)}, 2)
 
 
 def test_d6_candidate_enumeration_includes_expected_shapes(d6ctx):
@@ -97,7 +95,7 @@ def test_d6_candidate_enumeration_includes_expected_shapes(d6ctx):
     assert (("D", 2), 2) in kinds  # H = D2 pairing a Z2 quotient
     assert (("D", 6), 12) in kinds  # H = D6 pairing a full dihedral quotient
     for c in cands:
-        assert c.is_dihedral() and weyl_order(c) >= 1
+        assert any(s == -1 for (_, s, _) in c.elems) and weyl_order(c) >= 1
 
 
 def test_k0_candidates_are_products_with_o2(d6ctx):
@@ -471,29 +469,19 @@ def _cyc_fixed_dim(cls, k, l, terms_cache):
         total = total + term
     q = (total * Fraction(1, len(terms))).as_fraction()
     assert q.denominator == 1
-    if cls.kind == "fin" and k >= 1 and not cls.is_dihedral():
-        return 2 * q.numerator
     return q.numerator
 
 
 @pytest.mark.parametrize("name", ["D6", "D4", "S3", "D5", "Z3"])
 def test_fixed_dims_match_cyclotomic_sums(code_ctxs, name):
-    # D5 has irrational characters and Z3 complex ones; a reflection makes
-    # the rotation phases symmetric, so only the twisted rotation groups
-    # {(j, +1, g^j)} of Z3 tell exp(-2*pi*i*k*t) from exp(+2*pi*i*k*t)
+    # D5 has irrational characters and Z3 complex ones; every finite class
+    # has a reflection, which makes the rotation phases symmetric, so the
+    # sign of exp(-2*pi*i*k*t) does not show here
     ctx = code_ctxs.get(name) or GammaContext.from_signed_group(
         SignedGroup(bundled_table(name))
     )
     cases = [(make_o2(ctx, cls.rep_set), k) for cls in ctx.lattice.classes for k in (0, 1)]
-    for g in range(ctx.n):
-        powers = [ctx.identity]
-        while ctx.mult[g][powers[-1]] != ctx.identity:
-            powers.append(ctx.mult[g][powers[-1]])
-        twisted = make_fin(ctx, {(j, 1, x) for j, x in enumerate(powers)}, len(powers))
-        cases += [(twisted, 1), (twisted, 2)]
     for base in mode1_candidates(ctx):
-        rotations = frozenset(x for x in base.elems if x[1] == 1)
-        cases.append((make_fin(ctx, rotations, base.grid), 1))
         cases += [(base, 0), (base, 1)]
         cases += [(fold(base, p), p) for p in (2, 3, 4)]
     terms_cache = {}
@@ -734,8 +722,8 @@ def _conjugates_containing(ctx, small, big):
     out = []
     for g in range(ctx.n):
         base = {(u, s, ctx.conj[g][x]) for (u, s, x) in big_elems}
-        for kappa in (False, True):
-            tw = og._kappa_conj(base, grid) if kappa else base
+        for kappa in (1, -1):
+            tw = {(kappa * u % grid, s, x) for (u, s, x) in base}
             for b in sorted({u for (u, s, _) in tw if s == -1}):
                 cand = og._shift_refl(tw, a1 - b, grid)
                 if small_elems <= cand:
