@@ -198,7 +198,7 @@ def _parse_values(value, depth: int):
     return [_parse_values(v, depth - 1) for v in value]
 
 
-def _build_linearization(config, table, decomposition, tol) -> LinearizationData:
+def _build_linearization(config, table, decomposition, action, tol) -> LinearizationData:
     lin = config["linearization"]
     m = config["delays"]
     if not isinstance(lin, dict):
@@ -207,7 +207,7 @@ def _build_linearization(config, table, decomposition, tol) -> LinearizationData
         mats = _parse_values(lin["matrices"], 3)
         if len(mats) != m:
             raise ConfigError(f"expected {m} matrices, got {len(mats)}")
-        return LinearizationData.from_matrices(table, decomposition, mats, tol)
+        return LinearizationData.from_matrices(table, decomposition, mats, tol, action)
     if "mu" in lin:
         if not isinstance(lin["mu"], dict):
             raise ConfigError("mu must map character rows to lists of values")
@@ -217,7 +217,7 @@ def _build_linearization(config, table, decomposition, tol) -> LinearizationData
             if not 0 <= l < table.n_irreps:
                 raise ConfigError(f"mu component {key} out of range")
             mu[l] = tuple(_parse_values(row, 1))
-        return LinearizationData(m=m, mu=mu)
+        return LinearizationData(m=m, mu=mu, tol=tol)
     raise ConfigError("linearization needs 'matrices' or 'mu'")
 
 
@@ -318,11 +318,12 @@ class AnalysisResult:
 
 
 def _decompose(config):
-    """Character table of a config and the isotypic decomposition of its
-    representation."""
+    """Character table of a config, the isotypic decomposition of its
+    representation and the representation's action on the nodes."""
     group, table = _build_group_and_table(config)
-    chi = permutation_character(table, _representation_action(config, group))
-    return table, isotypic_multiplicities(chi, table)
+    action = _representation_action(config, group)
+    chi = permutation_character(table, action)
+    return table, isotypic_multiplicities(chi, table), action
 
 
 def _options(config) -> dict:
@@ -347,20 +348,21 @@ def _tolerance(value) -> float:
     return tol or DEFAULT_TOL
 
 
-def _spectral_table(config, table, decomposition, k_max=None, tol=None):
-    """Linearization data and block sign table of a config; one tolerance
-    serves the scalarity check and the zero test of the blocks."""
+def _spectral_table(config, table, decomposition, action, k_max=None, tol=None):
+    """Linearization data and block sign table of a config; the data carries
+    the one tolerance of the scalarity and reversibility checks and the
+    zero test of the blocks."""
     options = _options(config)
     tol = _tolerance(tol or options.get("tol"))
-    lin = _build_linearization(config, table, decomposition, tol)
+    lin = _build_linearization(config, table, decomposition, action, tol)
     k_max = k_max or options.get("k_max") or default_k_max(lin)
-    return lin, SpectralTable(lin, decomposition, k_max=k_max, tol=tol).build()
+    return lin, SpectralTable(lin, decomposition, k_max=k_max).build()
 
 
 def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
-    table, decomposition = _decompose(config)
+    table, decomposition, action = _decompose(config)
     require_real_components(table, decomposition)
-    lin, spectral = _spectral_table(config, table, decomposition, k_max, tol)
+    lin, spectral = _spectral_table(config, table, decomposition, action, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)
     s = s or _options(config).get("s")
@@ -439,6 +441,8 @@ def run_verify(config) -> dict:
     system = config.get("system")
     if not isinstance(system, dict) or not system:
         raise ConfigError("verification needs a 'system' block")
+    if config.get("representation", "natural") != "natural":
+        raise ConfigError("verification needs the natural representation")
     lin = config["linearization"]
     if not isinstance(lin, dict) or "matrices" not in lin:
         raise ConfigError("verification needs the linearization as 'matrices'")
@@ -462,7 +466,7 @@ def run_verify(config) -> dict:
     n = result.table.group.degree
     terms = [[(cubic, ((c, 3),))] for c in range(n)]
     spec = SystemSpec(n=n, m=result.lin.m, period=2 * pi, linear=lin_mats, terms=terms)
-    spec.check_reversible()
+    spec.check_reversible(result.lin.tol)
     spec.check_odd()
     growth = check_growth_condition(
         lambda args: list(spec.rhs(np.asarray(args)[None, :])[0]),

@@ -6,9 +6,9 @@ polynomial in zeta_n = exp(2*pi*i/n) reduced modulo the n-th cyclotomic
 polynomial; the power basis 1, zeta, ..., zeta^(phi(n)-1) makes the
 representation unique at a fixed order, and mixed-order arithmetic lifts
 to the lcm.  Hot sums need not build a `Cyc` per term: `_reduce` also takes
-an integer coefficient vector of length n, so a sum of many terms can be
-added up as integers in the powers of zeta_n and reduced once (as
-`o2gamma.fixed_dim` does).
+a coefficient vector of length n, so a sum of many terms can be added up in
+the powers of zeta_n and reduced once (as `o2gamma.fixed_dim` and
+`ddedeg.coupling_coefficient` do).
 """
 
 from __future__ import annotations
@@ -202,20 +202,3 @@ def _coerce(x) -> Cyc:
         return Cyc.rational(x)
     raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
 
-
-# cos(2*pi*t) at the turns t in [0, 1) where it is rational
-RATIONAL_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(1, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(3, 4): Fraction(0),
-    Fraction(5, 6): Fraction(1, 2),
-}
-
-
-def rational_cos_turn(t: Fraction) -> Fraction | None:
-    """cos(2*pi*t) when it is rational (t a multiple of 1/1,1/2,1/3,1/4,1/6)."""
-    return RATIONAL_COS.get(Fraction(t) % 1)

@@ -7,10 +7,11 @@ mu_j = mu_{m-j} (time reversibility).  The block eigenvalue on mode k is
     xi_{k,l} = (k^2 + c_k^l) / (1 + k^2),
 
 negative exactly when c_k^l < -k^2, so only finitely many blocks carry
-degree contributions.  Everything here is exact rational when the inputs
-are rational and the cosines are (m in {1,2,3,4,6}); otherwise floats are
-used.  Every zero test goes through `_is_zero`: an exact value is zero only
-when it is 0, a float when it lies within the tolerance.
+degree contributions.  For exact mu, c_k is summed in Q(zeta_m) and is
+exact whenever it is rational; otherwise floats are used.  Every zero test
+goes through `_is_zero` with the one tolerance of `LinearizationData`: an
+exact value is zero only when it is 0, a float when it lies within the
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import cos, lcm, pi
 
 from .basicdeg import GRingElement, degree_product, x_o
 from .chartab import CharacterTable, IsotypicDecomposition
-from .cyclotomic import rational_cos_turn
+from .cyclotomic import _reduce
 from .o2gamma import (
     AmalgamatedClass,
     GammaContext,
@@ -68,12 +69,18 @@ class LinearizationData:
 
     mu[l] is the tuple (mu_0^l, ..., mu_{m-1}^l); reversibility demands
     mu_j = mu_{m-j} for every component.  The data is exact when every
-    value is an int or a Fraction; floats are compared within 1e-12.
+    value is an int or a Fraction.  tol serves every zero test of the
+    spectrum: two exact values must be equal, a pair with a float must
+    agree within tol * max(1, |mu_j|, |mu_{m-j}|), scaled as the scalarity
+    test of `from_matrices` is.  coupling_bound = m max |mu_j^l| bounds
+    every |c_k^l|.
     """
 
     m: int
     mu: dict[int, tuple]
+    tol: float = DEFAULT_TOL
     exact: bool = field(init=False)
+    coupling_bound: float = field(init=False)
 
     def __post_init__(self):
         self.exact = all(
@@ -83,10 +90,14 @@ class LinearizationData:
             if len(row) != self.m:
                 raise ValueError(f"component {l + 1}: expected {self.m} delay values")
             for j in range(1, self.m):
-                if not _is_zero(row[j] - row[self.m - j], 1e-12):
+                a, b = row[j], row[self.m - j]
+                if not _is_zero(a - b, self.tol * max(1, abs(a), abs(b))):
                     raise ReversibilityError(
                         f"component {l + 1}: mu_{j} != mu_{self.m - j}"
                     )
+        self.coupling_bound = self.m * max(
+            (abs(float(v)) for row in self.mu.values() for v in row), default=0.0
+        )
 
     @staticmethod
     def from_matrices(
@@ -94,15 +105,18 @@ class LinearizationData:
         decomposition: IsotypicDecomposition,
         matrices,
         tol: float = DEFAULT_TOL,
+        action=None,
     ) -> "LinearizationData":
         """Extract mu_j^l from raw matrices by isotypic projection.
 
-        Each matrix must act as a scalar on every component present in the
+        action maps a group element to the permutation of the network's
+        nodes it acts by (default: the group's own action).  Each matrix
+        must act as a scalar on every component present in the
         decomposition; a non-scalar block is rejected, and so is a component
         of complex type, whose projector has no rational entries.
         """
-        group = table.group
-        n = group.degree
+        action = action or (lambda g: g)
+        n = len(action(table.group.identity))
         for mat in matrices:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError("linearization matrices must match the network size")
@@ -117,25 +131,27 @@ class LinearizationData:
                     "isotypic projector is not rational; give the linearization "
                     "in 'mu' form"
                 )
-            cols = [col for col in zip(*_isotypic_projector(table, l)) if any(col)]
+            cols = [col for col in zip(*_isotypic_projector(table, l, action)) if any(col)]
             mu[l] = tuple(_scalar_on_component(mat, cols, tol, l) for mat in matrices)
-        return LinearizationData(m=len(matrices), mu=mu)
+        return LinearizationData(m=len(matrices), mu=mu, tol=tol)
 
     def component_indices(self) -> list[int]:
         return sorted(self.mu)
 
 
-def _isotypic_projector(table: CharacterTable, l: int):
+def _isotypic_projector(table: CharacterTable, l: int, action=None):
+    """Projector onto component l of the action (default: the group's own)."""
+    action = action or (lambda g: g)
     group = table.group
-    n = group.degree
+    n = len(action(group.identity))
     dim = table.dims()[l]
     proj = [[Fraction(0)] * n for _ in range(n)]
     for g in group.elements:
         chi = table.rows[l][table.class_of(g)]
-        chi_q = chi.as_fraction()
-        w = Fraction(dim, group.order) * chi_q
+        w = Fraction(dim, group.order) * chi.as_fraction()
+        p = action(g)
         for col in range(n):
-            proj[g[col]][col] += w
+            proj[p[col]][col] += w
     return proj
 
 
@@ -175,19 +191,19 @@ def _integer_column(col) -> list[int]:
 
 def coupling_coefficient(data: LinearizationData, l: int, k: int):
     """c_k^l = sum_j mu_j^l cos(2*pi*j*k/m); the sine part cancels by
-    reversibility."""
+    reversibility.  For exact mu, 2 c_k = sum_j mu_j (zeta_m^jk + zeta_m^-jk)
+    is reduced once in Q(zeta_m): a Fraction when it is rational (every
+    coordinate but the constant one is 0), else a float."""
     row = data.mu[l]
     m = data.m
     if data.exact:
-        total = Fraction(0)
+        powers = [0] * m
         for j, v in enumerate(row):
-            c = rational_cos_turn(Fraction(j * k, m) % 1)
-            if c is None:
-                total = None
-                break
-            total += Fraction(v) * c
-        if total is not None:
-            return total
+            powers[j * k % m] += v
+            powers[-j * k % m] += v
+        c = _reduce(powers, m)
+        if not any(c[1:]):
+            return Fraction(c[0]) / 2
     return float(sum(float(v) * cos(2 * pi * j * k / m) for j, v in enumerate(row)))
 
 
@@ -197,11 +213,8 @@ def xi(data: LinearizationData, l: int, k: int):
 
 
 def default_k_max(data: LinearizationData) -> int:
-    bound = 0.0
-    for row in data.mu.values():
-        bound = max(bound, data.m * max(abs(float(v)) for v in row))
     k = 1
-    while k * k <= bound + 1:
+    while k * k <= data.coupling_bound + 1:
         k += 1
     return k
 
@@ -216,7 +229,6 @@ class SpectralTable:
     data: LinearizationData
     decomposition: IsotypicDecomposition
     k_max: int
-    tol: float = DEFAULT_TOL
     xi_values: dict[tuple[int, int], object] = field(default_factory=dict)
     signs: dict[tuple[int, int], int] = field(default_factory=dict)
     m_kl: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -232,7 +244,7 @@ class SpectralTable:
             for k in range(0, self.k_max + 1):
                 v = xi(self.data, l, k)
                 self.xi_values[(k, l)] = v
-                sign = 0 if _is_zero(v, self.tol) else (1 if v > 0 else -1)
+                sign = 0 if _is_zero(v, self.data.tol) else (1 if v > 0 else -1)
                 self.signs[(k, l)] = sign
                 if sign == 0:
                     self.degenerate.append((k, l))
@@ -241,13 +253,10 @@ class SpectralTable:
         return self
 
     def _check_tail(self) -> None:
-        for l in self.components:
-            row = self.data.mu[l]
-            bound = self.data.m * max(abs(float(v)) for v in row)
-            if self.k_max * self.k_max <= bound:
-                raise ValueError(
-                    f"k_max={self.k_max} too small: negative blocks may be missed"
-                )
+        if self.k_max * self.k_max <= self.data.coupling_bound:
+            raise ValueError(
+                f"k_max={self.k_max} too small: negative blocks may be missed"
+            )
         for (k, l), sign in self.signs.items():
             if k == self.k_max and sign <= 0:
                 raise ValueError(
@@ -274,7 +283,7 @@ class SpectralTable:
     def resonance_set(self) -> set[int]:
         """All modes where some block eigenvalue vanishes.
 
-        _check_tail makes k_max^2 > m max|mu| >= |c_k|, so no block beyond
+        _check_tail makes k_max^2 > coupling_bound >= |c_k|, so no block beyond
         k_max can vanish and the degenerate blocks are all of them.
         """
         return {k for (k, l) in self.degenerate}

@@ -17,6 +17,8 @@ from math import pi
 
 import numpy as np
 
+from .permgroup import p_inv
+
 
 class SpecError(ValueError):
     pass
@@ -100,13 +102,13 @@ class SystemSpec:
 
     def check_reversible(self, tol: float = 0.0) -> None:
         """Delayed arguments must enter symmetrically: block j paired with
-        block m - j, the linear blocks and the term coefficients equal
-        within the absolute tol."""
+        block m - j, the linear blocks equal within tol times max(1, their
+        largest entry) and the term coefficients within the absolute tol."""
         if self.linear is not None:
             for j in range(1, self.m):
-                if not np.allclose(
-                    self.linear[j], self.linear[(self.m - j) % self.m], rtol=0, atol=tol
-                ):
+                a, b = self.linear[j], self.linear[self.m - j]
+                scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(b)))
+                if not np.allclose(a, b, rtol=0, atol=tol * scale):
                     raise SpecError(f"linear blocks {j} and {self.m - j} differ")
         for c, comp_terms in enumerate(self.terms):
             bag = {}
@@ -221,16 +223,8 @@ class FourierSolution:
         out[1 : K + 1] = c * u + s * v
         out[K + 1 :] = s * u - c * v if reverse else c * v - s * u
         if perm is not None:
-            out = out[:, perm_inverse_columns(perm)]
+            out = out[:, p_inv(perm)]
         return FourierSolution(K, sign * out)
-
-
-def perm_inverse_columns(perm) -> list[int]:
-    """Column gather indices so that column target perm[c] receives source c."""
-    inv = [0] * len(perm)
-    for i, img in enumerate(perm):
-        inv[img] = i
-    return inv
 
 
 def modes(values: np.ndarray, K: int) -> np.ndarray:
@@ -502,7 +496,7 @@ def isotropy_of_trajectory(
     """
     scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
     gathers = np.array(
-        [perm_inverse_columns(perm) for perm in gamma_perms], dtype=int
+        [p_inv(perm) for perm in gamma_perms], dtype=int
     ).reshape(len(gamma_perms), sol.n)
     target = sol.coeffs[:, None, :]
     out = []
@@ -538,7 +532,7 @@ def element_symmetry(cls, elem) -> tuple:
     """
     u, s, g = elem
     gamma, sign = cls.ctx.signed.parts(cls.ctx.elems[g])
-    return Fraction(u, cls.grid), s == -1, tuple(perm_inverse_columns(gamma)), sign
+    return Fraction(u, cls.grid), s == -1, p_inv(gamma), sign
 
 
 def class_matches_symmetries(cls, detected: list[DetectedSymmetry]) -> bool:
@@ -554,24 +548,20 @@ def class_matches_symmetries(cls, detected: list[DetectedSymmetry]) -> bool:
 # a-priori bound monitoring
 
 
-def apriori_check(
-    spec: SystemSpec,
-    sol: FourierSolution,
-    radius: float,
-    samples: int = 4000,
-    seed: int = 0,
-) -> dict:
+def apriori_check(spec: SystemSpec, sol: FourierSolution, radius: float) -> dict:
     """Check the solution against the homotopy bound max(R, M1, 2*pi*M1) + 1,
-    with M1 estimated by sampling the right-hand side on the radius box."""
-    rng = np.random.default_rng(seed)
-    args = rng.uniform(-radius, radius, size=(samples, spec.m * spec.n))
-    x_part = args[:, : spec.n]
-    f_vals = spec.rhs(args)
-    # the homotopy deformation lam*(f - x) + x is extremal at lam in {0, 1}
-    m1 = max(
-        float(np.max(np.abs(f_vals))),
-        float(np.max(np.abs(x_part))),
-    )
+    M1 the bound on |f| and |x| over the box |y_v| <= R that the homotopy
+    deformation lam*(f - x) + x needs (it is extremal at lam in {0, 1}).
+
+    On the box, |f_c| <= sum_v |L[v, c]| R + sum of |coeff| R^deg over the
+    terms of component c, and |x| <= R.
+    """
+    terms = spec._terms
+    degrees = np.count_nonzero(terms.factors < spec.m * spec.n, axis=1)
+    f_max = np.abs(spec._linear_stack).sum(axis=0) * radius + (
+        np.abs(terms.coeffs) * float(radius) ** degrees
+    ) @ terms.scatter
+    m1 = max(float(radius), float(np.max(f_max)))
     bound = max(radius, m1, 2 * pi * m1) + 1
     dx = sol.derivative()
     x_sup, dx_sup, ddx_sup = (

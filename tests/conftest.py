@@ -97,7 +97,8 @@ def full_key_walk(ctx, elems, grid):
 def closed_form_resonances(data):
     """Oracle: the modes k >= 0 where k^2 = -c_k^l for some component,
     solved in closed form from the m residues of k (c_k only depends on
-    k mod m).  Needs exact data with rational cosines (m in {1,2,3,4,6})."""
+    k mod m).  Needs exact data whose c_k are rational, as every reversible
+    rational row gives at m in {1, 2, 3, 4, 6}."""
     out = set()
     for l in data.mu:
         for r in range(data.m):
@@ -153,6 +154,14 @@ def rhs_oracle(spec, args):
                 val = val * args[:, v] ** p
             out[:, c] += val
     return out
+
+
+def sampled_apriori_m1(spec, radius, samples=4000, seed=0):
+    """Oracle for the M1 of `verifier.apriori_check`: max |f| and |x| at
+    uniform samples of the box |y_v| <= R, a lower estimate of M1."""
+    rng = np.random.default_rng(seed)
+    args = rng.uniform(-radius, radius, size=(samples, spec.m * spec.n))
+    return max(float(np.max(np.abs(spec.rhs(args)))), float(np.max(np.abs(args[:, : spec.n]))))
 
 
 def rhs_jacobian_oracle(spec, args):

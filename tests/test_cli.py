@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import eqdeg
 from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.ddedeg import assemble_omega
-from eqdeg.o2gamma import GammaContext
+from eqdeg.o2gamma import GammaContext, fixed_dim, mark
 from eqdeg.permgroup import Group
 from eqdeg.cli import (
     EXIT_DEGENERATE,
@@ -190,6 +192,52 @@ def test_tolerance_reaches_the_scalarity_check(tmp_path, capsys, options, args, 
     if code == EXIT_INVALID:
         err = capsys.readouterr().err
         assert "error: component 1: matrix is not scalar on the isotypic block" in err
+
+
+def near_reversible_config(form):
+    """mu_1 and mu_2 of component 1 differ by 1e-7: reversible within tol
+    1e-5 when a float is involved, never when both values are exact."""
+    if form == "matrices":
+        blocks = [
+            [[v * (i == j) for j in range(3)] for i in range(3)] for v in (-3.0, -1.0, -1.0000001)
+        ]
+        return d3_config(delays=3, linearization={"matrices": blocks})
+    last = "-1.0000001" if form == "exact-mu" else -1.0000001
+    mu = {"1": [-3, -1, last], "2": [-3, -1, -1]}
+    return {**d1_config(), "delays": 3, "linearization": {"mu": mu}}
+
+
+@pytest.mark.parametrize("form", ["mu", "exact-mu", "matrices"])
+@pytest.mark.parametrize(
+    "options, args", [({}, []), ({}, ["--tol", "1e-5"]), ({"tol": 1e-5}, [])],
+    ids=["default", "flag", "option"],
+)
+def test_tolerance_reaches_the_reversibility_check(tmp_path, capsys, form, options, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**near_reversible_config(form), "options": options}))
+    code = main(["analyze", str(path), "--out", str(tmp_path), "--json-only", *args])
+    if form == "exact-mu" or not (options or args):
+        assert code == EXIT_INVALID
+        assert "error: component 1: mu_1 != mu_2" in capsys.readouterr().err
+    else:
+        assert code == EXIT_OK
+
+
+def test_verify_accepts_the_rounding_that_analyze_accepts(tmp_path, capsys):
+    # the bundled config with float matrices, one entry of the first delay
+    # block moved by 1e-13: reversible within the default tol for both
+    config = load_config(bundled_example_path())
+    mats = [
+        [[float(Fraction(v)) for v in row] for row in mat]
+        for mat in config["linearization"]["matrices"]
+    ]
+    mats[1][0][0] += 1e-13
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "linearization": {"matrices": mats}}))
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only"]) == EXIT_OK
+    assert main(["verify", str(path)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["non_constant"] and out["residual_sup"] <= 1e-9
 
 
 def test_malformed_json_exit_code(tmp_path):
@@ -452,6 +500,45 @@ def test_negative_blocks_at_modes_up_to_three_are_byte_stable(group, leading, di
     assert report_sha256(result) == digest
 
 
+@lru_cache(maxsize=None)
+def deep_result(group):
+    """The analysis with every leading value -30 in `three_delay_config`:
+    c_0 = -32, so every component has negative blocks at modes 0-5."""
+    return run_analyze(three_delay_config(group, ["-30"] * bundled_table(group).n_irreps))
+
+
+# D12 takes seconds; its digest is checked in CI
+DEEP_DIGESTS = {
+    "D4": "7a919666eb218b5374642cde6ea3e5560e0053ddb757e7ce318a2237660473e2",
+    "D6": "a5930fa0e1c0017c441e31ad7a4beec9728d0efaed9b411975f1902f3d9fe468",
+    "S4": "b76009890f9daa869bc8133a3a458f17fed31156c6763acb6ea8609dfd05d37f",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DEEP_DIGESTS))
+def test_deep_spectra_are_byte_stable(group):
+    result = deep_result(group)
+    assert result.exit_code == EXIT_OK
+    assert max(k for (k, _, _) in result.spectral.negative_factors()) == 5
+    assert report_sha256(result) == DEEP_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", [*sorted(DEEP_DIGESTS), "bundled"])
+def test_omega_satisfies_the_marks_identity(group):
+    # the mark at H is a ring homomorphism, (G) has mark 1 and each basic
+    # degree (-1)^dim Fix(H), so omega = (G) - prod deg has the mark
+    # 1 - (-1)^e, e the fixed dimension of H summed over the negative blocks
+    if group == "bundled":
+        result = run_analyze(load_config(bundled_example_path()))
+    else:
+        result = deep_result(group)
+    omega = result.report.omega
+    factors = result.spectral.negative_factors()
+    for h in omega.support():
+        e = sum(m * fixed_dim(h, k, l) for (k, l, m) in factors)
+        assert sum(n * mark(h, c) for c, n in omega.coeffs.items()) == 1 - (-1) ** e, h.name()
+
+
 def d3_config(**changes):
     return {
         "group": "D3",
@@ -485,6 +572,25 @@ def test_generator_images_of_the_natural_action_reproduce_it():
     imaged = run_analyze(d3_config(representation={"images": images}))
     assert imaged.decomposition == natural.decomposition
     assert report_sha256(imaged) == report_sha256(natural)
+
+
+# D3 acting on two nodes through its sign character: the rotation fixes
+# both, the reflection swaps them
+TWO_NODE_D3 = {"images": ["()", "(1 2)"]}
+
+
+def test_matrix_form_reads_the_representation(tmp_path, capsys):
+    matrix = [["-2", "1/2"], ["1/2", "-2"]]
+    config = d3_config(representation=TWO_NODE_D3, linearization={"matrices": [matrix]})
+    result = run_analyze(config)
+    assert result.exit_code == EXIT_OK
+    assert result.report_json()["mu"] == {"1": ["-3/2"], "2": ["-5/2"]}
+    # a matrix of the group's natural size is the wrong size here
+    config = d3_config(representation=TWO_NODE_D3, linearization={"matrices": [D3_MATRIX]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == EXIT_INVALID
+    assert "must match the network size" in capsys.readouterr().err
 
 
 def test_matrix_form_with_irrational_characters_is_rejected(tmp_path, capsys):
@@ -522,8 +628,12 @@ def verify_config(**system):
         (d3_config(system={"seed_component": 3}), "linearization as 'matrices'"),
         (verify_config(), "seed_component must be in 1..3"),
         (verify_config(seed_component=0), "seed_component must be in 1..3"),
+        (
+            verify_config(seed_component=1) | {"representation": TWO_NODE_D3},
+            "verification needs the natural representation",
+        ),
     ],
-    ids=["mu-form", "default-seed-beyond-rows", "seed-zero"],
+    ids=["mu-form", "default-seed-beyond-rows", "seed-zero", "non-natural-representation"],
 )
 def test_verify_rejects_invalid_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from math import cos, isclose, pi
 
 import pytest
 
-from eqdeg.cyclotomic import Cyc, cyclotomic_polynomial, rational_cos_turn
+from eqdeg.cyclotomic import Cyc, cyclotomic_polynomial
+from eqdeg.ddedeg import LinearizationData, coupling_coefficient
 
 
 def cos_turn(t: Fraction) -> Cyc:
@@ -63,12 +66,36 @@ def test_rational_extraction_guards():
         Cyc.rational(Fraction(1, 2)).as_integer()
 
 
-def test_rational_cos_table_matches_symbolic():
-    for den in (1, 2, 3, 4, 6):
-        for num in range(den):
-            t = Fraction(num, den)
-            assert cos_turn(t) == Cyc.rational(rational_cos_turn(t))
-    assert rational_cos_turn(Fraction(1, 5)) is None
+def cyc_value(z: Cyc) -> float:
+    """The real part of z as a float."""
+    return sum(float(c) * cos(2 * pi * i / z.order) for i, c in enumerate(z.coeffs))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_coupling_coefficient_matches_symbolic_cosines(m):
+    # c_k = sum_j mu_j cos(2 pi j k / m) on seeded reversible rows is a
+    # Fraction exactly when the symbolic sum is rational, else its float
+    rng = random.Random(m)
+    rows = []
+    for _ in range(5):
+        half = [Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(m // 2 + 1)]
+        rows.append(tuple(half[min(j, m - j)] for j in range(m)))
+    for row in rows:
+        data = LinearizationData(m=m, mu={0: row})
+        for k in range(m + 1):
+            terms = (cos_turn(Fraction(j * k, m)) * v for j, v in enumerate(row))
+            exact = sum(terms, Cyc.rational(0))
+            c = coupling_coefficient(data, 0, k)
+            if exact.is_rational():
+                assert type(c) is Fraction and c == exact.as_fraction()
+            else:
+                assert type(c) is float and isclose(c, cyc_value(exact), abs_tol=1e-9)
+    # equal delayed values: c_k = mu_0 - mu_1 off the multiples of m, at every m
+    data = LinearizationData(m=m, mu={0: (Fraction(5),) + (Fraction(-3, 2),) * (m - 1)})
+    c_0 = 5 - Fraction(3, 2) * (m - 1)
+    assert [coupling_coefficient(data, 0, k) for k in range(m + 1)] == (
+        [c_0] + [Fraction(13, 2)] * (m - 1) + [c_0]
+    )
 
 
 def test_hash_agrees_with_equality_across_orders():

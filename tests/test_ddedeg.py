@@ -123,6 +123,15 @@ def test_float_values_are_compared_within_tolerance():
     with pytest.raises(ReversibilityError):
         LinearizationData(m=3, mu={0: (1.0, 0.1, 0.3)})
     assert LinearizationData(m=3, mu={0: (1, F(1, 2), F(1, 2))}).exact
+    # the data's tol, scaled by max(1, |mu_j|, |mu_{m-j}|), decides a pair
+    # with a float; two exact values must be equal
+    near = (-3, -1, -1.0000001)
+    with pytest.raises(ReversibilityError):
+        LinearizationData(m=3, mu={0: near})
+    assert LinearizationData(m=3, mu={0: near}, tol=1e-5).tol == 1e-5
+    LinearizationData(m=3, mu={0: (0, 1e4, 1e4 + 1e-6)})
+    with pytest.raises(ReversibilityError):
+        LinearizationData(m=3, mu={0: (-3, -1, F(-10000001, 10**7))}, tol=1e-5)
 
 
 def test_float_matrices_are_scalar_within_tolerance(d6_analysis):
@@ -203,7 +212,12 @@ def test_default_k_max_tail():
     k = default_k_max(lin)
     assert k * k > 2
     lin6 = LinearizationData(m=6, mu={0: tuple(F(-1) for _ in range(6))})
+    assert lin6.coupling_bound == 6
     assert default_k_max(lin6) ** 2 > 6
+    # a k_max below the bound is refused by the same number
+    dec_like = type("D", (), {"multiplicities": (1,)})()
+    with pytest.raises(ValueError, match="k_max=2 too small"):
+        SpectralTable(lin6, dec_like, k_max=2).build()
 
 
 def test_constant_negative_coupling():

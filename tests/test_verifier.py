@@ -32,6 +32,7 @@ from conftest import (
     projection_matrix,
     rhs_jacobian_oracle,
     rhs_oracle,
+    sampled_apriori_m1,
     second_derivative_matrix,
     zero_jacobian_mode_blocks,
 )
@@ -487,6 +488,17 @@ def test_apriori_bounds():
     big.coeffs[1] = 1000.0
     rep2 = apriori_check(spec, big, radius=2.0)
     assert not rep2["within"]
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0, 4.0])
+def test_apriori_bound_covers_the_sampled_right_hand_side(radius):
+    # the closed-form M1 is at least max |f| at the samples, so the bound
+    # max(R, M1, 2 pi M1) + 1 is at least the one the samples give
+    specs = [small_spec(), d6_linear_spec(cubic=0.5), coupled_spec(4, 3, np.random.default_rng(1))]
+    for spec in specs:
+        sol = FourierSolution(2, np.zeros((5, spec.n)))
+        m1 = sampled_apriori_m1(spec, radius)
+        assert apriori_check(spec, sol, radius)["bound"] >= max(radius, m1, 2 * pi * m1) + 1
 
 
 def hexagon_seed(K, amplitude=4.3):
