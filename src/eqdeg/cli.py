@@ -484,11 +484,16 @@ def run_verify(config) -> dict:
         "converged": rep.converged,
         "iterations": rep.iterations,
         "residual_sup": rep.residual_sup,
+        "message": rep.message,
         "non_constant": bool(not sol.is_constant()),
         "matched_classes": [],
         "apriori": None,
     }
-    if rep.converged and not sol.is_constant():
+    if sol.is_constant():
+        out["note"] = "Newton did not produce a non-constant orbit; report retained"
+    elif not rep.converged:
+        out["note"] = f"Newton did not converge ({rep.message}); report retained"
+    else:
         perms = sorted({tuple(g) for g in result.table.group.elements})
         syms = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=12)
         out["matched_classes"] = sorted(
@@ -499,8 +504,6 @@ def run_verify(config) -> dict:
         )
         out["detected_symmetries"] = len(syms)
         out["apriori"] = apriori_check(spec, sol, radius=radius)
-    else:
-        out["note"] = "Newton did not produce a non-constant orbit; report retained"
     return out
 
 

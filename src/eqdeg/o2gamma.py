@@ -22,8 +22,8 @@ reflection (Balanov, Krawcewicz and Steinlein, Applied Equivariant Degree,
 2006).  So every finite class has a reflection; `make_fin` refuses a
 rotation-only subgroup.  Everything downstream (orbit types, Weyl orders,
 containment counts, Burnside products) reduces to finite exact
-computations on these element sets; two classes on different grids are
-first lifted to the lcm grid.
+computations on these element sets; two classes on different grids
+meet on the lcm grid.
 
 The canonical key of a finite class is its least conjugate with a
 reflection axis at t = 0, written as sorted (numerator, denominator, s, g)
@@ -39,8 +39,11 @@ rotations, one g per coset of the Gamma'-parts of its rotations by 0 or
 included, which gives the Weyl order.  Every containment question is read
 off one `mark`: the coefficient of (L) in (L) * (H) is the mark
 |(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
-A product of two finite classes takes one term per double coset of the
-Gamma'-parts of their rotation elements, weighted by the coset's size.
+A product of two finite classes walks one g per double coset of the
+Gamma'-parts of their rotation elements, weighted by the coset's size, and
+buckets the meets by reflection offset (`_meets`).  The mark of two
+finite classes counts the terms of that walk whose meet is all of L, and
+builds no meet.
 
 Classes are interned per context, so they compare by identity.  Every
 exact function of a context or class (code tables per grid, keys, fixed
@@ -335,7 +338,7 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
     rank, decode, conj_tabs = _grid_codes(ctx, grid)
     n = ctx.n
     bases = axes[: gcd(2, len(axes))]
-    r_prime = {g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0}
+    r_prime = frozenset(g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0)
     tabs = [conj_tabs[min(c)] for c in _cosets_of(ctx, range(n), r_prime)]
     conjugates = []
     for b in bases:
@@ -482,12 +485,22 @@ def mark(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
 
     No class of the product (c1) * (c2) lies above c1, so the mark is the
     coefficient of (c1) there (tom Dieck, Transformation Groups, IV.1).
+    For two finite classes it is counted on the walk of `_meets` with no
+    meet built: a meet lies in c1, so it is c1 when it keeps every
+    rotation of c1 (a reflection with them gives all of c1), and each
+    bucket of such a double coset adds 4 * size / |c2|.
     """
     if c1.kind == "o2" and c2.kind == "fin":
         return 0
     if c1.kind == c2.kind and c2.size % c1.size:
         return 0
-    return class_product(c1, c2).get(c1, 0)
+    if "o2" in (c1.kind, c2.kind):
+        return class_product(c1, c2).get(c1, 0)
+    count = sum(size * len(b) for size, _, b in _meets(c1.ctx, c1, c2, whole=True))
+    m, rem = divmod(4 * count, c2.size)
+    if rem:
+        raise AssertionError("non-integer mark; subgroup data is inconsistent")
+    return m
 
 
 def subconjugate(c1: AmalgamatedClass, c2: AmalgamatedClass) -> bool:
@@ -516,6 +529,7 @@ def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
     return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 
 
+@memoised
 def _cosets_of(ctx, kset, rset) -> list[frozenset]:
     seen = set()
     cosets = []
@@ -529,13 +543,20 @@ def _cosets_of(ctx, kset, rset) -> list[frozenset]:
 
 
 def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
-    """Every isomorphism D_d -> K/R with |K/R| = 2d, as an element set on
-    the grid d.
+    """Isomorphisms D_d -> K/R with |K/R| = 2d, as element sets on the grid
+    d: one per family of pairs that the two rules below make conjugate.
 
     An isomorphism is fixed by the images rho of the rotation r_{1/d} and
     sigma of kappa: rho of order d, sigma an involution outside <rho> with
     sigma rho sigma = rho^-1.  The rotation r_{j/d} pairs with the coset
-    rho^j and the reflection r_{j/d} kappa with rho^j sigma.
+    rho^j and the reflection r_{j/d} kappa with rho^j sigma.  Only the
+    first pair of each kind below is yielded, which is where the loop over
+    every pair first met its class:
+    - (rho, rho^j sigma) is (rho, sigma) conjugated by the rotation by
+      j/2d, which moves r_{i/d} kappa to r_{(i+j)/d} kappa: one sigma per
+      coset <rho> sigma;
+    - (rho^-1, sigma) is (rho, sigma) conjugated by kappa, which negates
+      every parameter: one of rho and rho^-1.
     """
     cosets = _cosets_of(ctx, kset, rset)
     d, odd = divmod(len(cosets), 2)
@@ -544,17 +565,19 @@ def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
     coset_of = {x: ci for ci, coset in enumerate(cosets) for x in coset}
     mult, unit = ctx.mult, coset_of[ctx.identity]
     reps = [min(coset) for coset in cosets]
-    for rho in reps:
+    for ri, rho in enumerate(reps):
         powers = [ctx.identity]  # representatives of rho^0, rho^1, ...
         while coset_of[mult[powers[-1]][rho]] != unit:
             powers.append(mult[powers[-1]][rho])
-        if len(powers) != d:
+        if len(powers) != d or coset_of[ctx.inv[rho]] < ri:
             continue
-        cyclic = {coset_of[x] for x in powers}
+        seen = {coset_of[x] for x in powers}  # <rho>, then each <rho> sigma
         for sigma in reps:
+            if coset_of[sigma] in seen:
+                continue
+            seen |= {coset_of[mult[x][sigma]] for x in powers}
             if (
-                coset_of[sigma] in cyclic
-                or coset_of[mult[sigma][sigma]] != unit
+                coset_of[mult[sigma][sigma]] != unit
                 or coset_of[mult[mult[sigma][rho]][mult[sigma][rho]]] != unit
             ):
                 continue
@@ -599,19 +622,18 @@ def mode1_candidates(ctx: GammaContext) -> list[AmalgamatedClass]:
 
 def _realised(cands: list[AmalgamatedClass], k: int, l: int) -> list[AmalgamatedClass]:
     """The candidates, all of one kind, that are orbit types in W_k (x) V_l."""
-    cands = [c for c in cands if fixed_dim(c, k, l) > 0]
-    realised = []
-    for c in cands:
-        dim_c = fixed_dim(c, k, l)
+    dims = {c: dim for c in cands if (dim := fixed_dim(c, k, l)) > 0}
+    return [
+        c
+        for c, dim_c in dims.items()
         if not any(
             c2.size > c.size
             and c2.size % c.size == 0
-            and fixed_dim(c2, k, l) >= dim_c
+            and dim_c2 >= dim_c
             and subconjugate(c, c2)
-            for c2 in cands
-        ):
-            realised.append(c)
-    return realised
+            for c2, dim_c2 in dims.items()
+        )
+    ]
 
 
 def orbit_types_mode1(ctx: GammaContext, l: int) -> list[AmalgamatedClass]:
@@ -704,63 +726,75 @@ def _product_o2(ctx, c_o2, other) -> dict:
     return out
 
 
-def _product_fin_fin(ctx, c1, c2) -> dict:
-    """(c1) * (c2) for two finite classes, by the double-coset formula.
+@memoised
+def _split(cls: AmalgamatedClass) -> tuple:
+    """A finite class's rotations (u, +1, g), keyed by the code u * n + g on
+    its own grid, and its reflections."""
+    rot = {e[0] * cls.ctx.n + e[2]: e for e in cls.elems if e[1] == 1}
+    return rot, tuple(e for e in cls.elems if e[1] == -1)
 
-    Both classes are lifted to the lcm grid.  For g in Gamma' and a rotation
-    r of O(2), c1 meets the conjugate of c2 by (r, g); the rotations split
-    into buckets with the same meet, one per offset of a reflection of c1
-    against a reflection of c2.  The term of g, the classes of these meets
-    with their bucket weights, is unchanged by g -> x g y when x is the
-    Gamma'-part of a rotation element of c1 and y that of c2: conjugating a
-    class by its own rotation element only shifts the rotation offsets, and
-    the buckets sum over every offset.  So one g per double coset A g B of
-    the rotation projections A and B is enough, weighted by the size
-    |A||B| / |B ∩ g^-1 A g|.  The full projections would not do: a
-    reflection element also twists the other class by kappa.
+
+def _meets(ctx, c1, c2, whole: bool = False):
+    """The meets of c1 with the conjugates of c2, on the lcm grid.
+
+    For g in Gamma' and a rotation r of O(2), c1 meets the conjugate of c2
+    by (r, g); the rotations split into buckets with the same meet, one
+    per offset of a reflection of c1 against a reflection of c2.  The term
+    of g, the meets with their bucket weights, is unchanged by g -> x g y
+    when x is the Gamma'-part of a rotation element of c1 and y that of c2:
+    conjugating a class by its own rotation element only shifts the
+    rotation offsets, and the buckets sum over every offset.  So one g per
+    double coset A g B of the rotation projections A and B is enough,
+    weighted by the size |A||B| / |B ∩ g^-1 A g|.  The full projections
+    would not do: a reflection element also twists the other class by
+    kappa.  Yields (size, rotations kept, reflections per bucket) in c1's
+    own elements; with whole=True, only where every rotation is kept.
     """
-    grid = lcm(c1.grid, c2.grid)
-    a_elems, b_elems = (
-        [(u * (grid // c.grid), s, g) for (u, s, g) in c.elems] for c in (c1, c2)
-    )
-    a_rot = {(u, g) for (u, s, g) in a_elems if s == 1}
-    a_refl = [(u, g) for (u, s, g) in a_elems if s == -1]
-    b_rot = {(u, g) for (u, s, g) in b_elems if s == 1}
+    grid, n = lcm(c1.grid, c2.grid), ctx.n
+    fa, fb = grid // c1.grid, grid // c2.grid  # coprime: fb | u * fa exactly when fb | u
+    a_rot, a_refl = _split(c1)
+    b_rot, b_refl = _split(c2)
     b_refl_at: dict = {}  # Gamma'-part b -> reflection parameters beta
-    for (u, s, g) in b_elems:
-        if s == -1:
-            b_refl_at.setdefault(g, []).append(u)
-    a_k = frozenset(g for (_, g) in a_rot)
-    b_k = frozenset(g for (_, g) in b_rot)
-    weights: dict = {}
+    for (u, _, x) in b_refl:
+        b_refl_at.setdefault(x, []).append(u * fb)
+    a_k = frozenset(code % n for code in a_rot)
+    b_k = frozenset(code % n for code in b_rot)
     for g, _, size in _double_cosets(ctx, a_k, b_k):
         inv_tab = ctx.conj[ctx.inv[g]]
-        rot_part = frozenset(
-            (u, 1, x) for (u, x) in a_rot if (u, inv_tab[x]) in b_rot
-        )
+        # the rotation by u / M1 is the one by (u * fa / fb) / M2
+        rot = [
+            e for e in a_rot.values()
+            if not e[0] % fb and e[0] // fb * fa * n + inv_tab[e[2]] in b_rot
+        ]
+        if whole and len(rot) < len(a_rot):
+            continue
         # a reflection (alpha, c) of the first class meets a rotated copy of
         # a reflection (beta, b) of the second one's, with g b g^-1 = c, by
-        # the offset delta = alpha - beta; the rotations by delta/2 and
-        # delta/2 + 1/2 give the same intersection, hence weight 2
+        # the offset delta = alpha - beta
         buckets: dict = {}
-        for (alpha, c) in a_refl:
-            for beta in b_refl_at.get(inv_tab[c], ()):
-                buckets.setdefault((alpha - beta) % grid, []).append((alpha, -1, c))
-        for refls in buckets.values():
-            inter = rot_part | frozenset(refls)
+        for e in a_refl:
+            for beta in b_refl_at.get(inv_tab[e[2]], ()):
+                buckets.setdefault((e[0] * fa - beta) % grid, []).append(e)
+        yield size, rot, buckets.values()
+
+
+def _product_fin_fin(ctx, c1, c2) -> dict:
+    """(c1) * (c2) for two finite classes: each meet of `_meets` weighted
+    by its double coset's size and its order.  The rotations by delta/2
+    and delta/2 + 1/2 give the same meet, hence the factor 2."""
+    weights: dict = {}
+    for size, rot, buckets in _meets(ctx, c1, c2):
+        rot = frozenset(rot)
+        for refls in buckets:
+            inter = rot.union(refls)
             weights[inter] = weights.get(inter, 0) + 2 * size * len(inter)
-    total = len(a_elems) * len(b_elems)
+    total = c1.size * c2.size
     out: dict = {}
     for inter, weight in weights.items():
-        cls = make_fin(ctx, inter, grid)
-        out[cls] = out.get(cls, 0) + weight
-    result = {}
-    for cls, weight in out.items():
-        num = 2 * weight
-        if num % total:
-            raise AssertionError(
-                "non-integer orbit count in Burnside product; "
-                "subgroup data is inconsistent"
-            )
-        result[cls] = num // total
-    return result
+        cls = make_fin(ctx, inter, c1.grid)
+        out[cls] = out.get(cls, 0) + 2 * weight
+    if any(num % total for num in out.values()):
+        raise AssertionError(
+            "non-integer orbit count in Burnside product; subgroup data is inconsistent"
+        )
+    return {cls: num // total for cls, num in out.items()}

@@ -94,6 +94,61 @@ def full_key_walk(ctx, elems, grid):
     return ("fin", tuple(decode[c] for c in best)), conjugates.count(best)
 
 
+def product_mark(c1, c2):
+    """Oracle for `o2gamma.mark`: the coefficient of (c1) in the full
+    Burnside product (c1) * (c2), every meet built and classed."""
+    return og.class_product(c1, c2).get(c1, 0)
+
+
+def all_pairings_candidates(ctx):
+    """Oracle for `o2gamma.mode1_candidates`: the enumeration over every
+    (rho, sigma) pair of every K/R, no conjugate pairing skipped."""
+    found = {}
+
+    def record(elems, grid):
+        cls = og.make_fin(ctx, elems, grid)
+        found[cls.key] = cls
+
+    mult, ident = ctx.mult, ctx.identity
+    for kset in (cls.rep_set for cls in ctx.lattice.classes):
+        normal = og._normal_subgroups_of(ctx, kset)
+        for rset in normal:
+            cosets = og._cosets_of(ctx, kset, rset)
+            d, odd = divmod(len(cosets), 2)
+            if odd:
+                continue
+            coset_of = {x: ci for ci, coset in enumerate(cosets) for x in coset}
+            unit = coset_of[ident]
+            reps = [min(coset) for coset in cosets]
+            for rho in reps:
+                powers = [ident]
+                while coset_of[mult[powers[-1]][rho]] != unit:
+                    powers.append(mult[powers[-1]][rho])
+                if len(powers) != d:
+                    continue
+                cyclic = {coset_of[x] for x in powers}
+                for sigma in reps:
+                    sr = mult[sigma][rho]
+                    if (
+                        coset_of[sigma] in cyclic
+                        or coset_of[mult[sigma][sigma]] != unit
+                        or coset_of[mult[sr][sr]] != unit
+                    ):
+                        continue
+                    elems = set()
+                    for j, x in enumerate(powers):
+                        elems |= {(j, 1, y) for y in cosets[coset_of[x]]}
+                        elems |= {(j, -1, y) for y in cosets[coset_of[mult[x][sigma]]]}
+                    record(elems, d)
+        record({(0, s, x) for s in (1, -1) for x in kset}, 1)
+        for rset in normal:
+            if len(kset) == 2 * len(rset):
+                elems = {(0, s, x) for s in (1, -1) for x in rset}
+                elems |= {(1, s, x) for s in (1, -1) for x in kset - rset}
+                record(elems, 2)
+    return sorted(found.values(), key=lambda c: (-c.size, c.key))
+
+
 def closed_form_resonances(data):
     """Oracle: the modes k >= 0 where k^2 = -c_k^l for some component,
     solved in closed form from the m residues of k (c_k only depends on

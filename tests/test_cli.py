@@ -223,9 +223,9 @@ def test_tolerance_reaches_the_reversibility_check(tmp_path, capsys, form, optio
         assert code == EXIT_OK
 
 
-def test_verify_accepts_the_rounding_that_analyze_accepts(tmp_path, capsys):
-    # the bundled config with float matrices, one entry of the first delay
-    # block moved by 1e-13: reversible within the default tol for both
+def _rounded_bundled_config(tmp_path):
+    """The bundled config with float matrices, one entry of the first delay
+    block moved by 1e-13: reversible within the default tol."""
     config = load_config(bundled_example_path())
     mats = [
         [[float(Fraction(v)) for v in row] for row in mat]
@@ -234,10 +234,27 @@ def test_verify_accepts_the_rounding_that_analyze_accepts(tmp_path, capsys):
     mats[1][0][0] += 1e-13
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**config, "linearization": {"matrices": mats}}))
+    return path
+
+
+def test_verify_accepts_the_rounding_that_analyze_accepts(tmp_path, capsys):
+    path = _rounded_bundled_config(tmp_path)
     assert main(["analyze", str(path), "--out", str(tmp_path), "--json-only"]) == EXIT_OK
     assert main(["verify", str(path)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["non_constant"] and out["residual_sup"] <= 1e-9
+
+
+def test_verify_note_gives_newtons_message(tmp_path, capsys):
+    # Newton stops short of its tol on the rounded config (the reversal
+    # reduction needs exact reversibility) with a non-constant orbit: the
+    # output carries Newton's message, and the note gives it instead of
+    # calling the orbit constant
+    assert main(["verify", str(_rounded_bundled_config(tmp_path))]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["non_constant"] and not out["converged"]
+    assert out["message"] == "line search stalled"
+    assert out["note"] == "Newton did not converge (line search stalled); report retained"
 
 
 def test_malformed_json_exit_code(tmp_path):

@@ -27,7 +27,13 @@ from eqdeg.o2gamma import (
     weyl_order,
 )
 
-from conftest import full_key_walk, marks_row, three_delay_config
+from conftest import (
+    all_pairings_candidates,
+    full_key_walk,
+    marks_row,
+    product_mark,
+    three_delay_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +383,40 @@ def test_key_walk_matches_the_full_walk(config):
     for cls in classes:
         walked = og._fin_key(ctx, cls.elems, cls.grid)
         assert walked == full_key_walk(ctx, cls.elems, cls.grid), cls.name()
+
+
+def _signed_ctx(name):
+    return GammaContext.from_signed_group(SignedGroup(bundled_table(name)))
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D8", "S4", "D12"])
+def test_candidates_match_the_enumeration_over_every_pairing(name):
+    # one sigma per coset <rho> sigma and one of rho, rho^-1 give the same
+    # classes, in the same order and first made from the same element sets
+    # (fresh contexts, so neither run sees the other's interned classes)
+    got = mode1_candidates(_signed_ctx(name))
+    expected = all_pairings_candidates(_signed_ctx(name))
+    assert [c.key for c in got] == [c.key for c in expected]
+    assert [c.elems for c in got] == [c.elems for c in expected]
+
+
+@pytest.mark.parametrize("name", ["D4", "D6", "S4"])
+def test_mark_matches_the_product_coefficient(name):
+    # the walk counts the (double coset, bucket) terms whose meet is all of
+    # c1; the oracle builds every meet of the product.  Every ordered pair
+    # of a sample of the mode-1 candidates and their folds by 2 and 3, so
+    # that the pairs meet on grids 1 to 6 and above
+    ctx = _signed_ctx(name)
+    base = mode1_candidates(ctx)[::7]
+    classes = base + [fold(c, p) for c in base for p in (2, 3)]
+    assert len({lcm(c1.grid, c2.grid) for c1 in classes for c2 in classes}) > 4
+    positive = 0
+    for c1 in classes:
+        for c2 in classes:
+            m = mark(c1, c2)
+            assert m == product_mark(c1, c2), (c1.name(), c2.name())
+            positive += m > 0
+    assert positive > len(classes)
 
 
 @pytest.mark.parametrize("name", ["D4", "S3"])
