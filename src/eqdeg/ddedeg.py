@@ -410,23 +410,24 @@ def check_growth_condition(rhs, n: int, m: int, radius: float, samples: int = 20
 
     ``rhs(args)`` evaluates the right-hand side on a flat list of m*n
     floats (current state first, then the delayed blocks).
+
+    Each draw in [a, b] is a + (b - a) * random(), the arithmetic of
+    ``Random.uniform``, so the samples are those of uniform(a, b).
     """
     import random
+    from operator import mul
 
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     worst = None
     positive = 0
     for _ in range(samples):
-        scale = radius * (1 + rng.random())
-        x = [rng.uniform(-1, 1) for _ in range(n)]
-        top = max(abs(v) for v in x) or 1.0
+        scale = radius * (1 + draw())
+        span = 2 * scale
+        x = [-1 + 2 * draw() for _ in range(n)]
+        top = max(map(abs, x)) or 1.0
         x = [v * scale / top for v in x]
-        args = list(x)
-        for _ in range(m - 1):
-            y = [rng.uniform(-scale, scale) for _ in range(n)]
-            args.extend(y)
-        val = rhs(args)
-        dot = sum(a * b for a, b in zip(x, val))
+        args = x + [-scale + span * draw() for _ in range((m - 1) * n)]
+        dot = sum(map(mul, x, rhs(args)))
         if worst is None or dot < worst:
             worst = dot
         if dot > 0:

@@ -287,7 +287,22 @@ class NewtonReport:
 SUP_RESIDUAL_TOL = 1e-6
 
 
-def _mode_jacobian(jac_pointwise: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def fft_length(n: int) -> int:
+    """The least 2*3*5-smooth integer >= n: numpy's pocketfft runs such a
+    length by its mixed-radix passes and a prime length, such as 4K+1 = 257
+    at K = 64, by Bluestein's chirp-z algorithm, about ten times slower."""
+    n = max(n, 1)
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
+def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = None) -> np.ndarray:
     """Mode-space Jacobian of the residual -k^2 c - modes(f(x_t)): the
     diagonal -k^2 on the rows [constant, cos 1..K, sin 1..K] of every
     component (sampling x'' and projecting it back is exact on this grid),
@@ -296,12 +311,15 @@ def _mode_jacobian(jac_pointwise: np.ndarray, keep: np.ndarray | None = None) ->
     keep over those 2K+1 rows, only the kept rows and columns are built,
     shape (kept, n, kept, n); the entries equal those of the full J.
 
-    jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N = 4K+1, shape
+    jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N >= 4K+1, shape
     (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d], B_j samples the rows at
     t_i - s_j for the delay s_j = 2*pi*j/m, and P is the projection `modes`.
-    Let F_j[q] = sum_i w_j(t_i) exp(i q t_i): the conjugate of the rfft for
-    q = 0..2K, and F_j[-q] = conj F_j[q].  The product-to-sum rules give for
-    the modes k, l = 0..K
+    Let F_j[q] = sum_i w_j(t_i) exp(i q t_i): the conjugate of row q of the
+    rfft, which has the rows q = 0..2K for every N >= 4K+1, and
+    F_j[-q] = conj F_j[q].  The product-to-sum rules hold at every grid
+    point, so summed over the grid they are exact discrete identities on any
+    such N, and J is the exact Jacobian of the residual collocated on that
+    grid.  They give for the modes k, l = 0..K
 
         a = sum_j exp(i l s_j) F_j[k - l],   b = sum_j exp(-i l s_j) F_j[k + l],
 
@@ -318,7 +336,6 @@ def _mode_jacobian(jac_pointwise: np.ndarray, keep: np.ndarray | None = None) ->
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
-    K = (N - 1) // 4
     M = 2 * K + 1
     if keep is None:
         keep = np.ones(M, dtype=bool)
@@ -329,7 +346,7 @@ def _mode_jacobian(jac_pointwise: np.ndarray, keep: np.ndarray | None = None) ->
     nc, t = len(cos_k), len(cos_k) - len(sin_k)
     if not np.array_equal(cos_k[t:], sin_k):
         raise ValueError("the kept sin modes must be the last kept cos modes")
-    R = np.fft.rfft(jac_pointwise, axis=0).reshape(M, n, m, n)
+    R = np.fft.rfft(jac_pointwise, axis=0)[:M].reshape(M, n, m, n)
     F = np.concatenate([R[K:0:-1], R.conj()])  # F[q] at row q + K, q = -K..2K
     del R
     # -1/N is P's row weight 2/N times the 1/2 of the rules; row 0 is halved below
@@ -410,17 +427,24 @@ def newton_solve(
     the kernel of the full Jacobian at a periodic orbit.  The residual,
     tol and the sup-residual test still cover every row, so a reduction
     that does not hold can only show as non-convergence.
+
+    The residual is collocated on N = fft_length(4K+1) points (270 at
+    K = 64, where 4K+1 = 257 is prime), on which `_mode_jacobian` is exact
+    as on any N >= 4K+1.  forcing is sampled on the 4K+1 grid, as for
+    `residual`, and the final sup-residual test runs there too.  Each
+    iterate is evaluated once: the accepted line-search trial's residual
+    is the next step's.
     """
     if abs(spec.period - 2 * pi) > 1e-12:
         spec = normalize(spec)
     K = initial.K
     n = spec.n
-    M, N = 2 * K + 1, 4 * K + 1
+    M, N = 2 * K + 1, fft_length(4 * K + 1)
     delays = 2 * pi * np.arange(spec.m) / spec.m
     k2 = _k_squared(K)[:, None]
     g_modes = np.zeros((M, n))
     if forcing is not None:
-        g_modes = modes(_checked_forcing(forcing, N, n), K)
+        g_modes = modes(_checked_forcing(forcing, 4 * K + 1, n), K)
     keep = _invariant_rows(spec, initial.coeffs, g_modes)
     size = int(np.count_nonzero(keep)) * n
 
@@ -431,8 +455,8 @@ def newton_solve(
         args = np.concatenate(FourierSolution(K, c).samples(N, delays), axis=1)
         return -k2 * c - modes(spec.rhs(args), K) - g_modes, args
 
+    G, args = mode_residual(sol.coeffs)
     for it in range(max_iter):
-        G, args = mode_residual(sol.coeffs)
         norm = float(np.sqrt(np.sum(G * G)))
         history.append(norm)
         if norm < tol:
@@ -443,7 +467,7 @@ def newton_solve(
                 f"{sup:.3g} > {SUP_RESIDUAL_TOL:g}"
             )
             return sol, NewtonReport(ok, it, sup, history, message)
-        J = _mode_jacobian(spec.rhs_jacobian(args), keep)
+        J = _mode_jacobian(spec.rhs_jacobian(args), K, keep)
         step = np.zeros((M, n))
         try:
             step[keep] = np.linalg.solve(J.reshape(size, size), G[keep].reshape(-1)).reshape(-1, n)
@@ -452,9 +476,10 @@ def newton_solve(
         lam = 1.0
         for _ in range(20):
             trial = sol.coeffs - lam * step
-            Gt, _ = mode_residual(trial)
+            Gt, args_t = mode_residual(trial)
             if np.sqrt(np.sum(Gt * Gt)) < norm:
                 sol = FourierSolution(K, trial)
+                G, args = Gt, args_t
                 break
             lam /= 2
         else:

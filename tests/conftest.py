@@ -219,6 +219,38 @@ def sampled_apriori_m1(spec, radius, samples=4000, seed=0):
     return max(float(np.max(np.abs(spec.rhs(args)))), float(np.max(np.abs(args[:, : spec.n]))))
 
 
+def sampled_growth_check(rhs, n, m, radius, samples=2000, seed=0):
+    """Oracle for `ddedeg.check_growth_condition`: the sampling loop with
+    `Random.uniform` draws and one delayed block appended at a time."""
+    import random
+
+    rng = random.Random(seed)
+    worst = None
+    positive = 0
+    for _ in range(samples):
+        scale = radius * (1 + rng.random())
+        x = [rng.uniform(-1, 1) for _ in range(n)]
+        top = max(abs(v) for v in x) or 1.0
+        x = [v * scale / top for v in x]
+        args = list(x)
+        for _ in range(m - 1):
+            y = [rng.uniform(-scale, scale) for _ in range(n)]
+            args.extend(y)
+        val = rhs(args)
+        dot = sum(a * b for a, b in zip(x, val))
+        if worst is None or dot < worst:
+            worst = dot
+        if dot > 0:
+            positive += 1
+    return {
+        "samples": samples,
+        "positive": positive,
+        "min_dot": worst,
+        "all_positive": positive == samples,
+        "note": "sampled evidence only",
+    }
+
+
 def rhs_jacobian_oracle(spec, args):
     """Oracle: d f / d args on rows of args -> (N, n, m*n), by the product
     rule over the factor positions of each term (a variable listed twice
@@ -246,7 +278,7 @@ def zero_jacobian_mode_blocks(spec, K):
     from eqdeg.verifier import _mode_jacobian
 
     zero = np.zeros((4 * K + 1, spec.m * spec.n))
-    J = _mode_jacobian(spec.rhs_jacobian(zero))
+    J = _mode_jacobian(spec.rhs_jacobian(zero), K)
     blocks = {}
     for k in range(K + 1):
         rows = [0] if k == 0 else [k, K + k]

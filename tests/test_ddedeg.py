@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from eqdeg.ddedeg import (
 )
 from eqdeg.o2gamma import maximal_orbit_types
 
-from conftest import closed_form_resonances, hexagon_delay_matrices
+from conftest import closed_form_resonances, hexagon_delay_matrices, sampled_growth_check
 
 
 F = Fraction
@@ -346,6 +347,48 @@ def test_growth_condition_checker():
     res2 = check_growth_condition(inward, n=2, m=2, radius=2.0, samples=300)
     assert not res2["all_positive"]
     assert res2["min_dot"] < 0
+
+
+def test_growth_check_draws_equal_the_uniform_loop():
+    import numpy as np
+
+    from eqdeg.verifier import SystemSpec
+
+    # the bundled `verify` system (cubic 1/2) through `run_verify`'s one-row callback
+    system = load_config(bundled_example_path())["system"]
+    linear = [[[float(v) for v in row] for row in mat] for mat in hexagon_delay_matrices()]
+    terms = [[(0.5, ((c, 3),))] for c in range(6)]
+    spec = SystemSpec(n=6, m=6, period=2 * math.pi, linear=linear, terms=terms)
+
+    def hexagon(args):
+        return list(spec.rhs(np.asarray(args)[None, :])[0])
+
+    def cubic(args):
+        return [v ** 3 for v in args[:2]]
+
+    def mixed(args):
+        x, y, z = args[:3]
+        return [x ** 3 - 2 * args[3] + y, -x + z ** 3 * args[5], y * args[4] ** 2 - 3 * z]
+
+    def recorded(rhs, calls):
+        def record(args):
+            calls.append(list(args))
+            return rhs(args)
+
+        return record
+
+    systems = [
+        (hexagon, 6, 6, system["radius"], system["growth_samples"]),
+        (cubic, 2, 2, 2.0, 300),
+        (mixed, 3, 2, 0.7, 300),
+    ]
+    for rhs, n, m, radius, samples in systems:
+        for seed in (0, 1, 7, 12345):
+            kw = dict(n=n, m=m, radius=radius, samples=samples, seed=seed)
+            got_args, want_args = [], []
+            got = check_growth_condition(recorded(rhs, got_args), **kw)
+            assert got == sampled_growth_check(recorded(rhs, want_args), **kw)
+            assert got_args == want_args
 
 
 def test_multiplicity_table_values(d6_analysis):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import pi
 
@@ -13,6 +14,7 @@ from eqdeg.verifier import (
     apriori_check,
     class_matches_symmetries,
     element_symmetry,
+    fft_length,
     isotropy_of_trajectory,
     modes,
     newton_solve,
@@ -247,10 +249,10 @@ def coupled_spec(n, m, rng):
     return SystemSpec(n=n, m=m, period=2 * pi, linear=lin, terms=terms)
 
 
-def collocation_operators(K, m):
-    """Dense oracles on the 4K+1 grid: the grid, the projection, P @ D2 and
-    the m shifted bases."""
-    t = np.linspace(0, 2 * pi, 4 * K + 1, endpoint=False)
+def collocation_operators(K, m, N=None):
+    """Dense oracles on the N-point grid (4K+1 by default): the grid, the
+    projection, P @ D2 and the m shifted bases."""
+    t = np.linspace(0, 2 * pi, N or 4 * K + 1, endpoint=False)
     P = projection_matrix(K, t)
     PD2 = P @ second_derivative_matrix(K, t)
     B = [basis_matrix(K, t, shift=2 * pi * j / m) for j in range(m)]
@@ -269,7 +271,7 @@ def test_mode_jacobian_matches_einsum_and_finite_differences(m):
         jac_pointwise = spec.rhs_jacobian(dense_delayed_arguments(spec, sol, t))
         off_diagonal = jac_pointwise[:, 0, (m - 1) * n + 1]
         assert np.max(np.abs(off_diagonal)) > 0.1
-        J = _mode_jacobian(jac_pointwise)
+        J = _mode_jacobian(jac_pointwise, K)
         ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
         assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -296,9 +298,49 @@ def test_mode_jacobian_matches_einsum_on_random_pointwise_jacobian(n, m, K):
     jac_pointwise = rng.standard_normal((4 * K + 1, n, m * n))
     top = np.abs(np.fft.rfft(jac_pointwise, axis=0))
     assert np.min(np.max(top, axis=(1, 2))) > 0.1
-    J = _mode_jacobian(jac_pointwise)
+    J = _mode_jacobian(jac_pointwise, K)
     ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
     assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    def smooth(v):
+        for p in (2, 3, 5):
+            while v % p == 0:
+                v //= p
+        return v == 1
+
+    for n in range(1, 2001):
+        assert fft_length(n) == next(v for v in range(n, 2 * n + 1) if smooth(v)), n
+    assert fft_length(4 * 64 + 1) == 270 and fft_length(4 * 32 + 1) == 135
+
+
+@pytest.mark.parametrize("K", [4, 7, 64])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_mode_jacobian_on_the_smooth_grid_matches_the_dense_oracle(m, K):
+    n = 2
+    N = fft_length(4 * K + 1)
+    rng = np.random.default_rng(80 + 10 * K + m)
+    _, P, PD2, B = collocation_operators(K, m, N)
+    jac_pointwise = rng.standard_normal((N, n, m * n))
+    J = _mode_jacobian(jac_pointwise, K)
+    ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
+    assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K", [4, 7, 64])
+def test_band_limited_jacobian_does_not_depend_on_the_grid(K):
+    # every product w cos_k cos_l(. - s) of a pointwise Jacobian w with modes
+    # up to 2K has modes up to 4K, so both grids sum it exactly
+    n, m = 2, 3
+    rng = np.random.default_rng(90 + K)
+    modes_2k = rng.standard_normal((4 * K + 1, n * m * n))
+    Js = []
+    for N in (4 * K + 1, fft_length(4 * K + 1)):
+        t = np.linspace(0, 2 * pi, N, endpoint=False)
+        Js.append(_mode_jacobian((basis_matrix(2 * K, t) @ modes_2k).reshape(N, n, m * n), K))
+    assert Js[0].shape == Js[1].shape
+    assert np.max(np.abs(Js[0] - Js[1])) <= 1e-12 * np.max(np.abs(Js[0]))
 
 
 def test_mode_jacobian_peak_memory_stays_near_its_output():
@@ -306,15 +348,17 @@ def test_mode_jacobian_peak_memory_stays_near_its_output():
 
     n = m = 6
     K = 64
-    jac_pointwise = np.random.default_rng(7).standard_normal((4 * K + 1, n, m * n))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        J = _mode_jacobian(jac_pointwise)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * J.nbytes
+    # the 4K+1 grid and Newton's smooth grid
+    for N in (4 * K + 1, fft_length(4 * K + 1)):
+        jac_pointwise = np.random.default_rng(7).standard_normal((N, n, m * n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            J = _mode_jacobian(jac_pointwise, K)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * J.nbytes, N
 
 
 def row_masks(K):
@@ -328,13 +372,15 @@ def row_masks(K):
 @pytest.mark.parametrize("K", [4, 7, 64])
 def test_restricted_mode_jacobian_is_the_slice_of_the_full_one(K):
     n, m = 3, 6
-    jac_pointwise = np.random.default_rng(K).standard_normal((4 * K + 1, n, m * n))
-    full = _mode_jacobian(jac_pointwise)
-    for name, keep in row_masks(K).items():
-        J = _mode_jacobian(jac_pointwise, keep)
-        kept = int(np.count_nonzero(keep))
-        assert J.shape == (kept, n, kept, n), name
-        assert np.array_equal(J, full[keep][:, :, keep]), name
+    # the 4K+1 grid and Newton's smooth grid
+    for N in (4 * K + 1, fft_length(4 * K + 1)):
+        jac_pointwise = np.random.default_rng(K).standard_normal((N, n, m * n))
+        full = _mode_jacobian(jac_pointwise, K)
+        for name, keep in row_masks(K).items():
+            J = _mode_jacobian(jac_pointwise, K, keep)
+            kept = int(np.count_nonzero(keep))
+            assert J.shape == (kept, n, kept, n), (N, name)
+            assert np.array_equal(J, full[keep][:, :, keep]), (N, name)
 
 
 def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
@@ -342,7 +388,7 @@ def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
     keep = np.zeros(2 * K + 1, dtype=bool)
     keep[[1, K + 2]] = True  # cos 1 and sin 2
     with pytest.raises(ValueError):
-        _mode_jacobian(np.zeros((4 * K + 1, 1, 1)), keep)
+        _mode_jacobian(np.zeros((4 * K + 1, 1, 1)), K, keep)
 
 
 def test_newton_linear_converges_to_zero():
@@ -556,6 +602,25 @@ def test_forcing_modes_outside_the_fixed_rows_keep_them():
     assert np.array_equal(_invariant_rows(spec, seed.coeffs, forcing_modes), row_masks(K)["cos"])
     forcing_modes[K + 1, 3] = 1e-3  # sin t
     assert _invariant_rows(spec, seed.coeffs, forcing_modes).all()
+
+
+def test_newton_evaluates_each_iterate_once():
+    # the accepted line-search trial's residual is the next step's, so no
+    # argument grid reaches the right-hand side twice
+    import hashlib
+
+    spec = d6_linear_spec(cubic=0.5)
+    rhs, seen = spec.rhs, Counter()
+
+    def counted(args):
+        seen[hashlib.sha256(np.ascontiguousarray(args).tobytes()).hexdigest()] += 1
+        return rhs(args)
+
+    spec.rhs = counted
+    sol, rep = newton_solve(spec, hexagon_seed(32), tol=1e-12, max_iter=100)
+    assert rep.converged and rep.iterations == 5
+    assert len(seen) >= rep.iterations + 1
+    assert max(seen.values()) == 1
 
 
 def test_end_to_end_orbit_and_symmetry(d6ctx):
