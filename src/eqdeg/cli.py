@@ -465,8 +465,10 @@ def run_verify(config) -> dict:
     ]
     n = result.table.group.degree
     terms = [[(cubic, ((c, 3),))] for c in range(n)]
-    spec = SystemSpec(n=n, m=result.lin.m, period=2 * pi, linear=lin_mats, terms=terms)
-    spec.check_reversible(result.lin.tol)
+    spec = SystemSpec(
+        n=n, m=result.lin.m, period=2 * pi, linear=lin_mats, terms=terms, tol=result.lin.tol
+    )
+    spec.check_reversible()
     spec.check_odd()
     growth = check_growth_condition(
         lambda args: list(spec.rhs(np.asarray(args)[None, :])[0]),

@@ -43,8 +43,10 @@ class _Monomials:
 
     def __call__(self, args: np.ndarray) -> np.ndarray:
         """Values on rows of args (N, n_vars) -> (N, n_out)."""
-        padded = np.concatenate([args, np.ones((len(args), 1))], axis=1)
-        return (self.coeffs * np.prod(padded[:, self.factors], axis=2)) @ self.scatter
+        padded = np.empty((len(args), args.shape[1] + 1))
+        padded[:, :-1] = args
+        padded[:, -1] = 1.0
+        return (self.coeffs * np.multiply.reduce(padded[:, self.factors], axis=2)) @ self.scatter
 
 
 @dataclass
@@ -54,7 +56,8 @@ class SystemSpec:
     The right-hand side is a polynomial: per component, a list of terms
     (coefficient, ((variable, power), ...)) over the m*n delayed variables,
     variable j*n + c meaning component c of the j-th delayed block, plus an
-    optional linear part given as m matrices.
+    optional linear part given as m matrices.  tol is the run's tolerance
+    for `check_reversible`.
     """
 
     n: int
@@ -62,6 +65,7 @@ class SystemSpec:
     period: float
     linear: list | None = None
     terms: list = field(default_factory=list)
+    tol: float = 0.0
 
     def __post_init__(self):
         if self.period <= 0:
@@ -100,10 +104,13 @@ class SystemSpec:
 
     # -- structural checks --------------------------------------------------
 
-    def check_reversible(self, tol: float = 0.0) -> None:
+    def check_reversible(self, tol: float | None = None) -> None:
         """Delayed arguments must enter symmetrically: block j paired with
         block m - j, the linear blocks equal within tol times max(1, their
-        largest entry) and the term coefficients within the absolute tol."""
+        largest entry) and the term coefficients within the absolute tol
+        (the spec's own tol by default)."""
+        if tol is None:
+            tol = self.tol
         if self.linear is not None:
             for j in range(1, self.m):
                 a, b = self.linear[j], self.linear[self.m - j]
@@ -162,7 +169,7 @@ def normalize(spec: SystemSpec) -> SystemSpec:
         [(alpha2 * coeff, powers) for (coeff, powers) in comp]
         for comp in spec.terms
     ]
-    return SystemSpec(n=spec.n, m=spec.m, period=2 * pi, linear=linear, terms=terms)
+    return SystemSpec(n=spec.n, m=spec.m, period=2 * pi, linear=linear, terms=terms, tol=spec.tol)
 
 
 @dataclass
@@ -314,12 +321,12 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     jac_pointwise is d f / d args on the grid t_i = 2*pi*i/N, N >= 4K+1, shape
     (N, n, m*n); w_j = jac_pointwise[:, c, j*n + d], B_j samples the rows at
     t_i - s_j for the delay s_j = 2*pi*j/m, and P is the projection `modes`.
-    Let F_j[q] = sum_i w_j(t_i) exp(i q t_i): the conjugate of row q of the
-    rfft, which has the rows q = 0..2K for every N >= 4K+1, and
-    F_j[-q] = conj F_j[q].  The product-to-sum rules hold at every grid
-    point, so summed over the grid they are exact discrete identities on any
-    such N, and J is the exact Jacobian of the residual collocated on that
-    grid.  They give for the modes k, l = 0..K
+    Let R_j[p] = sum_i w_j(t_i) exp(-i p t_i), the rows p = 0..2K of the
+    rfft, which has them for every N >= 4K+1.  The product-to-sum rules
+    hold at every grid point, so summed over the grid they are exact
+    discrete identities on any such N, and J is the exact Jacobian of the
+    residual collocated on that grid.  With F_j[q] = conj R_j[q] and
+    F_j[-q] = R_j[q] (w_j is real) they give for the modes k, l = 0..K
 
         a = sum_j exp(i l s_j) F_j[k - l],   b = sum_j exp(-i l s_j) F_j[k + l],
 
@@ -329,10 +336,22 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
         sum_j sin_k w_j sin_l(. - s_j) = Re(a - b) / 2,
 
     and P weights row k by 1/N for k = 0 and 2/N otherwise (Boyd, Chebyshev
-    and Fourier Spectral Methods, ch. 9).  One rfft covers every (c, d, j);
-    the delay sum is one 2nc x m by m x (3K+1) product per (c, d) pair, nc
-    the number of kept cos modes (K + 1 for the full J), so besides J the
-    temporaries are F, with (3K+1) m n^2 entries, and one such product.
+    and Fourier Spectral Methods, ch. 9).  The delays are equally spaced,
+    so exp(i l s_j) = exp(2*pi*i l j / m) depends on l only through
+    l mod m, and every delay sum is an entry of one length-m DFT over j:
+
+        G[p, r] = -1/N sum_j exp(2*pi*i r j / m) R_j[p],   r = 0..m-1,
+
+        -a/N = conj G[k - l, -l mod m] (k >= l),  G[l - k, l mod m] (k < l),
+        -b/N = conj G[k + l, l mod m].
+
+    Delays that are not multiples of 2*pi/m would give each l its own
+    phases and so its own sum.  One rfft and one product of the
+    (2K+1) n^2 x m rows with the m x m DFT matrix give G for every entry
+    pair (c, d); J is then read off G by index gathers, one c at a time,
+    so besides J the temporaries are G, with (2K+1) m n^2 entries, and one
+    gather of a and b, with 2 nc^2 n entries, nc the number of kept cos
+    modes (K + 1 for the full J).
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
@@ -346,27 +365,29 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     nc, t = len(cos_k), len(cos_k) - len(sin_k)
     if not np.array_equal(cos_k[t:], sin_k):
         raise ValueError("the kept sin modes must be the last kept cos modes")
-    R = np.fft.rfft(jac_pointwise, axis=0)[:M].reshape(M, n, m, n)
-    F = np.concatenate([R[K:0:-1], R.conj()])  # F[q] at row q + K, q = -K..2K
-    del R
+    # R[(p, c, d), j] = R_j[p] of the entry (c, d)
+    R = np.fft.rfft(jac_pointwise.reshape(N, n, m, n).transpose(0, 1, 3, 2), axis=0)
+    R = R[:M].reshape(-1, m)
     # -1/N is P's row weight 2/N times the 1/2 of the rules; row 0 is halved below
-    phase = np.exp(1j * np.outer(cos_k, 2 * pi * np.arange(m) / m)) / -N
-    rot = np.concatenate([phase, phase.conj()])
-    # flat indices of a (rows of exp(i l s_j)) and b (rows of exp(-i l s_j))
-    # in rot @ F_cd, indexed [k, l] over the kept cos modes
-    width = 3 * K + 1
-    pos = np.arange(nc)
+    j = np.arange(m)
+    G = (R @ (np.exp(2j * pi / m * (np.outer(j, j) % m)) / -N)).reshape(M, n, n, m)
+    del R
+    # where a and b sit in G[:, c], indexed [k, l] over the kept cos modes,
+    # and where they are conjugated: a where k >= l, b everywhere
     k, l = cos_k[:, None], cos_k
-    idx = np.stack([pos * width + (k - l + K), (nc + pos) * width + (k + l + K)])
+    at_p = np.stack([np.abs(k - l), k + l])
+    at_r = np.stack(np.broadcast_arrays(np.where(k >= l, -l % m, l % m), l % m))
+    conj = np.stack(np.broadcast_arrays(k >= l, True))[..., None]
     J = np.empty((nc + len(sin_k), n, nc + len(sin_k), n))
     for c in range(n):
-        for d in range(n):
-            a, b = np.take(rot @ F[:, c, :, d].T, idx)
-            plus, minus = a + b, a - b
-            J[:nc, c, :nc, d] = plus.real
-            J[:nc, c, nc:, d] = -minus.imag[:, t:]
-            J[nc:, c, :nc, d] = plus.imag[t:]
-            J[nc:, c, nc:, d] = minus.real[t:, t:]
+        # Re(a + b), -Im(a - b), Im(a + b) and Re(a - b), indexed [k, l, d]
+        a, b = ab = G[at_p, c, :, at_r]
+        np.conjugate(ab, out=ab, where=conj)
+        np.add(a.real, b.real, out=J[:nc, c, :nc])
+        np.subtract(b.imag[:, t:], a.imag[:, t:], out=J[:nc, c, nc:])
+        np.add(a.imag[t:], b.imag[t:], out=J[nc:, c, :nc])
+        np.subtract(a.real[t:, t:], b.real[t:, t:], out=J[nc:, c, nc:])
+        del a, b, ab  # freed before the next c's gather
     if nc and cos_k[0] == 0:
         J[0] *= 0.5
     size = J.shape[0] * n
@@ -380,12 +401,12 @@ def _invariant_rows(spec: SystemSpec, *coeffs: np.ndarray) -> np.ndarray:
     (2K+1, n)).
 
     Two maps may commute with the residual of spec.  Reversal x(t) ->
-    x(-t) does when block j of f equals block m - j (`check_reversible`);
-    its fixed rows are the constant and cos rows.  The half-period map
-    x(t) -> -x(t + pi) does when f is odd (`check_odd`); its fixed rows
-    are the cos and sin rows of odd k.  A map whose check passes and
-    whose fixed rows hold every nonzero entry of coeffs drops its other
-    rows; the mask keeps what no such map drops.
+    x(-t) does when block j of f equals block m - j, within the spec's
+    tol (`check_reversible`); its fixed rows are the constant and cos rows.
+    The half-period map x(t) -> -x(t + pi) does when f is odd
+    (`check_odd`); its fixed rows are the cos and sin rows of odd k.  A
+    map whose check passes and whose fixed rows hold every nonzero entry
+    of coeffs drops its other rows; the mask keeps what no such map drops.
     """
     K = (len(coeffs[0]) - 1) // 2
     k = np.concatenate([np.arange(K + 1), np.arange(1, K + 1)])

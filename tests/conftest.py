@@ -194,6 +194,13 @@ def dense_delayed_arguments(spec, sol, tgrid):
     )
 
 
+def concatenated_monomials(monomials, args):
+    """Oracle for `verifier._Monomials.__call__`: the column of ones joined
+    by a concatenation and the factors reduced by `np.prod`."""
+    padded = np.concatenate([args, np.ones((len(args), 1))], axis=1)
+    return (monomials.coeffs * np.prod(padded[:, monomials.factors], axis=2)) @ monomials.scatter
+
+
 def rhs_oracle(spec, args):
     """Oracle: f on rows of args (N, m*n), one block product per delay and
     one product loop per term."""

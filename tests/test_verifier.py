@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import pi
@@ -29,6 +30,7 @@ from eqdeg.o2gamma import fixed_dim
 
 from conftest import (
     basis_matrix,
+    concatenated_monomials,
     dense_delayed_arguments,
     hexagon_delay_matrices,
     projection_matrix,
@@ -190,10 +192,11 @@ def test_jacobian_matches_finite_differences():
             assert np.max(np.abs(fd - jac[:, :, v])) < 5e-5
 
 
-def test_rhs_and_jacobian_match_the_per_term_oracles():
-    # a term with a repeated variable (x_1 * x_1^2), one with three
-    # variables over two delay blocks, a constant term and a linear part
-    mixed = SystemSpec(
+def mixed_degree_spec():
+    """Terms of degree 0, 3 and 4: a term with a repeated variable
+    (x_1 * x_1^2), one with three variables over two delay blocks and a
+    constant term, plus a linear part."""
+    return SystemSpec(
         n=2,
         m=2,
         period=2 * pi,
@@ -203,8 +206,12 @@ def test_rhs_and_jacobian_match_the_per_term_oracles():
             [(1.3, ((2, 3),)), (0.6, ((1, 1), (0, 1), (1, 1)))],
         ],
     )
+
+
+def test_rhs_and_jacobian_match_the_per_term_oracles():
     rng = np.random.default_rng(8)
-    for spec in (small_spec(), mixed, coupled_spec(3, 6, rng), d6_linear_spec(cubic=0.5)):
+    specs = (small_spec(), mixed_degree_spec(), coupled_spec(3, 6, rng), d6_linear_spec(cubic=0.5))
+    for spec in specs:
         for rows in (1, 37):
             args = rng.standard_normal((rows, spec.m * spec.n))
             for got, ref in (
@@ -215,6 +222,17 @@ def test_rhs_and_jacobian_match_the_per_term_oracles():
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         one = rng.standard_normal(spec.m * spec.n)
         assert spec.rhs(one).shape == (1, spec.n)
+
+
+def test_monomials_equal_the_concatenated_product():
+    # the hexagon cubic, and terms of mixed degree whose factor lists are
+    # padded with the column of ones
+    rng = np.random.default_rng(11)
+    for spec in (d6_linear_spec(cubic=0.5), mixed_degree_spec()):
+        for monomials in (spec._terms, spec._derivatives):
+            for rows in (1, 270):
+                args = rng.standard_normal((rows, spec.m * spec.n))
+                assert np.array_equal(monomials(args), concatenated_monomials(monomials, args))
 
 
 def test_terms_must_be_powers_of_variables():
@@ -316,7 +334,8 @@ def test_fft_length_is_the_least_5_smooth_length():
 
 
 @pytest.mark.parametrize("K", [4, 7, 64])
-@pytest.mark.parametrize("m", [1, 2, 3, 6])
+# odd m, where -l mod m and l mod m differ, among them
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7])
 def test_mode_jacobian_on_the_smooth_grid_matches_the_dense_oracle(m, K):
     n = 2
     N = fft_length(4 * K + 1)
@@ -371,16 +390,16 @@ def row_masks(K):
 
 @pytest.mark.parametrize("K", [4, 7, 64])
 def test_restricted_mode_jacobian_is_the_slice_of_the_full_one(K):
-    n, m = 3, 6
-    # the 4K+1 grid and Newton's smooth grid
-    for N in (4 * K + 1, fft_length(4 * K + 1)):
+    n = 3
+    # the 4K+1 grid and Newton's smooth grid; odd m too
+    for m, N in itertools.product((5, 6, 7), (4 * K + 1, fft_length(4 * K + 1))):
         jac_pointwise = np.random.default_rng(K).standard_normal((N, n, m * n))
         full = _mode_jacobian(jac_pointwise, K)
         for name, keep in row_masks(K).items():
             J = _mode_jacobian(jac_pointwise, K, keep)
             kept = int(np.count_nonzero(keep))
-            assert J.shape == (kept, n, kept, n), (N, name)
-            assert np.array_equal(J, full[keep][:, :, keep]), (N, name)
+            assert J.shape == (kept, n, kept, n), (m, N, name)
+            assert np.array_equal(J, full[keep][:, :, keep]), (m, N, name)
 
 
 def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
@@ -590,6 +609,21 @@ def test_a_nearly_reversible_spec_is_not_reduced_by_reversal():
         spec.check_reversible()
     spec.check_odd()
     assert np.array_equal(_invariant_rows(spec, hexagon_seed(K).coeffs), row_masks(K)["odd"])
+
+
+def test_the_spec_tol_reaches_the_reversal_reduction():
+    # the same 1e-9 difference within the spec's tol: reversal drops the
+    # sin rows too, and the time rescaling keeps the tol
+    K = 8
+    lin = [np.array(a, dtype=float) for a in hexagon_delay_matrices()]
+    lin[1] = lin[1] * (1 + 1e-9)
+    terms = [[(0.5, ((c, 3),))] for c in range(6)]
+    spec = SystemSpec(n=6, m=6, period=2 * pi, linear=lin, terms=terms, tol=1e-8)
+    spec.check_reversible()
+    with pytest.raises(SpecError):
+        spec.check_reversible(tol=0.0)
+    assert np.array_equal(_invariant_rows(spec, hexagon_seed(K).coeffs), row_masks(K)["odd-cos"])
+    assert normalize(SystemSpec(n=6, m=6, period=4 * pi, linear=lin, tol=1e-8)).tol == 1e-8
 
 
 def test_forcing_modes_outside_the_fixed_rows_keep_them():
