@@ -45,17 +45,20 @@ buckets the meets by reflection offset (`_meets`).  The mark of two
 finite classes counts the terms of that walk whose meet is all of L, and
 builds no meet.
 
-Classes are interned per context, so they compare by identity.  Every
-exact function of a context or class (code tables per grid, keys, fixed
-dimensions, character powers, Weyl orders, marks, double cosets, products,
-candidates, basic degrees) is `memoised`: its results live in the one memo
-of the context, keyed by the function and its arguments.
+Classes are interned per context, so they compare by identity, and each
+walked element set maps to its interned class.  Every exact function of a
+context or class that is asked the same question again (code tables per
+grid, coset representatives, fixed dimensions, character powers, Weyl
+orders, marks, double cosets, candidates, basic degrees) is `memoised`:
+its results live in the one memo of the context, keyed by the function
+and its arguments.  Products are not kept: the running product of a
+degree asks for almost every pair once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from math import gcd, lcm
 
 from .chartab import CharacterTable, SignedGroup
@@ -161,20 +164,15 @@ def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) ->
     return names
 
 
-def memoised(fn=None, *, unordered: bool = False):
+def memoised(fn):
     """Keep fn's results in the memo of the context of its first argument.
 
     The first argument is a GammaContext or a class over one; results are
     keyed by fn and all its (positional) arguments, so they live and die
     with the context.  A class argument over another context raises
     ValueError before the lookup: fn would compute with this context's
-    tables on a class of the other.  With unordered=True, the key
-    lists the arguments by identity, so the context's interned classes get
-    one entry per unordered pair, computed in the order it is first asked
-    for.  fn never returns None.
+    tables on a class of the other.  fn never returns None.
     """
-    if fn is None:
-        return partial(memoised, unordered=unordered)
 
     @wraps(fn)
     def wrapper(*args):
@@ -183,7 +181,7 @@ def memoised(fn=None, *, unordered: bool = False):
         for arg in args:
             if isinstance(arg, AmalgamatedClass) and arg.ctx is not ctx:
                 raise ValueError("classes live over different groups")
-        key = (fn, *sorted(args, key=id)) if unordered else (fn, *args)
+        key = (fn, *args)
         result = ctx.memo.get(key)
         if result is None:
             result = ctx.memo[key] = fn(*args)
@@ -292,6 +290,9 @@ def _grid_codes(ctx: GammaContext, grid: int):
     (u, s, g) is (rank[u] * 2 + (s == 1)) * n + g, so codes sort like the
     tuples (numerator, denominator, s, g).  decode[code] is that tuple, and
     conj_tabs[g][code] is the code of the element conjugated by g in Gamma'.
+    The n tables hold every code n times; they refer to one int object per
+    code, since a fresh int per entry (codes pass the small-int cache at
+    256) would take 28 bytes where a reference takes 8.
     """
     n = ctx.n
     turns = sorted((u // gcd(u, grid), grid // gcd(u, grid), u) for u in range(grid))
@@ -301,14 +302,14 @@ def _grid_codes(ctx: GammaContext, grid: int):
     decode = [
         (num, den, s, g) for (num, den, _) in turns for s in (-1, 1) for g in range(n)
     ]
+    codes = list(range(len(decode)))
     conj_tabs = [
-        [base + tab[x] for base in range(0, len(decode), n) for x in range(n)]
+        [codes[base + tab[x]] for base in range(0, len(decode), n) for x in range(n)]
         for tab in ctx.conj
     ]
     return rank, decode, conj_tabs
 
 
-@memoised
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
     """The key of the class of a finite subgroup H, and |N(H)| / 2.
 
@@ -339,7 +340,7 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
     n = ctx.n
     bases = axes[: gcd(2, len(axes))]
     r_prime = frozenset(g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0)
-    tabs = [conj_tabs[min(c)] for c in _cosets_of(ctx, range(n), r_prime)]
+    tabs = [conj_tabs[g] for g in _coset_reps(ctx, r_prime)]
     conjugates = []
     for b in bases:
         codes = [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in _shift_refl(elems, -b, grid)]
@@ -351,10 +352,19 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
     """The class of the finite subgroup with elements (u, s, g), t = u/grid;
-    ValueError when it has no reflection."""
+    ValueError when it has no reflection.  On a grid that is already the
+    least one, the caller's element tuples are kept as they are."""
     c = gcd(grid, *(u for (u, _, _) in elems))
-    elems = frozenset((u // c, s, g) for (u, s, g) in elems)
-    grid //= c
+    if c > 1:
+        elems = ((u // c, s, g) for (u, s, g) in elems)
+        grid //= c
+    return _interned_fin(ctx, frozenset(elems), grid)
+
+
+@memoised
+def _interned_fin(ctx: GammaContext, elems: frozenset, grid: int) -> AmalgamatedClass:
+    """The interned class of an element set on its least grid: the memo
+    keeps one entry per walked set, the set itself and its class."""
     key = _fin_key(ctx, elems, grid)[0]
     cached = ctx._interned.get(key)
     if cached is None:
@@ -529,7 +539,6 @@ def _normal_subgroups_of(ctx: GammaContext, kset: frozenset) -> list[frozenset]:
     return sorted(out, key=lambda sub: (len(sub), sorted(sub)))
 
 
-@memoised
 def _cosets_of(ctx, kset, rset) -> list[frozenset]:
     seen = set()
     cosets = []
@@ -540,6 +549,12 @@ def _cosets_of(ctx, kset, rset) -> list[frozenset]:
         seen |= coset
         cosets.append(coset)
     return cosets
+
+
+@memoised
+def _coset_reps(ctx: GammaContext, rset: frozenset) -> tuple:
+    """The least element of each left coset g R of Gamma'."""
+    return tuple(min(coset) for coset in _cosets_of(ctx, range(ctx.n), rset))
 
 
 def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
@@ -673,18 +688,18 @@ def maximal_orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedCl
 # Burnside products over O(2) x Gamma'
 
 
-@memoised(unordered=True)
 def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     """(c1) * (c2) in the Burnside ring: {class: multiplicity}.
 
     Orbit types with a rotation-only O(2)-part have infinite Weyl group and
     carry no coefficient: `_product_o2` drops them, and two finite classes
-    meet in a reflection whenever they meet at all.  The product is
-    commutative, so
-    the memo keeps one entry per unordered pair.  The O(2) x K classes span
-    the Burnside ring A(Gamma') (`eqdeg burnside`).
+    meet in a reflection whenever they meet at all.  The O(2) x K classes
+    span the Burnside ring A(Gamma') (`eqdeg burnside`).  Nothing is kept:
+    the running product of a degree asks for almost every pair once.
     """
     ctx = c1.ctx
+    if c2.ctx is not ctx:
+        raise ValueError("classes live over different groups")
     if c1.kind == "o2":
         return _product_o2(ctx, c1, c2)
     if c2.kind == "o2":

@@ -94,8 +94,6 @@ def test_commutativity_and_associativity_exhaustive():
         n = len(gens)
         for i in range(n):
             for j in range(n):
-                # the ring caches products on the unordered pair, so the
-                # double-coset rule itself is also run in both orders
                 c1, c2 = classes[i], classes[j]
                 assert og._product_o2(ctx, c1, c2) == og._product_o2(ctx, c2, c1)
                 assert gens[i] * gens[j] == gens[j] * gens[i]

@@ -243,10 +243,9 @@ def test_class_product_unit_and_commutativity(d6ctx):
     for c1 in samples:
         assert class_product(g, c1) == {c1: 1}
         for c2 in samples:
-            assert class_product(c1, c2) is class_product(c2, c1)
-    # class_product keeps one memo entry per unordered pair, so call the
-    # O(2) product itself against the reference loop (the finite products
-    # are checked in test_fin_products_match_the_all_g_reference)
+            assert class_product(c1, c2) == class_product(c2, c1)
+    # the O(2) product against the reference loop (the finite products are
+    # checked in test_fin_products_match_the_all_g_reference)
     for c1 in fins:
         for c_o2 in o2s:
             expected = _coset_id_product_o2_fin(d6ctx, c_o2, c1)
@@ -627,7 +626,6 @@ def test_fin_products_satisfy_the_marks_identity(code_ctxs, name):
     )
     for i, h in enumerate(support):
         for k in support[i:]:
-            # the product itself, not the memo, which answers both orders
             prod = og._product_fin_fin(ctx, h, k)
             assert og._product_fin_fin(ctx, k, h) == prod, (h.name(), k.name())
             for low in set(prod) | {h, k}:
