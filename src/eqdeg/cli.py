@@ -326,17 +326,21 @@ def _decompose(config):
     return table, isotypic_multiplicities(chi, table), action
 
 
-def _options(config) -> dict:
-    """The config's options; k_max and s must be null or integers >= 0,
-    tol null or a tolerance."""
+def _options(config, k_max=None, s=None) -> dict:
+    """The config's options, where the k_max and s given here (the --kmax
+    and --s flags) take the place of the config's when set.  Given or
+    configured, k_max and s must be null or integers >= 0, where 0 picks
+    the default, and tol null or a tolerance."""
     options = config.get("options", {})
     if not isinstance(options, dict) or any(
-        options.get(key) is not None and not (_is_int(options[key]) and options[key] >= 0)
-        for key in ("k_max", "s")
+        value is not None and not (_is_int(value) and value >= 0)
+        for value in (k_max, s, options.get("k_max"), options.get("s"))
     ):
-        raise ConfigError("options must be an object whose k_max and s are integers >= 0")
+        raise ConfigError(
+            "options must be an object whose k_max and s are integers >= 0, as are --kmax and --s"
+        )
     _tolerance(options.get("tol"))
-    return options
+    return {**options, "k_max": k_max or options.get("k_max"), "s": s or options.get("s")}
 
 
 def _tolerance(value) -> float:
@@ -352,20 +356,20 @@ def _spectral_table(config, table, decomposition, action, k_max=None, tol=None):
     """Linearization data and block sign table of a config; the data carries
     the one tolerance of the scalarity and reversibility checks and the
     zero test of the blocks."""
-    options = _options(config)
+    options = _options(config, k_max)
     tol = _tolerance(tol or options.get("tol"))
     lin = _build_linearization(config, table, decomposition, action, tol)
-    k_max = k_max or options.get("k_max") or default_k_max(lin)
+    k_max = options["k_max"] or default_k_max(lin)
     return lin, SpectralTable(lin, decomposition, k_max=k_max).build()
 
 
 def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
+    s = _options(config, k_max, s)["s"]
     table, decomposition, action = _decompose(config)
     require_real_components(table, decomposition)
     lin, spectral = _spectral_table(config, table, decomposition, action, k_max, tol)
     signed = SignedGroup(table)
     ctx = GammaContext.from_signed_group(signed)
-    s = s or _options(config).get("s")
     if spectral.zero_spectrum() and not s:
         return AnalysisResult(
             config, table, ctx, decomposition, lin, spectral, None,

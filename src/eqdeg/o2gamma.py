@@ -30,9 +30,9 @@ reflection axis at t = 0, written as sorted (numerator, denominator, s, g)
 with t in lowest terms, so it does not depend on the grid.  To find it,
 each element on a grid M gets an integer code: the points t = u/M are
 ranked by (numerator, denominator), and (u, s, g) has code
-(rank[u] * 2 + (s == 1)) * |Gamma'| + g.  Codes sort like the tuples they
-stand for, and conjugation by g in Gamma' is one table lookup per code
-(`_grid_codes`).  The walk skips the conjugates that the class's own
+(rank[u] * 2 + (s == 1)) * |Gamma'| + g (`_grid_codes`).  Codes sort like
+the tuples they stand for; conjugation by g in Gamma' maps the last term
+by `ctx.conj`.  The walk skips the conjugates that the class's own
 elements repeat: no kappa twist, one reflection axis per orbit of its
 rotations, one g per coset of the Gamma'-parts of its rotations by 0 or
 1/2.  It counts the conjugates equal to the least one, skipped repeats
@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import wraps
 from math import gcd, lcm
+from operator import add
 
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc, _reduce
@@ -275,24 +276,14 @@ class AmalgamatedClass:
 # -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --
 
 
-def _shift_refl(elems, delta, grid):
-    return frozenset(
-        ((u + delta) % grid, s, g) if s == -1 else (u, s, g) for (u, s, g) in elems
-    )
-
-
 @memoised
 def _grid_codes(ctx: GammaContext, grid: int):
-    """Integer element codes on the grid: (rank, decode, conj_tabs).
+    """Integer element codes on the grid: (rank, decode).
 
     rank[u] is the position of t = u/grid in lowest terms, as a
     (numerator, denominator) pair, among the grid's points; the code of
     (u, s, g) is (rank[u] * 2 + (s == 1)) * n + g, so codes sort like the
-    tuples (numerator, denominator, s, g).  decode[code] is that tuple, and
-    conj_tabs[g][code] is the code of the element conjugated by g in Gamma'.
-    The n tables hold every code n times; they refer to one int object per
-    code, since a fresh int per entry (codes pass the small-int cache at
-    256) would take 28 bytes where a reference takes 8.
+    tuples (numerator, denominator, s, g), and decode[code] is that tuple.
     """
     n = ctx.n
     turns = sorted((u // gcd(u, grid), grid // gcd(u, grid), u) for u in range(grid))
@@ -302,12 +293,7 @@ def _grid_codes(ctx: GammaContext, grid: int):
     decode = [
         (num, den, s, g) for (num, den, _) in turns for s in (-1, 1) for g in range(n)
     ]
-    codes = list(range(len(decode)))
-    conj_tabs = [
-        [codes[base + tab[x]] for base in range(0, len(decode), n) for x in range(n)]
-        for tab in ctx.conj
-    ]
-    return rank, decode, conj_tabs
+    return rank, decode
 
 
 def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
@@ -329,22 +315,25 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
       first gcd(2, d) sorted axes meet once each;
     - for x in R', the Gamma'-parts of the rotation elements with
       2v = 0 on the grid, entry(b, g x) = entry(b, g): one g per coset g R'.
-    The weight is 2 (d / gcd(2, d)) |R'|.  Conjugation by g is one table
-    lookup per code.  A subgroup without a reflection has an infinite Weyl
-    group and no place in the ring: ValueError.
+    The weight is 2 (d / gcd(2, d)) |R'|.  Per axis, the code of each
+    shifted element without its Gamma'-part is computed once; conjugation
+    by g adds ctx.conj[g] of the Gamma'-parts.  A subgroup without a
+    reflection has an infinite Weyl group and no place in the ring:
+    ValueError.
     """
     axes = sorted({u for (u, s, _) in elems if s == -1})
     if not axes:
         raise ValueError("a finite class needs a reflection in its O(2)-part")
-    rank, decode, conj_tabs = _grid_codes(ctx, grid)
+    rank, decode = _grid_codes(ctx, grid)
     n = ctx.n
     bases = axes[: gcd(2, len(axes))]
     r_prime = frozenset(g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0)
-    tabs = [conj_tabs[g] for g in _coset_reps(ctx, r_prime)]
+    tabs = [ctx.conj[h] for h in _coset_reps(ctx, r_prime)]
+    gs = [g for (_, _, g) in elems]
     conjugates = []
     for b in bases:
-        codes = [(rank[u] * 2 + (s == 1)) * n + g for (u, s, g) in _shift_refl(elems, -b, grid)]
-        conjugates += [sorted(map(tab.__getitem__, codes)) for tab in tabs]
+        high = [(rank[u if s == 1 else (u - b) % grid] * 2 + (s == 1)) * n for (u, s, _) in elems]
+        conjugates += [sorted(map(add, high, map(tab.__getitem__, gs))) for tab in tabs]
     best = min(conjugates)
     weight = 2 * len(axes) // len(bases) * len(r_prime)
     return ("fin", tuple(decode[c] for c in best)), weight * conjugates.count(best)

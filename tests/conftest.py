@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,19 +79,24 @@ def three_delay_config(group, leading):
 def full_key_walk(ctx, elems, grid):
     """Oracle for `o2gamma._fin_key`: the least aligned conjugate and how
     many equal it, over every (kappa twist, reflection axis, g in Gamma')
-    with nothing skipped."""
-    rank, decode, conj_tabs = og._grid_codes(ctx, grid)
+    with nothing skipped, each written as sorted (numerator, denominator,
+    s, g) tuples with t = u/grid in lowest terms."""
+
+    def turn(u):
+        c = gcd(u, grid)
+        return (u // c, grid // c)
+
     conjugates = []
     for kappa in (1, -1):
         base = {(kappa * u % grid, s, g) for (u, s, g) in elems}
         for b in sorted({u for (u, s, _) in base if s == -1}):
-            codes = [
-                (rank[u] * 2 + (s == 1)) * ctx.n + g
-                for (u, s, g) in og._shift_refl(base, -b, grid)
+            shifted = [((u - b) % grid if s == -1 else u, s, g) for (u, s, g) in base]
+            conjugates += [
+                tuple(sorted((*turn(u), s, tab[g]) for (u, s, g) in shifted))
+                for tab in ctx.conj
             ]
-            conjugates += [sorted(tab[c] for c in codes) for tab in conj_tabs]
     best = min(conjugates)
-    return ("fin", tuple(decode[c] for c in best)), conjugates.count(best)
+    return ("fin", best), conjugates.count(best)
 
 
 def product_mark(c1, c2):

@@ -177,6 +177,29 @@ def test_zero_or_null_tolerance_picks_the_default(tmp_path, options, args):
     assert code == EXIT_DEGENERATE
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("analyze", ["--kmax", "-3"]), ("analyze", ["--s", "-1"]), ("spectrum", ["--kmax", "-3"])],
+    ids=["analyze-kmax", "analyze-s", "spectrum-kmax"],
+)
+def test_negative_kmax_or_s_flag_exits_3(tmp_path, capsys, command, flags):
+    # the flags obey the rule of options.k_max and options.s; --kmax -3
+    # wrote a report with no signs and an empty omega, --s -1 ran as no s
+    config = {"group": "D1", "delays": 1, "linearization": {"mu": {"1": ["-1/2"], "2": ["1"]}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = ["--out", str(tmp_path)] if command == "analyze" else []
+    assert main([command, str(path), *out, *flags]) == EXIT_INVALID
+    assert "k_max and s are integers >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kwargs", [{"k_max": -3}, {"s": -1}, {"k_max": True}, {"s": 1.0}])
+def test_run_analyze_refuses_what_the_options_refuse(kwargs):
+    with pytest.raises(ConfigError, match="k_max and s are integers >= 0"):
+        run_analyze(d1_config(), **kwargs)
+
+
 # D3-symmetric up to 1e-7 in two entries: not scalar within the default tol
 NEAR_D3_MATRIX = [[-5, 1, 1.0000001], [1, -5, 1], [1.0000001, 1, -5]]
 
@@ -435,11 +458,17 @@ def test_library_context_names_classes_like_analyze():
     assert any("^D2d" in c.cls.name() for c in report.conclusions)
 
 
-def test_bundled_analysis_keeps_each_class_once():
-    # the context keeps one interned class per walked element set and no
-    # product; with a product memo and a key per walked set the traced
-    # peak of this run read 3.6-3.8 MB
-    config = load_config(bundled_example_path())
+@pytest.mark.parametrize(
+    "config, bound",
+    [(None, 3.0e6), (three_delay_config("S4", ["-10"] * 5), 5.0e6)],
+    ids=["D6-bundled", "S4-10"],
+)
+def test_bundled_analysis_keeps_each_class_once(config, bound):
+    # the context keeps one interned class per walked element set, no
+    # product and no conjugation table per grid; with a product memo and a
+    # key per walked set the bundled peak read 3.6-3.8 MB, and with the
+    # per-grid conjugation tables the S4 peak read 6.5-6.7 MB
+    config = config or load_config(bundled_example_path())
     tracemalloc.start()
     try:
         result = run_analyze(config)
@@ -447,7 +476,7 @@ def test_bundled_analysis_keeps_each_class_once():
     finally:
         tracemalloc.stop()
     assert result.exit_code == EXIT_OK
-    assert peak <= 3.0e6, f"traced peak {peak / 1e6:.2f} MB"
+    assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_verify_subcommand_small(tmp_path, capsys):

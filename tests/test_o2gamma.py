@@ -763,7 +763,7 @@ def _conjugates_containing(ctx, small, big):
         for kappa in (1, -1):
             tw = {(kappa * u % grid, s, x) for (u, s, x) in base}
             for b in sorted({u for (u, s, _) in tw if s == -1}):
-                cand = og._shift_refl(tw, a1 - b, grid)
+                cand = _conjugate(ctx, tw, grid, False, a1 - b, ctx.identity)
                 if small_elems <= cand:
                     out.append(cand)
     return grid, out
