@@ -285,6 +285,20 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
         )
     except TypeError as exc:
         raise CharacterError(f"malformed character table: {exc}") from exc
+    if len(sizes) != len(reps) or any(len(row) != len(reps) for row in rows):
+        raise CharacterError(
+            "a character table needs a class size and a value in every row for each class rep"
+        )
+    word_of = {}  # element -> the rep word of its class
+    for word, rep, size in zip(data["class_reps"], reps, sizes):
+        if rep not in group.index:
+            raise CharacterError(f"class rep {word} is not in the group")
+        if rep in word_of:
+            raise CharacterError(f"class reps {word_of[rep]} and {word} are conjugate")
+        members = {group.conj(g, rep) for g in group.elements}
+        if len(members) != size:
+            raise CharacterError(f"the class of {word} has {len(members)} elements, not {size}")
+        word_of.update(dict.fromkeys(members, word))
     table = CharacterTable(group, reps, sizes, rows)
     table.check_orthonormal()
     # a class function has the same mean over conjugate subgroups

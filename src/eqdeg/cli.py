@@ -40,8 +40,8 @@ from .ddedeg import (
     require_real_components,
     theorem_conclusions_resonant,
 )
-from .o2gamma import GammaContext, class_product, make_o2, weyl_order
-from .permgroup import Group, p_mul, parse_cycles, subgroup_lattice
+from .o2gamma import GammaContext, class_product, make_o2
+from .permgroup import Group, GroupTooLargeError, parse_perms, subgroup_lattice
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -87,12 +87,7 @@ def _build_group_and_table(config):
         table = bundled_table(spec)
         return table.group, table
     if isinstance(spec, dict) and "generators" in spec:
-        gens = spec["generators"]
-        if not isinstance(gens, list) or not all(
-            isinstance(g, str) or isinstance(g, list) and all(map(_is_int, g)) for g in gens
-        ):
-            raise ConfigError("generators must be a list of cycle words or of point lists")
-        group = Group.make(gens)
+        group = Group.make(_perm_words(spec["generators"], "generators"))
         tab_payload = config.get("character_table")
         if tab_payload is None:
             raise ConfigError("custom groups need an explicit character_table")
@@ -101,49 +96,38 @@ def _build_group_and_table(config):
     raise ConfigError("group must be a preset name or {'generators': [...]}")
 
 
+def _perm_words(words, what: str) -> list:
+    """words, when they are a list of cycle words or of point lists."""
+    if not isinstance(words, list) or not all(
+        isinstance(w, str) or isinstance(w, list) and all(map(_is_int, w)) for w in words
+    ):
+        raise ConfigError(f"{what} must be a list of cycle words or of point lists")
+    return words
+
+
 def _representation_action(config, group):
     rep = config.get("representation", "natural")
     if rep == "natural":
         return lambda g: g
-    if isinstance(rep, dict) and "images" in rep:
-        words = rep["images"]
-        if not isinstance(words, list) or not all(
-            isinstance(w, str) or (isinstance(w, list) and all(map(_is_int, w))) for w in words
-        ):
-            raise ConfigError("representation images must be cycle strings or point lists")
-        images = [parse_cycles(w) if isinstance(w, str) else tuple(w) for w in words]
-        if len(images) != len(group.generators):
-            raise ConfigError(
-                f"expected {len(group.generators)} generator images, got {len(images)}"
-            )
-        deg = max(len(p) for p in images)
-        images = [p + tuple(range(len(p), deg)) for p in images]
-        if any(sorted(p) != list(range(deg)) for p in images):
-            raise ConfigError("representation images must be permutations")
-        return _homomorphism(group, images).__getitem__
-    raise ConfigError("representation must be 'natural' or {'images': [...]}")
-
-
-def _homomorphism(group, images) -> dict:
-    """Element -> image of the homomorphism that sends the group's generators
-    to `images`, by one pass over the Cayley graph with image(g x) =
-    image(g) image(x); an element reached with two images means the images
-    define no homomorphism."""
-    out = {group.identity: tuple(range(len(images[0])))}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, image in zip(group.generators, images):
-                y = group.mul(g, x)
-                value = p_mul(image, out[x])
-                if y not in out:
-                    out[y] = value
-                    nxt.append(y)
-                elif out[y] != value:
-                    raise ConfigError("representation images do not define a homomorphism")
-        frontier = nxt
-    return out
+    if not (isinstance(rep, dict) and "images" in rep):
+        raise ConfigError("representation must be 'natural' or {'images': [...]}")
+    words = _perm_words(rep["images"], "representation images")
+    if len(words) != len(group.generators):
+        raise ConfigError(f"expected {len(group.generators)} generator images, got {len(words)}")
+    try:
+        images = parse_perms(words)
+    except ValueError as exc:
+        raise ConfigError(f"representation images must be permutations: {exc}") from exc
+    # the pairs (generator, image), as permutations of the disjoint union of
+    # the two point sets, generate the graph of the map, which has |group|
+    # elements exactly when the map is a homomorphism
+    d = group.degree
+    pairs = [g + tuple(d + x for x in image) for g, image in zip(group.generators, images)]
+    try:
+        graph = Group.make(pairs, cap=group.order)
+    except GroupTooLargeError:
+        raise ConfigError("representation images do not define a homomorphism") from None
+    return {p[:d]: tuple(x - d for x in p[d:]) for p in graph.elements}.__getitem__
 
 
 def _is_int(value) -> bool:
@@ -238,8 +222,9 @@ class AnalysisResult:
     message: str = ""
 
     def report_json(self) -> dict:
+        """The report payload: report.json is its dump, report.txt its text."""
         spectral = self.spectral
-        out = {
+        return {
             "engine": {"name": "eqdeg", "version": __version__},
             "group": self.config["group"] if isinstance(self.config["group"], str) else "custom",
             "delays": self.lin.m,
@@ -268,48 +253,41 @@ class AnalysisResult:
             "exit_code": self.exit_code,
             "note": NAME_CAVEAT,
         }
-        return out
 
     def report_text(self) -> str:
-        lines = []
-        spectral = self.spectral
-        group_name = self.config["group"] if isinstance(self.config["group"], str) else "custom"
-        lines.append(f"equivariant degree analysis ({group_name}, m={self.lin.m})")
-        lines.append("")
-        lines.append("isotypic multiplicities: " + ", ".join(
-            f"V{l + 1}:{mult}"
-            for l, mult in enumerate(self.decomposition.multiplicities)
-            if mult
-        ))
-        lines.append("")
-        lines.append("block eigenvalue signs (rows k = 0..%d, columns l = %s):" % (
-            min(spectral.k_max, 10),
-            ", ".join(str(l + 1) for l in spectral.components),
-        ))
-        for k, row in enumerate(spectral.sign_grid()[: min(spectral.k_max, 10) + 1]):
-            lines.append(f"  k={k:<2d}  " + "  ".join(row))
-        lines.append("")
-        if spectral.zero_spectrum():
+        """The report.json payload as text, with the message of a run that
+        has no report; the omega line is the ring element's own rendering."""
+        payload = self.report_json()
+        signs = payload["spectrum"]["signs"]
+        lines = [
+            f"equivariant degree analysis ({payload['group']}, m={payload['delays']})",
+            "",
+            "isotypic multiplicities: " + ", ".join(
+                f"V{l}:{mult}" for l, mult in enumerate(payload["multiplicities"], 1) if mult
+            ),
+            "",
+            "block eigenvalue signs (rows k = 0..%d, columns l = %s):"
+            % (len(signs) - 1, ", ".join(map(str, payload["components"]))),
+            *(f"  k={k:<2d}  " + "  ".join(row) for k, row in enumerate(signs)),
+            "",
+        ]
+        if payload["zero_spectrum"]:
             lines.append("DEGENERATE: zero block eigenvalue at " + ", ".join(
-                f"(k={k}, l={l + 1})" for (k, l) in spectral.degenerate
+                f"(k={k}, l={l})" for (k, l) in payload["spectrum"]["degenerate"]
             ))
+        # the payload of a run without a report reads like a --s run without conclusions
         if self.report is None:
-            lines.append(self.message)
-            return "\n".join(lines) + "\n"
-        if self.report.omega is not None:
-            lines.append("omega = (G) - deg:")
-            lines.append("  " + self.report.omega.render())
-            lines.append("")
-        lines.append(f"guaranteed non-constant solution classes ({len(self.report.conclusions)}):")
-        for c in self.report.conclusions:
-            coeff = "parity-route" if c.coefficient is None else f"coeff {c.coefficient:+d}"
+            return "\n".join([*lines, self.message, ""])
+        if payload["omega"] is not None:
+            lines += ["omega = (G) - deg:", "  " + self.report.omega.render(), ""]
+        lines.append(f"guaranteed non-constant solution classes ({len(payload['conclusions'])}):")
+        for c in payload["conclusions"]:
+            coeff = "parity-route" if c["coefficient"] is None else f"coeff {c['coefficient']:+d}"
             lines.append(
-                f"  mode {c.mode} block V{c.component + 1}: ({c.cls.name()})  "
-                f"[{coeff}, x_o={c.x_o}, |W|={weyl_order(c.cls)}]"
+                f"  mode {c['mode']} block V{c['component']}: ({c['class']})  "
+                f"[{coeff}, x_o={c['x_o']}, |W|={c['weyl_order']}]"
             )
-        lines.append("")
-        lines.append(NAME_CAVEAT)
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, "", payload["note"], ""])
 
 
 # The front half of the pipeline, shared by `analyze` and `spectrum`, in two
@@ -586,8 +564,9 @@ def _dispatch(args) -> int:
             raise ConfigError("report failed schema validation: " + "; ".join(errors))
         (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if not args.json_only:
-            (out_dir / "report.txt").write_text(result.report_text())
-            print(result.report_text(), end="")
+            text = result.report_text()
+            (out_dir / "report.txt").write_text(text)
+            print(text, end="")
         if result.exit_code != EXIT_OK:
             print(f"note: {result.message}", file=sys.stderr)
         return result.exit_code

@@ -48,11 +48,11 @@ builds no meet.
 Classes are interned per context, so they compare by identity, and each
 walked element set maps to its interned class.  Every exact function of a
 context or class that is asked the same question again (code tables per
-grid, coset representatives, fixed dimensions, character powers, Weyl
-orders, marks, double cosets, candidates, basic degrees) is `memoised`:
-its results live in the one memo of the context, keyed by the function
-and its arguments.  Products are not kept: the running product of a
-degree asks for almost every pair once.
+grid, coset representatives, Goursat data, fixed dimensions, character
+powers, Weyl orders, marks, double cosets, candidates, basic degrees) is
+`memoised`: its results live in the one memo of the context, keyed by the
+function and its arguments.  Products are not kept: the running product
+of a degree asks for almost every pair once.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ class AmalgamatedClass:
     kind "o2":  O(2) x K, elems = None, grid = 1 (isotropy shapes of mode-0
                 vectors; "G" itself is the case K = Gamma').
 
-    The Goursat parts H, Z, R and L = K/R are read off finite classes only;
-    `name` and `fingerprint` spell out O(2) x K directly.  make_fin and
+    `name` and `fingerprint` read the Goursat parts of a finite class off
+    one walk (`_goursat`) and spell out O(2) x K directly.  make_fin and
     make_o2 intern one instance per class and context, so instances
     compare by identity.
     """
@@ -226,51 +226,50 @@ class AmalgamatedClass:
         another of its kind only if its size is a multiple of the other's."""
         return len(self.elems) if self.kind == "fin" else len(self.K)
 
-    def h_part(self) -> tuple[str, int]:
-        """O(2)-projection as (kind, rotation order): always D_d."""
-        return ("D", len({u for (u, s, g) in self.elems if s == 1}))
-
     def k_part(self) -> frozenset:
         if self.kind == "o2":
             return self.K
         return frozenset(g for (_, _, g) in self.elems)
 
-    def z_part(self) -> frozenset:
-        """Elements of the O(2)-side kernel {h : (h, identity) in Sigma}."""
-        e = self.ctx.identity
-        return frozenset((u, s) for (u, s, g) in self.elems if g == e)
-
-    def r_part(self) -> frozenset:
-        """The Gamma'-side kernel {x : (identity_O2, x) in Sigma}."""
-        return frozenset(g for (u, s, g) in self.elems if s == 1 and u == 0)
-
-    def l_order(self) -> int:
-        return len(self.k_part()) // len(self.r_part())
-
     def fingerprint(self) -> tuple:
-        """Structural identity used for acceptance matching and reports."""
+        """Structural identity used for acceptance matching and reports,
+        ("D", |H|, |Z|, |L|, |R|, |K|) for a finite class."""
         if self.kind == "o2":
             return (self.kind, len(self.K))
-        return ("D", 2 * self.h_part()[1], len(self.z_part()),
-                self.l_order(), len(self.r_part()), len(self.k_part()))
+        d, _, z, r, k = _goursat(self)
+        return ("D", 2 * d, z, len(k) // len(r), len(r), len(k))
 
     def name(self) -> str:
         ctx = self.ctx
         if self.kind == "o2":
             return f"O(2) x {ctx.subgroup_name(self.K)}" if len(self.K) < ctx.n else "G"
-        d = self.h_part()[1]
-        z = self.z_part()
-        rz = sum(1 for (u, s) in z if s == 1)
+        d, rz, z, r, k = _goursat(self)
         q = d // rz
-        if len(z) > rz:  # the O(2)-side kernel has a reflection
-            zname = f"D{rz}"
-            lname = "Z1" if q == 1 else f"Z{q}"
+        if z > rz:  # the O(2)-side kernel has a reflection
+            zname, lname = f"D{rz}", f"Z{q}"
         else:
-            zname = "Z1" if rz == 1 else f"Z{rz}"
-            lname = "Z2" if q == 1 else f"D{q}"
-        rname = ctx.subgroup_name(self.r_part())
-        kname = ctx.subgroup_name(self.k_part())
-        return f"D{d} ^{zname} x_{lname} ^{rname} {kname}"
+            zname, lname = f"Z{rz}", "Z2" if q == 1 else f"D{q}"
+        return f"D{d} ^{zname} x_{lname} ^{ctx.subgroup_name(r)} {ctx.subgroup_name(k)}"
+
+
+@memoised
+def _goursat(cls: AmalgamatedClass) -> tuple:
+    """The Goursat data (d, the rotations in Z, |Z|, R, K) of a finite class
+    from one walk of its elements: H = D_d, Z = {h : (h, e) in Sigma}, R =
+    {x : (e, x) in Sigma} and K the Gamma'-parts, so |L| = |K| / |R|."""
+    e = cls.ctx.identity
+    rotations, r, k = set(), set(), set()
+    rz = z = 0
+    for (u, s, g) in cls.elems:
+        k.add(g)
+        if s == 1:
+            rotations.add(u)
+            if u == 0:
+                r.add(g)
+        if g == e:
+            z += 1
+            rz += s == 1
+    return len(rotations), rz, z, frozenset(r), frozenset(k)
 
 
 # -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --

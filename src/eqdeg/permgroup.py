@@ -73,6 +73,20 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
     return tuple(images)
 
 
+def parse_perms(words) -> list[Perm]:
+    """Permutations from 1-based cycle words or 0-based image lists, padded
+    with fixed points to the largest degree among them."""
+    perms = [parse_cycles(w) if isinstance(w, str) else tuple(w) for w in words]
+    if not perms:
+        raise ValueError("need at least one permutation")
+    degree = max(map(len, perms))
+    perms = [p + tuple(range(len(p), degree)) for p in perms]
+    for p in perms:
+        if sorted(p) != list(range(degree)):
+            raise ValueError(f"not a permutation of {{1..{degree}}}: {p}")
+    return perms
+
+
 class Group:
     """A finite permutation group with enumerated elements."""
 
@@ -87,14 +101,9 @@ class Group:
 
     @staticmethod
     def make(generators, cap: int = DEFAULT_ORDER_CAP) -> "Group":
-        gens = [parse_cycles(g) if isinstance(g, str) else tuple(g) for g in generators]
-        if not gens:
-            raise ValueError("need at least one generator")
-        degree = max(len(g) for g in gens)
-        gens = [g + tuple(range(len(g), degree)) for g in gens]
-        for g in gens:
-            if sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of {{1..{degree}}}: {g}")
+        """The group that parse_perms(generators) generates, of order <= cap."""
+        gens = parse_perms(generators)
+        degree = len(gens[0])
         elems = {p_identity(degree)}
         frontier = list(elems)
         while frontier:
@@ -113,7 +122,7 @@ class Group:
         return Group(degree, tuple(gens), tuple(sorted(elems)))
 
     @staticmethod
-    def from_name(name: str, cap: int = DEFAULT_ORDER_CAP) -> "Group":
+    def from_name(name: str) -> "Group":
         """Presets: Z<n>, D<n> (order 2n, acting on n-gon vertices), S<n>."""
         m = re.fullmatch(r"([ZDS])(\d+)", name.strip())
         if not m:
@@ -125,22 +134,22 @@ class Group:
             if n == 1:
                 return Group(1, (p_identity(1),), (p_identity(1),))
             rot = tuple((i + 1) % n for i in range(n))
-            return Group.make([rot], cap=cap)
+            return Group.make([rot])
         if kind == "D":
             if n == 1:
-                return Group.make([(1, 0)], cap=cap)
+                return Group.make([(1, 0)])
             if n == 2:
                 # acting on a 2-gon is not faithful; use degree 4
-                return Group.make([(1, 0, 2, 3), (0, 1, 3, 2)], cap=cap)
+                return Group.make([(1, 0, 2, 3), (0, 1, 3, 2)])
             rot = tuple((i + 1) % n for i in range(n))
             refl = tuple((-i) % n for i in range(n))
-            return Group.make([rot, refl], cap=cap)
+            return Group.make([rot, refl])
         if n == 1:
             return Group(1, (p_identity(1),), (p_identity(1),))
         gens = [(1, 0) + tuple(range(2, n))]
         if n > 2:
             gens.append(tuple(range(1, n)) + (0,))
-        return Group.make(gens, cap=cap)
+        return Group.make(gens)
 
     def mul(self, a: Perm, b: Perm) -> Perm:
         return p_mul(a, b)
@@ -187,11 +196,9 @@ class Group:
         """The subgroup generated by element indices."""
         return frozenset(_mask_members(self._closure_mask(gens)))
 
-    def subgroup_masks(self, cap: int | None = None) -> list[int]:
+    def subgroup_masks(self) -> list[int]:
         """Every subgroup as a bitmask over element indices, by cyclic
         extension of smaller subgroups; sorted by (order, sorted elements)."""
-        if cap is not None and self.order > cap:
-            raise GroupTooLargeError(f"group too large for lattice: {self.order} > {cap}")
         mult = self.mult_table
         # each subgroup found so far, with generators that close to it
         gens = {1 << self.index[self.identity]: []}
@@ -282,13 +289,13 @@ class SubgroupClassLattice:
         return self._class_of[frozenset(sub)]
 
 
-def subgroup_lattice(group: Group, cap: int = DEFAULT_ORDER_CAP) -> SubgroupClassLattice:
+def subgroup_lattice(group: Group) -> SubgroupClassLattice:
     conj = group.conj_table
     classes: list[SubgroupClass] = []
     seen: set[int] = set()
     # subgroups come sorted by (order, sorted elements), so the first member
     # of each class met here is its least one, and classes come out sorted
-    for sub in group.subgroup_masks(cap=cap):
+    for sub in group.subgroup_masks():
         if sub in seen:
             continue
         members = _mask_members(sub)

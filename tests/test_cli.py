@@ -413,6 +413,34 @@ def test_reports_are_byte_stable(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "config, s, digest",
+    [
+        (
+            load_config(bundled_example_path()),
+            None,
+            "ad1f2430bad7b11aab3f7d8960db94a35903ed6e09c6bc2d4fae02aab8578e5e",
+        ),
+        # degenerate (exit 2): the text ends with the message
+        (
+            d1_config(("-4", "-4")),
+            None,
+            "4e50625bfbb05abbace3452c5c44f2c997cf2816534cd57271faf971bbba13cd",
+        ),
+        (
+            d1_config(("-4", "-4")),
+            1,
+            "4ab3042c7f9d2fed834dddb64ceb201bbee7a12eca0503cc40b16dc02314c6d7",
+        ),
+    ],
+    ids=["bundled", "d1-degenerate", "d1-parity-route"],
+)
+def test_report_text_is_byte_stable(config, s, digest):
+    # the report.txt bytes that `eqdeg analyze` writes, pinned across versions
+    text = run_analyze(config, s=s).report_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_console_script_help():
     # the child imports the same eqdeg as this process, installed or not
     src = str(Path(eqdeg.__file__).resolve().parents[1])
@@ -729,6 +757,22 @@ def z2_config(generators=("(1 2)",), **table):
     }
 
 
+S3_TABLE = {
+    "class_reps": ["()", "(1 2)", "(1 2 3)"],
+    "class_sizes": [1, 3, 2],
+    "rows": [["1", "1", "1"], ["1", "-1", "1"], ["2", "0", "-1"]],
+}
+
+
+def s3_config(**table):
+    """A custom S3 group on three points with its 3-class table, entries
+    replaced by `table`."""
+    return {
+        **z2_config(generators=["(1 2 3)", "(1 2)"]),
+        "character_table": {**S3_TABLE, **table},
+    }
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [
@@ -771,6 +815,31 @@ def z2_config(generators=("(1 2)",), **table):
         ("analyze", z2_config(rows=7), "needs class_reps, class_sizes and rows"),
         (
             "analyze",
+            s3_config(class_reps=[*S3_TABLE["class_reps"], "(1 3)"], class_sizes=[1, 3, 2, 0]),
+            "a class size and a value in every row for each class rep",
+        ),
+        (
+            "analyze",
+            s3_config(
+                class_reps=[*S3_TABLE["class_reps"], "(1 3)"],
+                class_sizes=[1, 3, 2, 0],
+                rows=[[*row, row[1]] for row in S3_TABLE["rows"]],
+            ),
+            "class reps (1 2) and (1 3) are conjugate",
+        ),
+        (
+            "analyze",
+            s3_config(rows=[*S3_TABLE["rows"][:2], ["2", "0", "-1", "9"]]),
+            "a class size and a value in every row for each class rep",
+        ),
+        ("analyze", s3_config(class_sizes=[1, 2, 3]), "the class of (1 2) has 3 elements, not 2"),
+        (
+            "analyze",
+            z2_config(generators=["(1 2)(3 4)"], class_reps=["()", "(1 2)"]),
+            "class rep (1 2) is not in the group",
+        ),
+        (
+            "analyze",
             d3_config(delays=3, linearization={"mu": {"1": ["-2", "-1", "-3"], "3": ["-2", 0, 0]}}),
             "error: component 1: mu_1 != mu_2\n",
         ),
@@ -802,6 +871,11 @@ def z2_config(generators=("(1 2)",), **table):
         "generator-is-integer",
         "table-without-class-sizes",
         "table-rows-not-list",
+        "table-rep-without-values",
+        "table-rep-conjugate-to-another",
+        "table-row-longer-than-reps",
+        "table-class-size-wrong",
+        "table-rep-outside-the-group",
         "irreversible-mu-row",
         "mu-row-of-wrong-length",
     ],

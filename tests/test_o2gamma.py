@@ -97,9 +97,10 @@ def test_rotation_only_subgroup_is_refused(d6ctx):
 
 def test_d6_candidate_enumeration_includes_expected_shapes(d6ctx):
     cands = [c for c in mode1_candidates(d6ctx) if fixed_dim(c, 1, 4) > 0]
-    kinds = {(c.h_part(), c.l_order()) for c in cands}
-    assert (("D", 2), 2) in kinds  # H = D2 pairing a Z2 quotient
-    assert (("D", 6), 12) in kinds  # H = D6 pairing a full dihedral quotient
+    # fingerprint()[1] is |H| and fingerprint()[3] is |L|
+    kinds = {(c.fingerprint()[1], c.fingerprint()[3]) for c in cands}
+    assert (4, 2) in kinds  # H = D2 pairing a Z2 quotient
+    assert (12, 12) in kinds  # H = D6 pairing a full dihedral quotient
     for c in cands:
         assert any(s == -1 for (_, s, _) in c.elems) and weyl_order(c) >= 1
 
@@ -146,10 +147,11 @@ def test_fold_pairs_match_mode2_maxima(d6ctx):
 
 def test_fold_h_part_doubles(d6ctx):
     cls = maximal_orbit_types(d6ctx, 1, 3)[0]
-    assert cls.h_part() == ("D", 2)
-    assert fold(cls, 2).h_part() == ("D", 4)
-    d6top = next(c for c in maximal_orbit_types(d6ctx, 1, 4) if c.h_part() == ("D", 6))
-    assert fold(d6top, 2).h_part() == ("D", 12)
+    # fingerprint()[1] is |H|: D2 has order 4
+    assert cls.fingerprint()[1] == 4
+    assert fold(cls, 2).fingerprint()[1] == 8
+    d6top = next(c for c in maximal_orbit_types(d6ctx, 1, 4) if c.fingerprint()[1] == 12)
+    assert fold(d6top, 2).fingerprint()[1] == 24
 
 
 def test_n_count_identities(d6ctx):

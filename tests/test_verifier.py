@@ -420,6 +420,31 @@ def test_newton_linear_converges_to_zero():
     assert sol.sup_norm() < 1e-10
 
 
+# x'' = x^2 + 1 has no real solution, and the residual has a nonzero
+# minimum at x = 0; with f = 0 the constant row of the Jacobian is 0
+NO_SOLUTION = SystemSpec(n=1, m=1, period=2 * pi, terms=[[(1.0, ((0, 2),)), (1.0, ())]])
+ZERO_RHS = SystemSpec(n=1, m=1, period=2 * pi, linear=[[[0.0]]])
+
+
+@pytest.mark.parametrize(
+    "spec, cos_t, max_iter, iterations, message",
+    [
+        (NO_SOLUTION, 0.0, 40, 3, "line search stalled"),
+        (NO_SOLUTION, 0.0, 2, 2, "iteration budget reached"),
+        (ZERO_RHS, 1.0, 40, 0, "singular Jacobian"),
+    ],
+    ids=["stalled", "budget", "singular"],
+)
+def test_newton_failure_exits(spec, cos_t, max_iter, iterations, message):
+    K = 2
+    seed = np.zeros((2 * K + 1, 1))
+    seed[0], seed[1] = 0.5, cos_t
+    _, rep = newton_solve(spec, FourierSolution(K, seed), max_iter=max_iter)
+    assert rep.converged is False
+    assert rep.message == message
+    assert rep.iterations == iterations
+
+
 def test_manufactured_solution_recovery():
     spec = small_spec()
     K = 10
