@@ -265,6 +265,18 @@ def _symmetric4() -> CharacterTable:
     return CharacterTable(g, reps, (1, 6, 3, 8, 6), rows)
 
 
+def _class_size(value) -> int:
+    """A class size read exactly, as the table's values are: an integer
+    (3, "3" or 3.0), not a fraction (3.9 or "3.5") and not a bool."""
+    try:
+        size = Fraction(str(value))
+    except ValueError:
+        size = None
+    if size is None or size.denominator != 1:
+        raise CharacterError(f"class size {value!r} is not an integer")
+    return int(size)
+
+
 def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     """User-supplied table: class rep words, sizes, rows of 'p/q' strings.
 
@@ -279,7 +291,7 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
         raise CharacterError("a character table needs class_reps, class_sizes and rows as lists")
     try:
         reps = tuple(parse_cycles(w, group.degree) for w in data["class_reps"])
-        sizes = tuple(int(s) for s in data["class_sizes"])
+        sizes = tuple(_class_size(s) for s in data["class_sizes"])
         rows = tuple(
             tuple(Cyc.rational(Fraction(str(v))) for v in row) for row in data["rows"]
         )

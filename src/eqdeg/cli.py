@@ -254,10 +254,12 @@ class AnalysisResult:
             "note": NAME_CAVEAT,
         }
 
-    def report_text(self) -> str:
+    def report_text(self, payload: dict | None = None) -> str:
         """The report.json payload as text, with the message of a run that
-        has no report; the omega line is the ring element's own rendering."""
-        payload = self.report_json()
+        has no report; the omega line is the ring element's own rendering.
+        payload is `report_json()`, built here when not given."""
+        if payload is None:
+            payload = self.report_json()
         signs = payload["spectrum"]["signs"]
         lines = [
             f"equivariant degree analysis ({payload['group']}, m={payload['delays']})",
@@ -564,7 +566,7 @@ def _dispatch(args) -> int:
             raise ConfigError("report failed schema validation: " + "; ".join(errors))
         (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if not args.json_only:
-            text = result.report_text()
+            text = result.report_text(payload)
             (out_dir / "report.txt").write_text(text)
             print(text, end="")
         if result.exit_code != EXIT_OK:

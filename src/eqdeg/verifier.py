@@ -346,12 +346,29 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
         -b/N = conj G[k + l, l mod m].
 
     Delays that are not multiples of 2*pi/m would give each l its own
-    phases and so its own sum.  One rfft and one product of the
-    (2K+1) n^2 x m rows with the m x m DFT matrix give G for every entry
-    pair (c, d); J is then read off G by index gathers, one c at a time,
-    so besides J the temporaries are G, with (2K+1) m n^2 entries, and one
-    gather of a and b, with 2 nc^2 n entries, nc the number of kept cos
-    modes (K + 1 for the full J).
+    phases and so its own sum.
+
+    A column w_j of jac_pointwise that is constant on the grid, w_j = A_j,
+    has R_j[0] = N A_j and R_j[p] = 0 for p = 1..2K: exp(-i p t_i) runs
+    over the N-th roots of unity p times, and they sum to 0 for every p
+    that N does not divide.  So its a is nonzero only at k - l = 0 and its
+    b only at k + l = 0, and it adds to the diagonal blocks (k, k) only.
+    There a = -(C_k + i S_k) with C_k + i S_k = sum_j A_j exp(i k s_j),
+    so it adds -[[C_k, -S_k], [S_k, C_k]] to the [cos k, sin k] rows and
+    columns; at k = 0, where b = a and row 0 has P's weight 1/N, it adds
+    -C_0.  Such columns come from the linear part of f and from every
+    term whose derivative is constant along the orbit: on the bundled
+    hexagon system 210 of the m n^2 = 216 columns, all but the derivatives
+    of its cubic terms.
+
+    Only the other columns go through the rfft and one product of their
+    (2K+1) x m rows per entry pair (c, d) with the m x m DFT matrix,
+    which give G for every pair that holds such a column; J is then read
+    off G and its conjugate by index gathers, vectorised over at most n
+    pairs at a time, so besides J the temporaries are G and its
+    conjugate, with at most 2 (2K+1) m n^2 entries, and one gather of a
+    and b, with at most 2 nc^2 n entries, nc the number of kept cos modes
+    (K + 1 for the full J).
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
@@ -365,33 +382,49 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     nc, t = len(cos_k), len(cos_k) - len(sin_k)
     if not np.array_equal(cos_k[t:], sin_k):
         raise ValueError("the kept sin modes must be the last kept cos modes")
-    # R[(p, c, d), j] = R_j[p] of the entry (c, d)
-    R = np.fft.rfft(jac_pointwise.reshape(N, n, m, n).transpose(0, 1, 3, 2), axis=0)
-    R = R[:M].reshape(-1, m)
+    # column (c, j, d) of w is the entry (c, d) of delay block j
+    w = jac_pointwise.reshape(N, mn * n)
+    constant = (w == w[0]).all(axis=0)
+    r = np.arange(m)
+    dft = np.exp(2j * pi / m * (np.outer(r, r) % m))
+    J = np.zeros((nc + len(sin_k), n, nc + len(sin_k), n))
+    moving = ~constant.reshape(n, m, n)
+    pairs = np.flatnonzero(moving.any(axis=1))  # c * n + d
+    c, j, d = np.nonzero(moving)
+    # R[pair, p, j] = R_j[p] of the pair's entry, 0 for a constant column
+    R = np.zeros((len(pairs), M, m), dtype=complex)
+    R[np.searchsorted(pairs, c * n + d), :, j] = np.fft.rfft(w[:, ~constant], axis=0)[:M].T
     # -1/N is P's row weight 2/N times the 1/2 of the rules; row 0 is halved below
-    j = np.arange(m)
-    G = (R @ (np.exp(2j * pi / m * (np.outer(j, j) % m)) / -N)).reshape(M, n, n, m)
+    G = (R.reshape(-1, m) @ (dft / -N)).reshape(len(pairs), M * m)
     del R
-    # where a and b sit in G[:, c], indexed [k, l] over the kept cos modes,
-    # and where they are conjugated: a where k >= l, b everywhere
+    # G and its conjugate side by side, so a and b are one gather of
+    # G[pair] at [k, l] over the kept cos modes: a conjugated where k >= l
+    G = np.concatenate([G, G.conj()], axis=1)
     k, l = cos_k[:, None], cos_k
-    at_p = np.stack([np.abs(k - l), k + l])
-    at_r = np.stack(np.broadcast_arrays(np.where(k >= l, -l % m, l % m), l % m))
-    conj = np.stack(np.broadcast_arrays(k >= l, True))[..., None]
-    J = np.empty((nc + len(sin_k), n, nc + len(sin_k), n))
-    for c in range(n):
-        # Re(a + b), -Im(a - b), Im(a + b) and Re(a - b), indexed [k, l, d]
-        a, b = ab = G[at_p, c, :, at_r]
-        np.conjugate(ab, out=ab, where=conj)
-        np.add(a.real, b.real, out=J[:nc, c, :nc])
-        np.subtract(b.imag[:, t:], a.imag[:, t:], out=J[:nc, c, nc:])
-        np.add(a.imag[t:], b.imag[t:], out=J[nc:, c, :nc])
-        np.subtract(a.real[t:, t:], b.real[t:, t:], out=J[nc:, c, nc:])
-        del a, b, ab  # freed before the next c's gather
+    at = np.stack([
+        np.where(k >= l, M * m + (k - l) * m + (-l % m), (l - k) * m + l % m),
+        M * m + (k + l) * m + l % m,
+    ])
+    for lo in range(0, len(pairs), n):
+        c, d = np.divmod(pairs[lo : lo + n], n)
+        # Re(a + b), -Im(a - b), Im(a + b) and Re(a - b), indexed [pair, k, l]
+        a, b = np.moveaxis(G[lo : lo + n, at], 1, 0)
+        J[:nc, c, :nc, d] = a.real + b.real
+        J[:nc, c, nc:, d] = b.imag[:, :, t:] - a.imag[:, :, t:]
+        J[nc:, c, :nc, d] = a.imag[:, t:] + b.imag[:, t:]
+        J[nc:, c, nc:, d] = a.real[:, t:, t:] - b.real[:, t:, t:]
+        del a, b  # freed before the next pairs' gather
     if nc and cos_k[0] == 0:
         J[0] *= 0.5
-    size = J.shape[0] * n
-    J.reshape(size, size)[np.diag_indices(size)] -= np.repeat(_k_squared(K)[keep], n)
+    # the diagonal blocks: CS[k] = C_k + i S_k of the constant columns,
+    # and -k^2 on the diagonal of block (k, k) of each kept row
+    CS = (dft @ np.where(constant, w[0], 0.0).reshape(n, m, n))[:, cos_k % m].swapaxes(0, 1)
+    diagonal = CS.real + cos_k[:, None, None] ** 2 * np.eye(n)
+    cos, sin = np.arange(nc), np.arange(nc, J.shape[0])
+    J[cos, :, cos] -= diagonal
+    J[sin, :, sin] -= diagonal[t:]
+    J[cos[t:], :, sin] += CS.imag[t:]
+    J[sin, :, cos[t:]] -= CS.imag[t:]
     return J
 
 

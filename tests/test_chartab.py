@@ -149,6 +149,9 @@ def test_table_from_json_roundtrip():
     }
     t = table_from_json(g, payload)
     assert rows_as_ints(t) == [(1, 1), (1, -1)]
+    # integer sizes are read exactly, in any of the forms of a table value
+    for sizes in (["1", "1"], [1.0, 1], ["1", 1.0]):
+        assert table_from_json(g, {**payload, "class_sizes": sizes}).class_sizes == (1, 1)
     bad = {
         "class_reps": ["()", "(1 2)"],
         "class_sizes": [1, 1],

@@ -441,6 +441,22 @@ def test_report_text_is_byte_stable(config, s, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_analyze_builds_the_report_payload_once(tmp_path, monkeypatch, capsys):
+    # report.txt renders the payload that report.json dumps
+    from eqdeg.cli import AnalysisResult
+
+    built = []
+    report_json = AnalysisResult.report_json
+    monkeypatch.setattr(AnalysisResult, "report_json", lambda self: built.append(1) or report_json(self))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d1_config(("-4", "-4"))))
+    assert main(["analyze", str(path), "--s", "1", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    text = (tmp_path / "report.txt").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == "4ab3042c7f9d2fed834dddb64ceb201bbee7a12eca0503cc40b16dc02314c6d7"
+    assert capsys.readouterr().out == text
+
+
 def test_console_script_help():
     # the child imports the same eqdeg as this process, installed or not
     src = str(Path(eqdeg.__file__).resolve().parents[1])
@@ -833,6 +849,9 @@ def s3_config(**table):
             "a class size and a value in every row for each class rep",
         ),
         ("analyze", s3_config(class_sizes=[1, 2, 3]), "the class of (1 2) has 3 elements, not 2"),
+        ("analyze", s3_config(class_sizes=[1, 3.9, 2]), "class size 3.9 is not an integer"),
+        ("analyze", s3_config(class_sizes=[1, "3.5", 2]), "class size '3.5' is not an integer"),
+        ("analyze", s3_config(class_sizes=[True, 3, 2]), "class size True is not an integer"),
         (
             "analyze",
             z2_config(generators=["(1 2)(3 4)"], class_reps=["()", "(1 2)"]),
@@ -875,6 +894,9 @@ def s3_config(**table):
         "table-rep-conjugate-to-another",
         "table-row-longer-than-reps",
         "table-class-size-wrong",
+        "table-class-size-float",
+        "table-class-size-fraction-string",
+        "table-class-size-bool",
         "table-rep-outside-the-group",
         "irreversible-mu-row",
         "mu-row-of-wrong-length",

@@ -402,6 +402,66 @@ def test_restricted_mode_jacobian_is_the_slice_of_the_full_one(K):
             assert np.array_equal(J, full[keep][:, :, keep]), (m, N, name)
 
 
+def partly_constant_jacobian(N, n, m, kind, rng):
+    """White noise on the N-point grid, with the columns (c, j, d) that
+    kind picks constant on it: every column of the pairs (c, d) with c + d
+    even ("mixed"), every column with c + j + d even, so that for m > 1 each
+    pair (c, d) is constant for some j and varies for others ("split"), or
+    every column ("constant")."""
+    c, j, d = np.indices((n, m, n))
+    picked = {"mixed": (c + d) % 2 == 0, "split": (c + j + d) % 2 == 0, "constant": c >= 0}[kind]
+    jac = rng.standard_normal((N, n, m, n))
+    jac[:, picked] = rng.standard_normal(np.count_nonzero(picked))
+    return jac.reshape(N, n, m * n)
+
+
+CONSTANT_KINDS = ("mixed", "split", "constant")
+
+
+@pytest.mark.parametrize("kind", CONSTANT_KINDS)
+@pytest.mark.parametrize("m", [1, 5, 6, 7])
+def test_mode_jacobian_with_constant_columns_matches_the_dense_oracle(m, kind):
+    # a column constant on the grid adds only to the diagonal blocks, in
+    # closed form; the white-noise tests above have no such column
+    n, K = 3, 7
+    rng = np.random.default_rng(100 + 10 * m + CONSTANT_KINDS.index(kind))
+    for N in (4 * K + 1, fft_length(4 * K + 1)):
+        _, P, PD2, B = collocation_operators(K, m, N)
+        jac_pointwise = partly_constant_jacobian(N, n, m, kind, rng)
+        J = _mode_jacobian(jac_pointwise, K)
+        ref = einsum_mode_jacobian(jac_pointwise, P, PD2, B)
+        assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref)), N
+        for name, keep in row_masks(K).items():
+            assert np.array_equal(_mode_jacobian(jac_pointwise, K, keep), J[keep][:, :, keep]), (N, name)
+
+
+def test_newton_with_the_dense_oracle_jacobian_takes_the_same_steps(monkeypatch):
+    # the hexagon solve at K = 64 with the einsum oracle restricted to the
+    # kept rows in place of _mode_jacobian
+    from eqdeg import verifier
+
+    K = 64
+    spec, seed = d6_linear_spec(cubic=0.5), hexagon_seed(K)
+    _, new = newton_solve(spec, seed, tol=1e-12, max_iter=100)
+    operators = {}
+
+    def oracle(jac_pointwise, K, keep):
+        N = len(jac_pointwise)
+        if N not in operators:
+            operators[N] = collocation_operators(K, spec.m, N)[1:]
+        P, PD2, B = operators[N]
+        return einsum_mode_jacobian(jac_pointwise, P[keep], PD2[keep][:, keep], [b[:, keep] for b in B])
+
+    monkeypatch.setattr(verifier, "_mode_jacobian", oracle)
+    _, dense = newton_solve(spec, seed, tol=1e-12, max_iter=100)
+    assert new.converged and dense.converged
+    assert new.iterations == dense.iterations == 5
+    # the last norm, below tol, is rounding (1.0e-13 and 1.1e-13 here)
+    history, dense_history = np.array(new.residual_history), np.array(dense.residual_history)
+    assert np.all(np.abs(history[:-1] - dense_history[:-1]) <= 1e-9 * dense_history[:-1])
+    assert history[-1] < 1e-12 and dense_history[-1] < 1e-12
+
+
 def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
     K = 3
     keep = np.zeros(2 * K + 1, dtype=bool)
