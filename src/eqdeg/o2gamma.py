@@ -36,20 +36,23 @@ by `ctx.conj`.  The walk skips the conjugates that the class's own
 elements repeat: no kappa twist, one reflection axis per orbit of its
 rotations, one g per coset of the Gamma'-parts of its rotations by 0 or
 1/2.  It counts the conjugates equal to the least one, skipped repeats
-included, which gives the Weyl order.  Every containment question is read
-off one `mark`: the coefficient of (L) in (L) * (H) is the mark
-|(G/H)^L| = n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
+included, which gives the Weyl order; the class keeps it from the walk
+that interned it.  Every containment question is read off one `mark`:
+the coefficient of (L) in (L) * (H) is the mark |(G/H)^L| =
+n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
 A product of two finite classes walks one g per double coset of the
 Gamma'-parts of their rotation elements, weighted by the coset's size, and
-buckets the meets by reflection offset (`_meets`).  The mark of two
-finite classes counts the terms of that walk whose meet is all of L, and
-builds no meet.
+buckets the meets by reflection offset (`_meets`); what the walk reads
+of a class (rotation codes, reflections, rotation projection, reflection
+index) is built once per class (`_split`).  The mark of two finite
+classes counts the terms of that walk whose meet is all of L, and builds
+no meet.
 
 Classes are interned per context, so they compare by identity, and each
 walked element set maps to its interned class.  Every exact function of a
 context or class that is asked the same question again (code tables per
-grid, coset representatives, Goursat data, fixed dimensions, character
-powers, Weyl orders, marks, double cosets, candidates, basic degrees) is
+grid, coset representatives, Goursat data, walk tables, fixed dimensions,
+character powers, marks, double cosets, candidates, basic degrees) is
 `memoised`: its results live in the one memo of the context, keyed by the
 function and its arguments.  Products are not kept: the running product
 of a degree asks for almost every pair once.
@@ -170,21 +173,23 @@ def memoised(fn):
 
     The first argument is a GammaContext or a class over one; results are
     keyed by fn and all its (positional) arguments, so they live and die
-    with the context.  A class argument over another context raises
-    ValueError before the lookup: fn would compute with this context's
-    tables on a class of the other.  fn never returns None.
+    with the context.  On a miss, a class argument over another context
+    raises ValueError: fn would compute with this context's tables on a
+    class of the other.  A hit needs no check: classes compare by
+    identity, so its key holds the very class objects that passed the
+    check when the entry was stored.  fn never returns None.
     """
 
     @wraps(fn)
     def wrapper(*args):
         first = args[0]
         ctx = first if isinstance(first, GammaContext) else first.ctx
-        for arg in args:
-            if isinstance(arg, AmalgamatedClass) and arg.ctx is not ctx:
-                raise ValueError("classes live over different groups")
         key = (fn, *args)
         result = ctx.memo.get(key)
         if result is None:
+            for arg in args:
+                if isinstance(arg, AmalgamatedClass) and arg.ctx is not ctx:
+                    raise ValueError("classes live over different groups")
             result = ctx.memo[key] = fn(*args)
         return result
 
@@ -208,7 +213,9 @@ class AmalgamatedClass:
     `name` and `fingerprint` read the Goursat parts of a finite class off
     one walk (`_goursat`) and spell out O(2) x K directly.  make_fin and
     make_o2 intern one instance per class and context, so instances
-    compare by identity.
+    compare by identity, and each keeps the Weyl order |W(H)| that
+    interning found: the key walk's count for a finite class, the
+    lattice's for O(2) x K.
     """
 
     ctx: GammaContext
@@ -217,6 +224,7 @@ class AmalgamatedClass:
     K: frozenset | None
     key: tuple
     grid: int
+    weyl: int
 
     # -- structural data ---------------------------------------------------
 
@@ -227,9 +235,7 @@ class AmalgamatedClass:
         return len(self.elems) if self.kind == "fin" else len(self.K)
 
     def k_part(self) -> frozenset:
-        if self.kind == "o2":
-            return self.K
-        return frozenset(g for (_, _, g) in self.elems)
+        return self.K if self.kind == "o2" else _goursat(self)[4]
 
     def fingerprint(self) -> tuple:
         """Structural identity used for acceptance matching and reports,
@@ -353,22 +359,25 @@ def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
 def _interned_fin(ctx: GammaContext, elems: frozenset, grid: int) -> AmalgamatedClass:
     """The interned class of an element set on its least grid: the memo
     keeps one entry per walked set, the set itself and its class."""
-    key = _fin_key(ctx, elems, grid)[0]
+    key, half_normaliser = _fin_key(ctx, elems, grid)
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = ctx._interned[key] = AmalgamatedClass(ctx, "fin", elems, None, key, grid)
+        # |W(H)| = |N(H)| / |H|
+        weyl = 2 * half_normaliser // len(elems)
+        cached = ctx._interned[key] = AmalgamatedClass(ctx, "fin", elems, None, key, grid, weyl)
     return cached
 
 
 def make_o2(ctx: GammaContext, kset) -> AmalgamatedClass:
     kset = frozenset(kset)
     # the lattice's representative is the least conjugate in element order
-    lattice = ctx.lattice
-    rep = lattice.classes[lattice.class_of(kset)].rep_set
-    key = ("o2", tuple(sorted(rep)))
+    lattice_class = ctx.lattice.classes[ctx.lattice.class_of(kset)]
+    key = ("o2", tuple(sorted(lattice_class.rep_set)))
     cached = ctx._interned.get(key)
     if cached is None:
-        cached = ctx._interned[key] = AmalgamatedClass(ctx, "o2", None, kset, key, 1)
+        cached = ctx._interned[key] = AmalgamatedClass(
+            ctx, "o2", None, kset, key, 1, lattice_class.weyl_order
+        )
     return cached
 
 
@@ -466,14 +475,11 @@ def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
 # Weyl groups and marks
 
 
-@memoised
 def weyl_order(cls: AmalgamatedClass) -> int:
-    ctx = cls.ctx
-    if cls.kind == "o2":
-        return ctx.lattice.classes[ctx.lattice.class_of(cls.K)].weyl_order
-    # |W(H)| = |N(H)| / |H|, with |N(H)| / 2 counted by the key walk (its
-    # walked count times the repeats that H's own elements make)
-    return 2 * _fin_key(ctx, cls.elems, cls.grid)[1] // cls.size
+    """|W(H)|, kept by the class since it was interned: for a finite class
+    from |N(H)| / 2 as the key walk counted it (its walked count times the
+    repeats that H's own elements make), for O(2) x K from the lattice."""
+    return cls.weyl
 
 
 @memoised
@@ -682,12 +688,17 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     Orbit types with a rotation-only O(2)-part have infinite Weyl group and
     carry no coefficient: `_product_o2` drops them, and two finite classes
     meet in a reflection whenever they meet at all.  The O(2) x K classes
-    span the Burnside ring A(Gamma') (`eqdeg burnside`).  Nothing is kept:
+    span the Burnside ring A(Gamma') (`eqdeg burnside`).  The full group
+    (G) is the unit, (G) * (H) = (H), and walks nothing.  Nothing is kept:
     the running product of a degree asks for almost every pair once.
     """
     ctx = c1.ctx
     if c2.ctx is not ctx:
         raise ValueError("classes live over different groups")
+    if c1.kind == "o2" and len(c1.K) == ctx.n:
+        return {c2: 1}
+    if c2.kind == "o2" and len(c2.K) == ctx.n:
+        return {c1: 1}
     if c1.kind == "o2":
         return _product_o2(ctx, c1, c2)
     if c2.kind == "o2":
@@ -731,10 +742,18 @@ def _product_o2(ctx, c_o2, other) -> dict:
 
 @memoised
 def _split(cls: AmalgamatedClass) -> tuple:
-    """A finite class's rotations (u, +1, g), keyed by the code u * n + g on
-    its own grid, and its reflections."""
-    rot = {e[0] * cls.ctx.n + e[2]: e for e in cls.elems if e[1] == 1}
-    return rot, tuple(e for e in cls.elems if e[1] == -1)
+    """What `_meets` reads of a finite class, built once per class: its
+    rotations (u, +1, g), keyed by the code u * n + g on its own grid; its
+    reflections; the Gamma'-parts of its rotations; and its reflection
+    index, Gamma'-part x -> the parameters u of the reflections (u, -1, x)
+    on its own grid."""
+    n = cls.ctx.n
+    rot = {e[0] * n + e[2]: e for e in cls.elems if e[1] == 1}
+    refl = tuple(e for e in cls.elems if e[1] == -1)
+    refl_at: dict = {}
+    for (u, _, x) in refl:
+        refl_at.setdefault(x, []).append(u)
+    return rot, refl, frozenset(code % n for code in rot), refl_at
 
 
 def _meets(ctx, c1, c2, whole: bool = False):
@@ -755,13 +774,8 @@ def _meets(ctx, c1, c2, whole: bool = False):
     """
     grid, n = lcm(c1.grid, c2.grid), ctx.n
     fa, fb = grid // c1.grid, grid // c2.grid  # coprime: fb | u * fa exactly when fb | u
-    a_rot, a_refl = _split(c1)
-    b_rot, b_refl = _split(c2)
-    b_refl_at: dict = {}  # Gamma'-part b -> reflection parameters beta
-    for (u, _, x) in b_refl:
-        b_refl_at.setdefault(x, []).append(u * fb)
-    a_k = frozenset(code % n for code in a_rot)
-    b_k = frozenset(code % n for code in b_rot)
+    a_rot, a_refl, a_k, _ = _split(c1)
+    b_rot, _, b_k, b_refl_at = _split(c2)
     for g, _, size in _double_cosets(ctx, a_k, b_k):
         inv_tab = ctx.conj[ctx.inv[g]]
         # the rotation by u / M1 is the one by (u * fa / fb) / M2
@@ -777,7 +791,7 @@ def _meets(ctx, c1, c2, whole: bool = False):
         buckets: dict = {}
         for e in a_refl:
             for beta in b_refl_at.get(inv_tab[e[2]], ()):
-                buckets.setdefault((e[0] * fa - beta) % grid, []).append(e)
+                buckets.setdefault((e[0] * fa - beta * fb) % grid, []).append(e)
         yield size, rot, buckets.values()
 
 

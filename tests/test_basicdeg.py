@@ -58,6 +58,11 @@ def test_basic_degree_mode1_trivial_character(d6ctx):
     assert deg.coeff(full_group(d6ctx)) == 1
 
 
+def test_basic_degree_refuses_a_negative_mode(d6ctx):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        basic_degree(d6ctx, -1, 0)
+
+
 def test_involution_for_all_factors(d6ctx):
     unit = GRingElement.unit(d6ctx)
     for (k, l) in [(0, 0), (0, 3), (0, 4), (0, 5),

@@ -18,7 +18,7 @@ from eqdeg.cli import bundled_example_path, load_config, run_analyze
 from eqdeg.o2gamma import GammaContext, class_product, make_o2
 from eqdeg.permgroup import Group
 
-from conftest import marks_row
+from conftest import marks_row, three_delay_config
 
 RINGS = {}
 
@@ -169,6 +169,29 @@ def test_double_cosets_are_walked_once_per_pair(monkeypatch):
     monkeypatch.setattr(Group, "double_coset_reps", spy)
     run_analyze(load_config(bundled_example_path()))
     assert walks and len(walks) == len(set(walks))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, three_delay_config("S4", ["-10"] * 5)],
+    ids=["bundled", "S4-10"],
+)
+def test_full_group_is_the_unit_of_every_interned_class(config):
+    # (G) * (H) = (H) with no walk; the double-coset rule gives the same
+    ctx = run_analyze(config or load_config(bundled_example_path())).ctx
+    g = og.full_group(ctx)
+    classes = list(ctx._interned.values())
+    assert any(c.kind == "fin" for c in classes)
+    for c in classes:
+        assert class_product(g, c) == class_product(c, g) == {c: 1}, c.name()
+        assert og._product_o2(ctx, g, c) == {c: 1}, c.name()
+    # the unit rule comes after the context check
+    other = GammaContext.from_signed_group(SignedGroup(bundled_table("S3")))
+    for c in (g, classes[-1]):
+        with pytest.raises(ValueError, match="different groups"):
+            class_product(og.full_group(other), c)
+        with pytest.raises(ValueError, match="different groups"):
+            class_product(c, og.full_group(other))
 
 
 def test_lattice_mismatch_rejected():

@@ -361,6 +361,12 @@ def test_basic_deg_d6_output_is_byte_stable(capsys):
     )
 
 
+def test_basic_deg_refuses_a_negative_mode_by_name(capsys):
+    # the message names the argument as the command line gives it
+    assert main(["basic-deg", "D6", "-1", "5"]) == EXIT_INVALID
+    assert "error: k must be >= 0" in capsys.readouterr().err
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d1_config()))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -637,6 +638,41 @@ def test_fin_products_satisfy_the_marks_identity(code_ctxs, name):
 
                 rhs = sum(m * mark(cls) for cls, m in prod.items())
                 assert mark(h) * mark(k) == rhs, (h.name(), k.name(), low.name())
+
+
+def test_walk_tables_match_the_elements():
+    # _split builds once per class what _meets reads of it
+    ctx = run_analyze(load_config(bundled_example_path())).ctx
+    fins = [c for c in ctx._interned.values() if c.kind == "fin"]
+    assert fins
+    for cls in fins:
+        rot, refl, rot_k, refl_at = og._split(cls)
+        assert set(rot.values()) == {e for e in cls.elems if e[1] == 1}
+        assert all(code == u * ctx.n + g for code, (u, _, g) in rot.items())
+        assert set(refl) == {e for e in cls.elems if e[1] == -1}
+        assert rot_k == {g for (_, s, g) in cls.elems if s == 1}
+        expected = {}
+        for (u, s, x) in cls.elems:
+            if s == -1:
+                expected.setdefault(x, set()).add(u)
+        assert {x: set(us) for x, us in refl_at.items()} == expected, cls.name()
+        assert sum(map(len, refl_at.values())) == len(refl)
+
+
+def test_weyl_order_walks_no_key(monkeypatch):
+    # a class keeps the Weyl order its interning walk counted
+    callers = []
+    fin_key = og._fin_key
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return fin_key(*args)
+
+    monkeypatch.setattr(og, "_fin_key", spy)
+    result = run_analyze(load_config(bundled_example_path()))
+    assert result.exit_code == 0
+    assert set(callers) == {"_interned_fin"}
+    assert all(weyl_order(c) >= 1 for c in result.ctx._interned.values())
 
 
 def test_memo_refuses_classes_of_another_context():
