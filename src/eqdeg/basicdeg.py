@@ -115,10 +115,8 @@ def basic_degree(ctx: GammaContext, k: int, l: int) -> GRingElement:
     """Equivariant degree of -id on the unit ball of W_k (x) V_l.
 
     For k >= 2 it is the degree at mode 1 with every class folded by k;
-    a negative mode is refused.
+    `orbit_types` refuses a negative mode.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if k <= 1:
         return _basic_degree_base(ctx, k, l)
     base = basic_degree(ctx, 1, l)

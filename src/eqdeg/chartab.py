@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import Cyc
-from .permgroup import Group, Perm, parse_cycles, subgroup_lattice
+from .permgroup import Group, Perm, p_conj, p_mul, parse_cycles, parse_preset, subgroup_lattice
 
 
 class CharacterError(ValueError):
@@ -48,7 +48,7 @@ class CharacterTable:
         lut = {}
         for idx, rep in enumerate(self.class_reps):
             for g in group.elements:
-                lut[group.conj(g, rep)] = idx
+                lut[p_conj(g, rep)] = idx
         if len(lut) != group.order:
             raise CharacterError("class representatives do not cover the group")
         return lut
@@ -59,7 +59,7 @@ class CharacterTable:
         (1/|G|) sum chi(g^2) is 1 (it is 0 for complex, -1 for
         quaternionic type)."""
         group = self.group
-        squares = [self.class_of(group.mul(g, g)) for g in group.elements]
+        squares = [self.class_of(p_mul(g, g)) for g in group.elements]
         flags = []
         for row in self.rows:
             total = sum((row[c] for c in squares), Cyc.rational(0))
@@ -135,22 +135,17 @@ def fixed_space_dim(table: CharacterTable, chi, subgroup) -> int:
 
 
 def bundled_table(name: str) -> CharacterTable:
-    name = name.strip()
-    if name in ("S3",):
-        return _symmetric3()
-    if name == "S4":
-        return _symmetric4()
-    if name.startswith("Z"):
-        n = int(name[1:])
-        if not 1 <= n <= 12:
-            raise CharacterError(f"no bundled table for {name}")
+    """The table of a preset name (`parse_preset`) that has one."""
+    kind, n = parse_preset(name)
+    if kind == "Z" and n <= 12:
         return _cyclic(n)
-    if name.startswith("D"):
-        n = int(name[1:])
-        if not 1 <= n <= 12:
-            raise CharacterError(f"no bundled table for {name}")
+    if kind == "D" and n <= 12:
         return _dihedral(n)
-    raise CharacterError(f"no bundled table for {name}")
+    if (kind, n) == ("S", 3):
+        return _symmetric3()
+    if (kind, n) == ("S", 4):
+        return _symmetric4()
+    raise CharacterError(f"no bundled table for {name.strip()}")
 
 
 def _cyclic(n: int) -> CharacterTable:
@@ -162,7 +157,7 @@ def _cyclic(n: int) -> CharacterTable:
     x = g.identity
     for _ in range(n):
         reps.append(x)
-        x = g.mul(gen, x)
+        x = p_mul(gen, x)
     rows = tuple(
         tuple(Cyc.root_of_unity(j * a, n) for a in range(n)) for j in range(n)
     )
@@ -182,7 +177,7 @@ def _dihedral(n: int) -> CharacterTable:
     if n == 2:
         rot = next(x for x in g.elements if x[:2] == (1, 0) and x[2:] == (2, 3))
         refl = next(x for x in g.elements if x[:2] == (0, 1) and x[2:] == (3, 2))
-        both = g.mul(rot, refl)
+        both = p_mul(rot, refl)
         reps = (g.identity, rot, refl, both)
         one = Cyc.rational(1)
         neg = Cyc.rational(-1)
@@ -192,7 +187,7 @@ def _dihedral(n: int) -> CharacterTable:
     refl = tuple((-i) % n for i in range(n))  # fixes vertex 1
     rots = [g.identity]
     for _ in range(n - 1):
-        rots.append(g.mul(rot, rots[-1]))
+        rots.append(p_mul(rot, rots[-1]))
     one = Cyc.rational(1)
     neg = Cyc.rational(-1)
     if n % 2:
@@ -210,7 +205,7 @@ def _dihedral(n: int) -> CharacterTable:
         # class order: (1), (k), (r), ..., (r^(n/2-1)), (rk), (r^(n/2))
         half = n // 2
         reps = [g.identity, refl] + [rots[a] for a in range(1, half)]
-        reps += [g.mul(rots[1], refl), rots[half]]
+        reps += [p_mul(rots[1], refl), rots[half]]
         sizes = [1, half] + [2] * (half - 1) + [half, 1]
         # linear characters: k -> e1, r -> e2
         def linear(e1, e2):
@@ -307,7 +302,7 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
             raise CharacterError(f"class rep {word} is not in the group")
         if rep in word_of:
             raise CharacterError(f"class reps {word_of[rep]} and {word} are conjugate")
-        members = {group.conj(g, rep) for g in group.elements}
+        members = {p_conj(g, rep) for g in group.elements}
         if len(members) != size:
             raise CharacterError(f"the class of {word} has {len(members)} elements, not {size}")
         word_of.update(dict.fromkeys(members, word))
@@ -343,21 +338,15 @@ class SignedGroup:
         gamma = table.group
         self.gamma = gamma
         self.gamma_table = table
-        z2 = Group.make([tuple(range(gamma.degree)) + (gamma.degree + 1, gamma.degree)])
-        flip = z2.generators[0]
-        self.group = Group.make(
-            [g + (gamma.degree, gamma.degree + 1) for g in gamma.generators] + [flip]
-        )
         d = gamma.degree
+        # Gamma fixes the two new points, the flip swaps them
+        flip = tuple(range(d)) + (d + 1, d)
+        self.group = Group.make([g + (d, d + 1) for g in gamma.generators] + [flip])
         self._parts = {}
         for g in self.group.elements:
             gamma_part = g[:d]
             eps = 1 if g[d] == d else -1
             self._parts[g] = (gamma_part, eps)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
 
     def parts(self, g: Perm) -> tuple[Perm, int]:
         return self._parts[g]

@@ -23,6 +23,7 @@ from . import __version__
 from .basicdeg import basic_degree, format_terms
 from .chartab import (
     CharacterError,
+    IsotypicDecomposition,
     SignedGroup,
     bundled_table,
     isotypic_multiplicities,
@@ -600,9 +601,12 @@ def _dispatch(args) -> int:
 
     if args.command == "basic-deg":
         table = bundled_table(args.group)
-        ctx = GammaContext.from_signed_group(SignedGroup(table))
         if not 1 <= args.l <= table.n_irreps:
             raise ConfigError(f"l must be in 1..{table.n_irreps}")
+        # the block W_k (x) V_l holds one copy of row l
+        row = tuple(int(i == args.l - 1) for i in range(table.n_irreps))
+        require_real_components(table, IsotypicDecomposition(row, table.dims()))
+        ctx = GammaContext.from_signed_group(SignedGroup(table))
         deg = basic_degree(ctx, args.k, args.l - 1)
         print(f"deg(k={args.k}, l={args.l}) = {deg.render()}")
         return EXIT_OK

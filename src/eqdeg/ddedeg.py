@@ -224,15 +224,14 @@ SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 
 @dataclass
 class SpectralTable:
-    """Signs, values and multiplicities of the block eigenvalues."""
+    """The sign of each block eigenvalue xi_{k,l}, k = 0..k_max, keyed
+    (k, l) component-major with k ascending; multiplicities, degenerate
+    blocks and resonances are read off the signs."""
 
     data: LinearizationData
     decomposition: IsotypicDecomposition
     k_max: int
-    xi_values: dict[tuple[int, int], object] = field(default_factory=dict)
     signs: dict[tuple[int, int], int] = field(default_factory=dict)
-    m_kl: dict[tuple[int, int], int] = field(default_factory=dict)
-    degenerate: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def components(self) -> list[int]:
@@ -240,17 +239,22 @@ class SpectralTable:
 
     def build(self) -> "SpectralTable":
         for l in self.components:
-            mult = self.decomposition.multiplicities[l]
             for k in range(0, self.k_max + 1):
                 v = xi(self.data, l, k)
-                self.xi_values[(k, l)] = v
-                sign = 0 if _is_zero(v, self.data.tol) else (1 if v > 0 else -1)
-                self.signs[(k, l)] = sign
-                if sign == 0:
-                    self.degenerate.append((k, l))
-                self.m_kl[(k, l)] = mult if sign < 0 else 0
+                self.signs[(k, l)] = 0 if _is_zero(v, self.data.tol) else (1 if v > 0 else -1)
         self._check_tail()
         return self
+
+    def multiplicity(self, k: int, l: int) -> int:
+        """m_{k,l}: the multiplicity of component l when the block (k, l) is
+        negative, else 0 (also beyond k_max, where every block is positive)."""
+        return self.decomposition.multiplicities[l] if self.signs.get((k, l), 0) < 0 else 0
+
+    @property
+    def degenerate(self) -> list[tuple[int, int]]:
+        """The blocks with a zero eigenvalue, in the order of the signs,
+        which report.json keeps."""
+        return [kl for kl, sign in self.signs.items() if sign == 0]
 
     def _check_tail(self) -> None:
         if self.k_max * self.k_max <= self.data.coupling_bound:
@@ -268,11 +272,7 @@ class SpectralTable:
 
     def negative_factors(self) -> list[tuple[int, int, int]]:
         """(k, l, multiplicity) for each negative block."""
-        return [
-            (k, l, m)
-            for (k, l), m in sorted(self.m_kl.items())
-            if m > 0
-        ]
+        return [(k, l, m) for (k, l) in sorted(self.signs) if (m := self.multiplicity(k, l))]
 
     def sign_grid(self) -> list[list[str]]:
         return [
@@ -295,7 +295,7 @@ def survival_parity(table: SpectralTable, cls: AmalgamatedClass, k: int) -> int:
     coefficient."""
     total = 0
     for l in table.components:
-        m = table.m_kl.get((k, l), 0)
+        m = table.multiplicity(k, l)
         if m and fixed_dim(cls, k, l) % 2 == 1:
             total += m
     return total
@@ -394,7 +394,7 @@ def theorem_conclusions_resonant(
         )
     modes = [k for k in range(1, spectral.k_max + 1) if (k % s == 0) and (k // s) % 2 == 1]
     blocks = [
-        (k, l) for k in modes for l in spectral.components if spectral.m_kl.get((k, l), 0)
+        (k, l) for k in modes for l in spectral.components if spectral.multiplicity(k, l)
     ]
     return DegreeReport(
         omega=None,

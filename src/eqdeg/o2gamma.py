@@ -660,8 +660,10 @@ def orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:
     have isotropy exactly H.  Only the candidates differ: O(2) x K for every
     class of K <= Gamma' at k = 0, and the mode-1 candidates at k >= 1,
     whose types are folded by k, since the k-fold cover of O(2) carries W_1
-    onto W_k.
+    onto W_k.  A negative mode is refused.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k == 0:
         return _realised([make_o2(ctx, cls.rep_set) for cls in ctx.lattice.classes], 0, l)
     return [fold(c, k) for c in orbit_types_mode1(ctx, l)]

@@ -13,6 +13,7 @@ the Burnside product of O(2) x H and O(2) x K (`o2gamma.n_count_amalgam`).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +36,11 @@ def p_inv(a: Perm) -> Perm:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
+
+
+def p_conj(g: Perm, x: Perm) -> Perm:
+    """g∘x∘g^-1."""
+    return p_mul(p_mul(g, x), p_inv(g))
 
 
 def p_identity(n: int) -> Perm:
@@ -87,10 +93,22 @@ def parse_perms(words) -> list[Perm]:
     return perms
 
 
+def parse_preset(name: str) -> tuple[str, int]:
+    """The (kind, n) of a preset name Z<n>, D<n> or S<n>, n >= 1; every
+    reader of a preset name goes through here."""
+    m = re.fullmatch(r"([ZDS])(\d+)", name.strip())
+    if not m:
+        raise ValueError(f"unknown group preset: {name!r}")
+    kind, n = m.group(1), int(m.group(2))
+    if n < 1:
+        raise ValueError("group parameter must be >= 1")
+    return kind, n
+
+
 class Group:
     """A finite permutation group with enumerated elements."""
 
-    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
+    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: Iterable[Perm]):
         self.degree = degree
         self.generators = generators
         # sorted, so element indices order like the permutations
@@ -119,17 +137,12 @@ class Group:
                                 f"group too large: order exceeds cap {cap}"
                             )
             frontier = nxt
-        return Group(degree, tuple(gens), tuple(sorted(elems)))
+        return Group(degree, tuple(gens), elems)
 
     @staticmethod
     def from_name(name: str) -> "Group":
         """Presets: Z<n>, D<n> (order 2n, acting on n-gon vertices), S<n>."""
-        m = re.fullmatch(r"([ZDS])(\d+)", name.strip())
-        if not m:
-            raise ValueError(f"unknown group preset: {name!r}")
-        kind, n = m.group(1), int(m.group(2))
-        if n < 1:
-            raise ValueError("group parameter must be >= 1")
+        kind, n = parse_preset(name)
         if kind == "Z":
             if n == 1:
                 return Group(1, (p_identity(1),), (p_identity(1),))
@@ -150,15 +163,6 @@ class Group:
         if n > 2:
             gens.append(tuple(range(1, n)) + (0,))
         return Group.make(gens)
-
-    def mul(self, a: Perm, b: Perm) -> Perm:
-        return p_mul(a, b)
-
-    def inv(self, a: Perm) -> Perm:
-        return p_inv(a)
-
-    def conj(self, g: Perm, x: Perm) -> Perm:
-        return p_mul(p_mul(g, x), p_inv(g))
 
     # Index tables, built on first use: element i is self.elements[i].
 

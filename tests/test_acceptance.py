@@ -104,7 +104,7 @@ def test_acceptance_3_sign_table():
     assert grid[3] == ["+", "+", "+", "+"]
     for k in range(4, 51):
         assert grid[k] == ["+", "+", "+", "+"]
-    assert all(isinstance(v, F) for v in spectral.xi_values.values())
+    assert all(isinstance(xi(spectral.data, l, k), F) for (k, l) in spectral.signs)
 
 
 @criterion(4, "15 maximal classes by fingerprint with exact fold pairing",

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,7 +164,7 @@ def test_table_from_json_roundtrip():
 
 def test_signed_group_structure():
     sg = SignedGroup(bundled_table("D6"))
-    assert sg.order == 24
+    assert sg.group.order == 24
     # chi_1 tensor sign takes value -1 exactly on flipped elements
     vals = {sg.signed_char(0, g).as_integer() for g in sg.group.elements}
     assert vals == {1, -1}
@@ -181,3 +182,25 @@ def test_class_lookup_survives_freed_tables():
         for g in table.group.elements:
             assert 0 <= table.class_of(g) < len(table.class_reps)
         del table
+
+
+@pytest.mark.parametrize("name", ["D6", " D6 ", "D06", "S4", "Z12"])
+def test_preset_names_read_alike_where_accepted(name):
+    # Group.from_name and bundled_table read a name through one grammar
+    assert bundled_table(name).group.elements == Group.from_name(name).elements
+
+
+@pytest.mark.parametrize("name", ["Dx", "D+3", "D 3", "Z_3", "d6", "Q8", "Z0"])
+def test_preset_names_refused_alike(name):
+    message = "group parameter must be >= 1" if name == "Z0" else f"unknown group preset: {name!r}"
+    for read in (Group.from_name, bundled_table):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            read(name)
+        assert not isinstance(err.value, CharacterError)
+
+
+@pytest.mark.parametrize("name", ["D13", "S5"])
+def test_preset_without_a_bundled_table(name):
+    assert Group.from_name(name).order
+    with pytest.raises(CharacterError, match=f"no bundled table for {name}"):
+        bundled_table(name)

@@ -367,6 +367,28 @@ def test_basic_deg_refuses_a_negative_mode_by_name(capsys):
     assert "error: k must be >= 0" in capsys.readouterr().err
 
 
+def test_basic_deg_refuses_a_complex_type_row(capsys):
+    # row 2 of Z3 is of complex type, as analyze says of such a component
+    assert main(["basic-deg", "Z3", "1", "2"]) == EXIT_INVALID
+    assert "error: component 2 is not of real type; unsupported" in capsys.readouterr().err
+    # row 3 of Z4 is the real character r -> -1
+    assert main(["basic-deg", "Z4", "1", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("deg(k=1, l=3) = ")
+
+
+def test_malformed_preset_exits_3_in_every_command(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**d1_config(), "group": "D+3"}))
+    for args in (
+        ["basic-deg", "Dx", "1", "1"],
+        ["lattice", "D+3"],
+        ["burnside", "D 3"],
+        ["analyze", str(path), "--json-only", "--out", str(tmp_path)],
+    ):
+        assert main(args) == EXIT_INVALID, args
+        assert "error: unknown group preset" in capsys.readouterr().err
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d1_config()))

@@ -393,10 +393,10 @@ def test_growth_check_draws_equal_the_uniform_loop():
 
 def test_multiplicity_table_values(d6_analysis):
     spectral = d6_analysis.spectral
-    assert spectral.m_kl[(2, 0)] == 0
-    assert spectral.m_kl[(2, 3)] == 1
-    assert spectral.m_kl[(1, 4)] == 1
-    assert spectral.m_kl[(3, 5)] == 0
+    assert spectral.multiplicity(2, 0) == 0
+    assert spectral.multiplicity(2, 3) == 1
+    assert spectral.multiplicity(1, 4) == 1
+    assert spectral.multiplicity(3, 5) == 0
 
 
 def test_constant_mode_only_negatives_no_conclusions(z1ctx):

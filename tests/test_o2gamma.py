@@ -818,3 +818,10 @@ def test_numeric_isotropy_oracle_mode_two(d6ctx):
     for cls in cands:
         sample_realized = _realized_by_sampling(d6ctx, act, cls, cands, rng, 3)
         assert sample_realized == (cls in realized), (l, cls.name())
+
+
+def test_orbit_types_refuse_a_negative_mode():
+    ctx = GammaContext.from_signed_group(SignedGroup(bundled_table("D3")))
+    for orbit_types_of in (orbit_types, maximal_orbit_types):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            orbit_types_of(ctx, -1, 0)
