@@ -8,7 +8,6 @@ value that has to be an integer is extracted with a hard check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -272,7 +271,7 @@ def _class_size(value) -> int:
     return int(size)
 
 
-def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
+def table_from_json(group: Group, data: dict) -> CharacterTable:
     """User-supplied table: class rep words, sizes, rows of 'p/q' strings.
 
     Orthonormal rows need not be characters, so each row must also have a
@@ -280,7 +279,6 @@ def table_from_json(group: Group, payload: str | dict) -> CharacterTable:
     subspace that the subgroup fixes.  Real type comes from the rows; a
     payload that lists `real_type` must agree with it.
     """
-    data = json.loads(payload) if isinstance(payload, str) else payload
     keys = ("class_reps", "class_sizes", "rows")
     if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in keys):
         raise CharacterError("a character table needs class_reps, class_sizes and rows as lists")

@@ -15,34 +15,21 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import inf, isfinite, nan, pi
 from pathlib import Path
 
 from . import __version__
 from .basicdeg import basic_degree, format_terms
-from .chartab import (
-    CharacterError,
-    IsotypicDecomposition,
-    SignedGroup,
-    bundled_table,
-    isotypic_multiplicities,
-    permutation_character,
-    table_from_json,
-)
+from .chartab import IsotypicDecomposition, SignedGroup, bundled_table
+from .config import Config, ConfigError, load_config, read_config, read_verify
 from .ddedeg import (
-    DEFAULT_TOL,
     DegreeReport,
-    LinearizationData,
     SpectralTable,
-    _isotypic_projector,
     assemble_omega,
-    default_k_max,
     require_real_components,
     theorem_conclusions_resonant,
 )
 from .o2gamma import GammaContext, class_product, make_o2
-from .permgroup import Group, GroupTooLargeError, parse_perms, subgroup_lattice
+from .permgroup import Group, subgroup_lattice
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -54,169 +41,14 @@ NAME_CAVEAT = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def load_config(path_or_dict) -> dict:
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in ("group", "delays", "linearization"):
-        if key not in data:
-            raise ConfigError(f"missing config key: {key}")
-    delays = data["delays"]
-    if not _is_int(delays) or delays < 1:
-        raise ConfigError("delays must be a positive integer")
-    return data
-
-
-def _build_group_and_table(config):
-    spec = config["group"]
-    if isinstance(spec, str):
-        table = bundled_table(spec)
-        return table.group, table
-    if isinstance(spec, dict) and "generators" in spec:
-        group = Group.make(_perm_words(spec["generators"], "generators"))
-        tab_payload = config.get("character_table")
-        if tab_payload is None:
-            raise ConfigError("custom groups need an explicit character_table")
-        table = table_from_json(group, tab_payload)
-        return group, table
-    raise ConfigError("group must be a preset name or {'generators': [...]}")
-
-
-def _perm_words(words, what: str) -> list:
-    """words, when they are a list of cycle words or of point lists."""
-    if not isinstance(words, list) or not all(
-        isinstance(w, str) or isinstance(w, list) and all(map(_is_int, w)) for w in words
-    ):
-        raise ConfigError(f"{what} must be a list of cycle words or of point lists")
-    return words
-
-
-def _representation_action(config, group):
-    rep = config.get("representation", "natural")
-    if rep == "natural":
-        return lambda g: g
-    if not (isinstance(rep, dict) and "images" in rep):
-        raise ConfigError("representation must be 'natural' or {'images': [...]}")
-    words = _perm_words(rep["images"], "representation images")
-    if len(words) != len(group.generators):
-        raise ConfigError(f"expected {len(group.generators)} generator images, got {len(words)}")
-    try:
-        images = parse_perms(words)
-    except ValueError as exc:
-        raise ConfigError(f"representation images must be permutations: {exc}") from exc
-    # the pairs (generator, image), as permutations of the disjoint union of
-    # the two point sets, generate the graph of the map, which has |group|
-    # elements exactly when the map is a homomorphism
-    d = group.degree
-    pairs = [g + tuple(d + x for x in image) for g, image in zip(group.generators, images)]
-    try:
-        graph = Group.make(pairs, cap=group.order)
-    except GroupTooLargeError:
-        raise ConfigError("representation images do not define a homomorphism") from None
-    return {p[:d]: tuple(x - d for x in p[d:]) for p in graph.elements}.__getitem__
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _real(value) -> float:
-    """value as a float; nan for a bool or what float() refuses."""
-    try:
-        return nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        return nan
-
-
-def _system_value(system: dict, key: str, default, integer: bool = False):
-    """system[key], or default when null or absent: an int (not a bool)
-    when integer, else a finite number > 0."""
-    value = system.get(key)
-    if value is None:
-        return default
-    if integer:
-        if not _is_int(value):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return value
-    number = _real(value)
-    if not 0 < number < inf:  # nan fails both comparisons
-        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
-    return number
-
-
-def _parse_value(v):
-    """A config number: a string ("p/q") or an integer read exactly, a
-    finite float as it is."""
-    if isinstance(v, float):
-        if not isfinite(v):
-            raise ConfigError(f"not a finite number: {v!r}")
-        return v
-    if isinstance(v, (str, int)) and not isinstance(v, bool):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ConfigError(f"not a number: {v!r}")
-
-
-def _parse_values(value, depth: int):
-    """Config numbers in lists nested `depth` deep."""
-    if depth == 0:
-        return _parse_value(value)
-    if not isinstance(value, list):
-        raise ConfigError(f"expected a list of values, got {value!r}")
-    return [_parse_values(v, depth - 1) for v in value]
-
-
-def _build_linearization(config, table, decomposition, action, tol) -> LinearizationData:
-    lin = config["linearization"]
-    m = config["delays"]
-    if not isinstance(lin, dict):
-        raise ConfigError("linearization must be an object with 'matrices' or 'mu'")
-    if "matrices" in lin:
-        mats = _parse_values(lin["matrices"], 3)
-        if len(mats) != m:
-            raise ConfigError(f"expected {m} matrices, got {len(mats)}")
-        return LinearizationData.from_matrices(table, decomposition, mats, tol, action)
-    if "mu" in lin:
-        if not isinstance(lin["mu"], dict):
-            raise ConfigError("mu must map character rows to lists of values")
-        mu = {}
-        for key, row in lin["mu"].items():
-            l = int(key) - 1
-            if not 0 <= l < table.n_irreps:
-                raise ConfigError(f"mu component {key} out of range")
-            mu[l] = tuple(_parse_values(row, 1))
-        return LinearizationData(m=m, mu=mu, tol=tol)
-    raise ConfigError("linearization needs 'matrices' or 'mu'")
-
-
 # ---------------------------------------------------------------------------
 # analysis pipeline
 
 
 @dataclass
 class AnalysisResult:
-    config: dict
-    table: object
+    config: Config
     ctx: GammaContext
-    decomposition: object
-    lin: LinearizationData
     spectral: SpectralTable
     report: DegreeReport | None
     exit_code: int
@@ -224,16 +56,16 @@ class AnalysisResult:
 
     def report_json(self) -> dict:
         """The report payload: report.json is its dump, report.txt its text."""
-        spectral = self.spectral
+        config, spectral = self.config, self.spectral
         return {
             "engine": {"name": "eqdeg", "version": __version__},
-            "group": self.config["group"] if isinstance(self.config["group"], str) else "custom",
-            "delays": self.lin.m,
+            "group": config.group,
+            "delays": config.lin.m,
             "k_max": spectral.k_max,
             "components": [l + 1 for l in spectral.components],
-            "multiplicities": list(self.decomposition.multiplicities),
+            "multiplicities": list(config.decomposition.multiplicities),
             "mu": {
-                str(l + 1): [str(v) for v in row] for l, row in sorted(self.lin.mu.items())
+                str(l + 1): [str(v) for v in row] for l, row in sorted(config.lin.mu.items())
             },
             "spectrum": {
                 "signs": spectral.sign_grid()[: min(spectral.k_max, 10) + 1],
@@ -293,83 +125,32 @@ class AnalysisResult:
         return "\n".join([*lines, "", payload["note"], ""])
 
 
-# The front half of the pipeline, shared by `analyze` and `spectrum`, in two
-# steps: `analyze` rejects components of complex type between them, also
-# when the linearization is given as mu values, which `spectrum` accepts.
+def spectral_table(config: Config) -> SpectralTable:
+    """The block sign table of a config, for `analyze` and `spectrum`."""
+    return SpectralTable(config.lin, config.decomposition, k_max=config.k_max).build()
 
 
-def _decompose(config):
-    """Character table of a config, the isotypic decomposition of its
-    representation and the representation's action on the nodes."""
-    group, table = _build_group_and_table(config)
-    action = _representation_action(config, group)
-    chi = permutation_character(table, action)
-    return table, isotypic_multiplicities(chi, table), action
-
-
-def _options(config, k_max=None, s=None) -> dict:
-    """The config's options, where the k_max and s given here (the --kmax
-    and --s flags) take the place of the config's when set.  Given or
-    configured, k_max and s must be null or integers >= 0, where 0 picks
-    the default, and tol null or a tolerance."""
-    options = config.get("options", {})
-    if not isinstance(options, dict) or any(
-        value is not None and not (_is_int(value) and value >= 0)
-        for value in (k_max, s, options.get("k_max"), options.get("s"))
-    ):
-        raise ConfigError(
-            "options must be an object whose k_max and s are integers >= 0, as are --kmax and --s"
-        )
-    _tolerance(options.get("tol"))
-    return {**options, "k_max": k_max or options.get("k_max"), "s": s or options.get("s")}
-
-
-def _tolerance(value) -> float:
-    """A zero-test tolerance: a finite number >= 0, where 0 and null pick
-    the default."""
-    tol = _real(DEFAULT_TOL if value is None else value)
-    if not 0 <= tol < inf:  # nan fails both comparisons
-        raise ConfigError(f"tol must be a finite number >= 0, got {value!r}")
-    return tol or DEFAULT_TOL
-
-
-def _spectral_table(config, table, decomposition, action, k_max=None, tol=None):
-    """Linearization data and block sign table of a config; the data carries
-    the one tolerance of the scalarity and reversibility checks and the
-    zero test of the blocks."""
-    options = _options(config, k_max)
-    tol = _tolerance(tol or options.get("tol"))
-    lin = _build_linearization(config, table, decomposition, action, tol)
-    k_max = options["k_max"] or default_k_max(lin)
-    return lin, SpectralTable(lin, decomposition, k_max=k_max).build()
-
-
-def run_analyze(config, k_max=None, s=None, tol=None) -> AnalysisResult:
-    s = _options(config, k_max, s)["s"]
-    table, decomposition, action = _decompose(config)
-    require_real_components(table, decomposition)
-    lin, spectral = _spectral_table(config, table, decomposition, action, k_max, tol)
-    signed = SignedGroup(table)
-    ctx = GammaContext.from_signed_group(signed)
-    if spectral.zero_spectrum() and not s:
+def analyze(config: Config) -> AnalysisResult:
+    spectral = spectral_table(config)
+    ctx = GammaContext.from_signed_group(SignedGroup(config.table))
+    if spectral.zero_spectrum() and not config.s:
         return AnalysisResult(
-            config, table, ctx, decomposition, lin, spectral, None,
-            EXIT_DEGENERATE,
+            config, ctx, spectral, None, EXIT_DEGENERATE,
             "degenerate spectrum: pass --s to use the resonance-avoiding route",
         )
-    if s:
+    if config.s:
         try:
-            report = theorem_conclusions_resonant(ctx, spectral, int(s))
+            report = theorem_conclusions_resonant(ctx, spectral, config.s)
         except ValueError as exc:
-            return AnalysisResult(
-                config, table, ctx, decomposition, lin, spectral, None,
-                EXIT_INVALID, str(exc),
-            )
+            return AnalysisResult(config, ctx, spectral, None, EXIT_INVALID, str(exc))
     else:
         report = assemble_omega(ctx, spectral)
-    return AnalysisResult(
-        config, table, ctx, decomposition, lin, spectral, report, EXIT_OK
-    )
+    return AnalysisResult(config, ctx, spectral, report, EXIT_OK)
+
+
+def run_analyze(data: dict, k_max=None, s=None, tol=None) -> AnalysisResult:
+    """`analyze` on a config as `load_config` returns it."""
+    return analyze(read_config(data, k_max, s, tol))
 
 
 REPORT_SCHEMA = {
@@ -403,107 +184,6 @@ def validate_report(payload: dict) -> list[str]:
             if key not in conc:
                 errors.append(f"conclusion missing {key}")
     return errors
-
-
-# ---------------------------------------------------------------------------
-# verification subcommand
-
-
-def run_verify(config) -> dict:
-    import numpy as np
-
-    from .verifier import (
-        FourierSolution,
-        class_matches_symmetries,
-        isotropy_of_trajectory,
-        newton_solve,
-        SystemSpec,
-        apriori_check,
-    )
-    from .ddedeg import check_growth_condition
-    from .o2gamma import maximal_orbit_types
-
-    system = config.get("system")
-    if not isinstance(system, dict) or not system:
-        raise ConfigError("verification needs a 'system' block")
-    if config.get("representation", "natural") != "natural":
-        raise ConfigError("verification needs the natural representation")
-    lin = config["linearization"]
-    if not isinstance(lin, dict) or "matrices" not in lin:
-        raise ConfigError("verification needs the linearization as 'matrices'")
-    seed_l = _system_value(system, "seed_component", 5, integer=True) - 1
-    cubic = float(_parse_value(system.get("cubic", "1/2")))
-    radius = _system_value(system, "radius", 4.0)
-    samples = _system_value(system, "growth_samples", 500, integer=True)
-    K = _system_value(system, "fourier_modes", 32, integer=True)
-    amp = _system_value(system, "seed_amplitude", 4.0)
-    for key, count in (("fourier_modes", K), ("growth_samples", samples)):
-        if count < 1:
-            raise ConfigError(f"{key} must be a positive integer")
-    result = run_analyze(config)
-    if result.exit_code != EXIT_OK:
-        raise ConfigError("verification requires a nondegenerate analysis")
-    if not 0 <= seed_l < result.table.n_irreps:
-        raise ConfigError(f"seed_component must be in 1..{result.table.n_irreps}")
-    lin_mats = [
-        [[float(v) for v in row] for row in mat] for mat in _parse_values(lin["matrices"], 3)
-    ]
-    n = result.table.group.degree
-    terms = [[(cubic, ((c, 3),))] for c in range(n)]
-    spec = SystemSpec(
-        n=n, m=result.lin.m, period=2 * pi, linear=lin_mats, terms=terms, tol=result.lin.tol
-    )
-    spec.check_reversible()
-    spec.check_odd()
-    growth = check_growth_condition(
-        lambda args: list(spec.rhs(np.asarray(args)[None, :])[0]),
-        n=n,
-        m=result.lin.m,
-        radius=radius,
-        samples=samples,
-    )
-    basis = _seed_vector(result.table, seed_l)
-    coeffs = np.zeros((2 * K + 1, n))
-    coeffs[1] = amp * basis
-    sol, rep = newton_solve(spec, FourierSolution(K, coeffs), tol=1e-12, max_iter=100)
-    out = {
-        "growth_check": growth,
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "residual_sup": rep.residual_sup,
-        "message": rep.message,
-        "non_constant": bool(not sol.is_constant()),
-        "matched_classes": [],
-        "apriori": None,
-    }
-    if sol.is_constant():
-        out["note"] = "Newton did not produce a non-constant orbit; report retained"
-    elif not rep.converged:
-        out["note"] = f"Newton did not converge ({rep.message}); report retained"
-    else:
-        perms = sorted({tuple(g) for g in result.table.group.elements})
-        syms = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=12)
-        out["matched_classes"] = sorted(
-            cls.name()
-            for l in result.spectral.components
-            for cls in maximal_orbit_types(result.ctx, 1, l)
-            if class_matches_symmetries(cls, syms)
-        )
-        out["detected_symmetries"] = len(syms)
-        out["apriori"] = apriori_check(spec, sol, radius=radius)
-    return out
-
-
-def _seed_vector(table, l):
-    """The first nonzero column of the isotypic projector of row l, scaled
-    to sup norm 1."""
-    import numpy as np
-
-    proj = np.array(_isotypic_projector(table, l), dtype=float)
-    for v in proj.T:
-        if v.any():
-            return v / np.max(np.abs(v))
-    raise ConfigError(f"component {l + 1} absent from the representation")
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +230,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, CharacterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 
 def _dispatch(args) -> int:
     if args.command == "analyze":
-        config = load_config(args.config)
-        result = run_analyze(config, k_max=args.kmax, s=args.s, tol=args.tol)
+        result = run_analyze(load_config(args.config), k_max=args.kmax, s=args.s, tol=args.tol)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = result.report_json()
@@ -612,8 +291,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "spectrum":
-        config = load_config(args.config)
-        _, spectral = _spectral_table(config, *_decompose(config), args.kmax)
+        spectral = spectral_table(read_config(load_config(args.config), k_max=args.kmax))
         print("block eigenvalue signs (columns l = %s):" % ", ".join(
             str(l + 1) for l in spectral.components
         ))
@@ -622,9 +300,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        config = load_config(args.config)
-        out = run_verify(config)
-        print(json.dumps(out, indent=2, sort_keys=True, default=str))
+        from .verifier import run_verify  # numpy, which the other commands do not load
+
+        config, system = read_verify(load_config(args.config))
+        result = analyze(config)
+        if result.exit_code != EXIT_OK:
+            raise ConfigError("verification requires a nondegenerate analysis")
+        print(json.dumps(run_verify(result, system), indent=2, sort_keys=True, default=str))
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command}")

@@ -17,6 +17,8 @@ from math import pi
 
 import numpy as np
 
+from .ddedeg import _isotypic_projector, check_growth_condition
+from .o2gamma import maximal_orbit_types
 from .permgroup import p_inv
 
 
@@ -539,10 +541,9 @@ def newton_solve(
         else:
             sup = residual(spec, sol, forcing=forcing)
             return sol, NewtonReport(False, it, sup, history, "line search stalled")
+    # the mode-space norm never went below tol, so the sup test alone decides nothing
     sup = residual(spec, sol, forcing=forcing)
-    return sol, NewtonReport(
-        sup <= SUP_RESIDUAL_TOL, max_iter, sup, history, "iteration budget reached"
-    )
+    return sol, NewtonReport(False, max_iter, sup, history, "iteration budget reached")
 
 
 # ---------------------------------------------------------------------------
@@ -653,3 +654,60 @@ def apriori_check(spec: SystemSpec, sol: FourierSolution, radius: float) -> dict
         "ddx_sup": ddx_sup,
         "within": bool(x_sup < bound and dx_sup < bound and ddx_sup < bound),
     }
+
+
+# ---------------------------------------------------------------------------
+# the verify subcommand
+
+
+def run_verify(result, system) -> dict:
+    """`eqdeg verify` on a nondegenerate `cli.AnalysisResult` and the
+    `config.System` values of its config."""
+    config = result.config
+    n = config.table.group.degree
+    terms = [[(system.cubic, ((c, 3),))] for c in range(n)]
+    spec = SystemSpec(
+        n=n, m=config.lin.m, period=2 * pi, linear=config.matrices, terms=terms, tol=config.lin.tol
+    )
+    spec.check_reversible()
+    spec.check_odd()
+    growth = check_growth_condition(
+        lambda args: list(spec.rhs(np.asarray(args)[None, :])[0]),
+        n=n,
+        m=spec.m,
+        radius=system.radius,
+        samples=system.growth_samples,
+    )
+    # the seed: the first nonzero column of the seed row's isotypic projector
+    proj = np.array(_isotypic_projector(config.table, system.seed_row), dtype=float)
+    seed = next(v for v in proj.T if v.any())
+    K = system.fourier_modes
+    coeffs = np.zeros((2 * K + 1, n))
+    coeffs[1] = system.seed_amplitude * (seed / np.max(np.abs(seed)))
+    sol, rep = newton_solve(spec, FourierSolution(K, coeffs), tol=1e-12, max_iter=100)
+    out = {
+        "growth_check": growth,
+        "converged": rep.converged,
+        "iterations": rep.iterations,
+        "residual_sup": rep.residual_sup,
+        "message": rep.message,
+        "non_constant": bool(not sol.is_constant()),
+        "matched_classes": [],
+        "apriori": None,
+    }
+    if sol.is_constant():
+        out["note"] = "Newton did not produce a non-constant orbit; report retained"
+    elif not rep.converged:
+        out["note"] = f"Newton did not converge ({rep.message}); report retained"
+    else:
+        perms = sorted({tuple(g) for g in config.table.group.elements})
+        syms = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=12)
+        out["matched_classes"] = sorted(
+            cls.name()
+            for l in result.spectral.components
+            for cls in maximal_orbit_types(result.ctx, 1, l)
+            if class_matches_symmetries(cls, syms)
+        )
+        out["detected_symmetries"] = len(syms)
+        out["apriori"] = apriori_check(spec, sol, radius=system.radius)
+    return out

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqdeg
+from eqdeg import cli
 from eqdeg.chartab import SignedGroup, bundled_table
 from eqdeg.ddedeg import assemble_omega
 from eqdeg.o2gamma import GammaContext, fixed_dim, mark
@@ -397,19 +398,23 @@ def test_spectrum_subcommand(tmp_path, capsys):
     assert "k=0" in out and "-" in out
 
 
-def test_spectrum_rejects_complex_type_matrices(tmp_path, capsys):
-    # Z3 on three nodes: the two nontrivial characters are of complex type
-    config = {
-        "group": "Z3",
-        "representation": "natural",
-        "delays": 1,
-        "linearization": {
-            "matrices": [[["-2", "0", "0"], ["0", "-2", "0"], ["0", "0", "-2"]]]
-        },
-    }
+@pytest.mark.parametrize("command", ["spectrum", "analyze"])
+@pytest.mark.parametrize(
+    "linearization",
+    [
+        {"matrices": [[["-2", "0", "0"], ["0", "-2", "0"], ["0", "0", "-2"]]]},
+        {"mu": {"1": ["-2"], "2": ["-2"]}},
+    ],
+    ids=["matrices", "mu"],
+)
+def test_analyze_and_spectrum_reject_complex_type_components(tmp_path, capsys, command, linearization):
+    # Z3 on three nodes: the two nontrivial characters are of complex type,
+    # refused in either form of the linearization by both commands
+    config = {"group": "Z3", "representation": "natural", "delays": 1}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert main(["spectrum", str(path)]) == EXIT_INVALID
+    path.write_text(json.dumps({**config, "linearization": linearization}))
+    out = ["--out", str(tmp_path)] if command == "analyze" else []
+    assert main([command, str(path), *out]) == EXIT_INVALID
     assert "not of real type" in capsys.readouterr().err
 
 
@@ -583,7 +588,7 @@ def test_triangle_network_pipeline():
     }
     result = run_analyze(config)
     assert result.exit_code == EXIT_OK
-    assert result.decomposition.multiplicities == (1, 0, 1)
+    assert result.config.decomposition.multiplicities == (1, 0, 1)
     assert result.report.conclusions
     modes = {c.mode for c in result.report.conclusions}
     assert modes == {1}
@@ -714,7 +719,7 @@ def test_generator_images_of_the_natural_action_reproduce_it():
     natural = run_analyze(d3_config())
     images = [list(g) for g in Group.from_name("D3").generators]
     imaged = run_analyze(d3_config(representation={"images": images}))
-    assert imaged.decomposition == natural.decomposition
+    assert imaged.config.decomposition == natural.config.decomposition
     assert report_sha256(imaged) == report_sha256(natural)
 
 
@@ -782,6 +787,30 @@ def verify_config(**system):
 def test_verify_rejects_invalid_config(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ({"seed_component": 0}, "seed_component must be in 1..3"),
+        ({}, "seed_component must be in 1..3"),
+        # D3 on its three vertices has no copy of the sign row
+        ({"seed_component": 2}, "component 2 absent from the representation"),
+    ],
+    ids=["seed-zero", "default-seed-beyond-rows", "seed-row-absent"],
+)
+def test_verify_checks_the_seed_row_before_any_analysis(
+    tmp_path, capsys, monkeypatch, system, message
+):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    monkeypatch.setattr(GammaContext, "from_signed_group", no_analysis)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(verify_config(**system)))
     assert main(["verify", str(path)]) == EXIT_INVALID
     assert message in capsys.readouterr().err
 
@@ -859,6 +888,11 @@ def s3_config(**table):
         ("analyze", z2_config(rows=7), "needs class_reps, class_sizes and rows"),
         (
             "analyze",
+            z2_config() | {"character_table": json.dumps(Z2_TABLE)},
+            "needs class_reps, class_sizes and rows",
+        ),
+        (
+            "analyze",
             s3_config(class_reps=[*S3_TABLE["class_reps"], "(1 3)"], class_sizes=[1, 3, 2, 0]),
             "a class size and a value in every row for each class rep",
         ),
@@ -918,6 +952,7 @@ def s3_config(**table):
         "generator-is-integer",
         "table-without-class-sizes",
         "table-rows-not-list",
+        "table-as-json-string",
         "table-rep-without-values",
         "table-rep-conjugate-to-another",
         "table-row-longer-than-reps",

@@ -486,20 +486,26 @@ NO_SOLUTION = SystemSpec(n=1, m=1, period=2 * pi, terms=[[(1.0, ((0, 2),)), (1.0
 ZERO_RHS = SystemSpec(n=1, m=1, period=2 * pi, linear=[[[0.0]]])
 
 
+# x'' = -2x: the linear system Newton solves in one step, to a sup residual
+# near 2e-16, though a mode-space norm of 0 is never below tol = 0
+LINEAR = SystemSpec(n=1, m=1, period=2 * pi, linear=[[[-2.0]]])
+
+
 @pytest.mark.parametrize(
-    "spec, cos_t, max_iter, iterations, message",
+    "spec, cos_t, tol, max_iter, iterations, message",
     [
-        (NO_SOLUTION, 0.0, 40, 3, "line search stalled"),
-        (NO_SOLUTION, 0.0, 2, 2, "iteration budget reached"),
-        (ZERO_RHS, 1.0, 40, 0, "singular Jacobian"),
+        (NO_SOLUTION, 0.0, 1e-10, 40, 3, "line search stalled"),
+        (NO_SOLUTION, 0.0, 1e-10, 2, 2, "iteration budget reached"),
+        (ZERO_RHS, 1.0, 1e-10, 40, 0, "singular Jacobian"),
+        (LINEAR, 0.3, 0.0, 1, 1, "iteration budget reached"),
     ],
-    ids=["stalled", "budget", "singular"],
+    ids=["stalled", "budget", "singular", "budget-with-a-small-sup-residual"],
 )
-def test_newton_failure_exits(spec, cos_t, max_iter, iterations, message):
+def test_newton_failure_exits(spec, cos_t, tol, max_iter, iterations, message):
     K = 2
     seed = np.zeros((2 * K + 1, 1))
     seed[0], seed[1] = 0.5, cos_t
-    _, rep = newton_solve(spec, FourierSolution(K, seed), max_iter=max_iter)
+    _, rep = newton_solve(spec, FourierSolution(K, seed), tol=tol, max_iter=max_iter)
     assert rep.converged is False
     assert rep.message == message
     assert rep.iterations == iterations
@@ -791,10 +797,10 @@ def test_class_maps_project_onto_the_fixed_space_of_every_conclusion():
     # the projector onto Fix(H) there: idempotent, of rank dim Fix(H)
     result = run_analyze(load_config(bundled_example_path()))
     assert len(result.report.conclusions) == 15
-    n = result.table.group.degree
+    n = result.config.table.group.degree
     for conc in result.report.conclusions:
         cls, k, l = conc.cls, conc.mode, conc.component
-        iso = np.array(_isotypic_projector(result.table, l), dtype=float)
+        iso = np.array(_isotypic_projector(result.config.table, l), dtype=float)
         on_block = np.kron(np.eye(2), iso)
         mean = sum(
             _mode_block_map(k, k, n, *element_symmetry(cls, elem)) for elem in cls.elems
