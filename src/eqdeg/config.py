@@ -59,7 +59,7 @@ def load_config(path_or_dict) -> dict:
     else:
         with open(path_or_dict) as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -71,6 +71,17 @@ def load_config(path_or_dict) -> dict:
     if not _is_int(delays) or delays < 1:
         raise ConfigError("delays must be a positive integer")
     return data
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are given once each: `json.load` would keep
+    the last value of a repeated key and drop the others unseen."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r} is given twice in one object")
+        out[key] = value
+    return out
 
 
 def read_config(data: dict, k_max=None, s=None, tol=None) -> Config:
@@ -111,7 +122,7 @@ def read_verify(data: dict) -> tuple[Config, System]:
         raise ConfigError("verification needs the linearization as 'matrices'")
     values = System(
         seed_row=_system_value(system, "seed_component", 5, integer=True) - 1,
-        cubic=float(_parse_value(system.get("cubic", "1/2"))),
+        cubic=float(_parse_value("1/2" if system.get("cubic") is None else system["cubic"])),
         radius=_system_value(system, "radius", 4.0),
         growth_samples=_system_value(system, "growth_samples", 500, integer=True),
         fourier_modes=_system_value(system, "fourier_modes", 32, integer=True),
@@ -254,6 +265,9 @@ def _build_linearization(data, table, decomposition, action, tol):
             raise ConfigError("mu must map character rows to lists of values")
         mu = {}
         for key, row in lin["mu"].items():
+            # one spelling per row ("1", not "01"), so no row is given twice
+            if not (isinstance(key, str) and key.isascii() and key.isdecimal() and key[0] != "0"):
+                raise ConfigError(f"mu key {key!r} is not a row number 1, 2, ... without leading zeros")
             l = int(key) - 1
             if not 0 <= l < table.n_irreps:
                 raise ConfigError(f"mu component {key} out of range")

@@ -645,9 +645,11 @@ def _realised(cands: list[AmalgamatedClass], k: int, l: int) -> list[Amalgamated
     ]
 
 
-def orbit_types_mode1(ctx: GammaContext, l: int) -> list[AmalgamatedClass]:
-    """Realised finite-Weyl orbit types of nonzero vectors at the base mode."""
-    return _realised(mode1_candidates(ctx), 1, l)
+@memoised
+def orbit_types_mode1(ctx: GammaContext, l: int) -> tuple[AmalgamatedClass, ...]:
+    """Realised finite-Weyl orbit types of nonzero vectors at the base mode,
+    found once per block: every mode k folds them (`orbit_types`)."""
+    return tuple(_realised(mode1_candidates(ctx), 1, l))
 
 
 def orbit_types(ctx: GammaContext, k: int, l: int) -> list[AmalgamatedClass]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -28,9 +29,14 @@ class SpecError(ValueError):
 
 class _Monomials:
     """A sum of monomials coeff * y_a * y_b * ..., each added to one output
-    column: every factor list is padded with the index of a column of ones
-    to one width, so an evaluation is one gather, one product and one
-    scatter product."""
+    column: every factor list is padded to one width with n_vars, which
+    stands for the factor 1.0, so an evaluation is one gather, one product
+    and one scatter product.
+
+    The gather reads args itself, the padding slots sent to column 0; the
+    product skips them (`where=used`) and starts from 1.0, so it equals the
+    product over args with a column of ones appended, whose factors 1.0
+    come last."""
 
     def __init__(self, monomials, n_vars: int, n_out: int):
         """monomials: (coeff, Counter of variable powers, output column)."""
@@ -42,13 +48,13 @@ class _Monomials:
             factors = list(deg.elements())
             self.factors[i, : len(factors)] = factors
             self.scatter[i, out] = 1.0
+        self.used = self.factors < n_vars
+        self._gather = np.where(self.used, self.factors, 0)
 
     def __call__(self, args: np.ndarray) -> np.ndarray:
         """Values on rows of args (N, n_vars) -> (N, n_out)."""
-        padded = np.empty((len(args), args.shape[1] + 1))
-        padded[:, :-1] = args
-        padded[:, -1] = 1.0
-        return (self.coeffs * np.multiply.reduce(padded[:, self.factors], axis=2)) @ self.scatter
+        prods = np.multiply.reduce(args[:, self._gather], axis=2, where=self.used, initial=1.0)
+        return (self.coeffs * prods) @ self.scatter
 
 
 @dataclass
@@ -223,17 +229,31 @@ class FourierSolution:
 
     def transformed(self, theta: float, reverse: bool, perm=None, sign: int = 1) -> "FourierSolution":
         """sign * perm applied to x(t + theta) (or x(-t + theta))."""
-        K = self.K
-        k = np.arange(1, K + 1)[:, None]
-        c, s = np.cos(k * theta), np.sin(k * theta)
-        u, v = self.coeffs[1 : K + 1], self.coeffs[K + 1 :]
-        out = np.empty_like(self.coeffs)
-        out[0] = self.coeffs[0]
-        out[1 : K + 1] = c * u + s * v
-        out[K + 1 :] = s * u - c * v if reverse else c * v - s * u
+        out = _time_map(self.coeffs, *_phases(self.K, theta), reverse)
         if perm is not None:
             out = out[:, p_inv(perm)]
-        return FourierSolution(K, sign * out)
+        return FourierSolution(self.K, sign * out)
+
+
+def _phases(K: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k theta) and sin(k theta) for k = 1..K, shape (K, 1)."""
+    k = np.arange(1, K + 1)[:, None]
+    return np.cos(k * theta), np.sin(k * theta)
+
+
+def _time_map(coeffs: np.ndarray, c: np.ndarray, s: np.ndarray, reverse: bool) -> np.ndarray:
+    """The rows [constant, cos 1..k, sin 1..k] of x(t + theta) (or
+    x(-t + theta)) from those of x, given c = cos(j theta) and
+    s = sin(j theta) for j = 1..k, shape (..., k, 1): the maps of several
+    theta at once over the leading axes.  Each entry is the same two
+    products and one sum whatever the shapes, so the first rows of c and
+    s with the rows of the modes 0..k of a longer solution give the same
+    rows of its map, to the bit."""
+    k = c.shape[-2]
+    u, v = coeffs[1 : k + 1], coeffs[k + 1 :]
+    constant = np.broadcast_to(coeffs[:1], c.shape[:-2] + coeffs[:1].shape)
+    moved = s * u - c * v if reverse else c * v - s * u
+    return np.concatenate([constant, c * u + s * v, moved], axis=-2)
 
 
 def modes(values: np.ndarray, K: int) -> np.ndarray:
@@ -370,26 +390,20 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     pairs at a time, so besides J the temporaries are G and its
     conjugate, with at most 2 (2K+1) m n^2 entries, and one gather of a
     and b, with at most 2 nc^2 n entries, nc the number of kept cos modes
-    (K + 1 for the full J).
+    (K + 1 for the full J).  The DFT matrix and the gather index depend
+    only on K, m and keep, and come from `_jacobian_tables`.
     """
     N, n, mn = jac_pointwise.shape
     m = mn // n
     M = 2 * K + 1
-    if keep is None:
-        keep = np.ones(M, dtype=bool)
-    # the kept cos modes (the constant as mode 0) and the kept sin modes;
-    # these must be cos_k[t:], as in every mask of `_invariant_rows`
-    cos_k = np.flatnonzero(keep[: K + 1])
-    sin_k = np.flatnonzero(keep[K + 1 :]) + 1
-    nc, t = len(cos_k), len(cos_k) - len(sin_k)
-    if not np.array_equal(cos_k[t:], sin_k):
-        raise ValueError("the kept sin modes must be the last kept cos modes")
+    cos_k, t, dft, at = _jacobian_tables(
+        K, m, None if keep is None else np.asarray(keep, dtype=bool).tobytes()
+    )
+    nc = len(cos_k)
     # column (c, j, d) of w is the entry (c, d) of delay block j
     w = jac_pointwise.reshape(N, mn * n)
     constant = (w == w[0]).all(axis=0)
-    r = np.arange(m)
-    dft = np.exp(2j * pi / m * (np.outer(r, r) % m))
-    J = np.zeros((nc + len(sin_k), n, nc + len(sin_k), n))
+    J = np.zeros((2 * nc - t, n, 2 * nc - t, n))
     moving = ~constant.reshape(n, m, n)
     pairs = np.flatnonzero(moving.any(axis=1))  # c * n + d
     c, j, d = np.nonzero(moving)
@@ -400,13 +414,8 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     G = (R.reshape(-1, m) @ (dft / -N)).reshape(len(pairs), M * m)
     del R
     # G and its conjugate side by side, so a and b are one gather of
-    # G[pair] at [k, l] over the kept cos modes: a conjugated where k >= l
+    # G[pair] at `at`
     G = np.concatenate([G, G.conj()], axis=1)
-    k, l = cos_k[:, None], cos_k
-    at = np.stack([
-        np.where(k >= l, M * m + (k - l) * m + (-l % m), (l - k) * m + l % m),
-        M * m + (k + l) * m + l % m,
-    ])
     for lo in range(0, len(pairs), n):
         c, d = np.divmod(pairs[lo : lo + n], n)
         # Re(a + b), -Im(a - b), Im(a + b) and Re(a - b), indexed [pair, k, l]
@@ -428,6 +437,35 @@ def _mode_jacobian(jac_pointwise: np.ndarray, K: int, keep: np.ndarray | None = 
     J[cos[t:], :, sin] += CS.imag[t:]
     J[sin, :, cos[t:]] -= CS.imag[t:]
     return J
+
+
+@lru_cache(maxsize=8)
+def _jacobian_tables(K: int, m: int, keep: bytes | None) -> tuple:
+    """What `_mode_jacobian` reads that depends only on K, m and its mask
+    keep (as bytes; None for every row), so a Newton solve builds it once:
+    the kept cos modes cos_k (the constant as mode 0), the number t of
+    them without a kept sin row, the m x m DFT matrix and the index `at`
+    of a and b in G and its conjugate side by side, [a or b, k, l] over
+    the kept cos modes, a read from the conjugate where k >= l.  The
+    arrays are read-only, as every call shares them."""
+    M = 2 * K + 1
+    keep = np.ones(M, dtype=bool) if keep is None else np.frombuffer(keep, dtype=bool)
+    # the kept sin modes must be cos_k[t:], as in every mask of `_invariant_rows`
+    cos_k = np.flatnonzero(keep[: K + 1])
+    sin_k = np.flatnonzero(keep[K + 1 :]) + 1
+    t = len(cos_k) - len(sin_k)
+    if not np.array_equal(cos_k[t:], sin_k):
+        raise ValueError("the kept sin modes must be the last kept cos modes")
+    r = np.arange(m)
+    dft = np.exp(2j * pi / m * (np.outer(r, r) % m))
+    k, l = cos_k[:, None], cos_k
+    at = np.stack([
+        np.where(k >= l, M * m + (k - l) * m + (-l % m), (l - k) * m + l % m),
+        M * m + (k + l) * m + l % m,
+    ])
+    for table in (cos_k, dft, at):
+        table.flags.writeable = False
+    return cos_k, t, dft, at
 
 
 def _invariant_rows(spec: SystemSpec, *coeffs: np.ndarray) -> np.ndarray:
@@ -570,34 +608,57 @@ def isotropy_of_trajectory(
     Shifts run over multiples of 1/theta_denominator turns.  The output is
     numerical evidence, with the matching error attached.
 
-    The time map is applied once per (shift, reversal); each gamma is then a
-    column gather and the sign -1 a negation, both exact, so every error
-    equals that of `sol.transformed(theta, reverse, perm, sign)`.
+    Each gamma is a column gather and the sign -1 a negation, both exact,
+    so every error equals that of `sol.transformed(theta, reverse, perm,
+    sign)`.  An error is a max over the rows, so a candidate whose error
+    on the constant, cos 1 and sin 1 rows alone exceeds tol * scale fails.
+    The scan first takes that probe for every candidate, from the first
+    rows of the phases `transformed` uses, and maps all 2K+1 rows only for
+    the (shift, reversal) pairs with a candidate that passes it, and
+    compares them only for those candidates.
     """
-    scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
+    K = sol.K
+    limit = tol * max(1.0, float(np.max(np.abs(sol.coeffs))))
     gathers = np.array(
         [p_inv(perm) for perm in gamma_perms], dtype=int
     ).reshape(len(gamma_perms), sol.n)
-    target = sol.coeffs[:, None, :]
+    thetas = [Fraction(num, theta_denominator) for num in range(theta_denominator)]
+    phases = [_phases(K, 2 * pi * float(theta)) for theta in thetas]
+    # the modes 0..min(K, 1), so at K = 0 the probe is the whole scan
+    rows = [0, 1, K + 1][: 2 * min(K, 1) + 1]
+    c1 = np.stack([c[:1] for c, _ in phases])
+    s1 = np.stack([s[:1] for _, s in phases])
+    probe = np.stack(
+        [_time_map(sol.coeffs[rows], c1, s1, reverse) for reverse in (False, True)], axis=1
+    )
+    # [theta, reverse, gamma]: some sign passes the probe
+    live = (_scan_errors(probe[..., gathers], sol.coeffs[rows]) <= limit).any(axis=-1)
     out = []
-    for num in range(theta_denominator):
-        theta = Fraction(num, theta_denominator)
-        angle = 2 * pi * float(theta)
-        for reverse in (False, True):
-            moved = sol.transformed(angle, reverse).coeffs[:, gathers]
-            # -x - y rounds to exactly -(x + y)
-            errs = {
-                1: np.max(np.abs(moved - target), axis=(0, 2)),
-                -1: np.max(np.abs(moved + target), axis=(0, 2)),
-            }
-            for i, perm in enumerate(gamma_perms):
-                for sign in (1, -1):
-                    err = float(errs[sign][i])
-                    if err <= tol * scale:
+    for theta, (c, s), live_theta in zip(thetas, phases, live):
+        for reverse, live_map in zip((False, True), live_theta):
+            picked = np.flatnonzero(live_map)
+            if not len(picked):
+                continue
+            moved = _time_map(sol.coeffs, c, s, reverse)[:, gathers[picked]]
+            for i, errs in zip(picked, _scan_errors(moved, sol.coeffs)):
+                for sign, err in zip((1, -1), errs):
+                    if err <= limit:
                         out.append(
-                            DetectedSymmetry(theta, reverse, tuple(perm), sign, err)
+                            DetectedSymmetry(theta, reverse, tuple(gamma_perms[i]), sign, float(err))
                         )
     return out
+
+
+def _scan_errors(moved: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """max |sign * moved - target| over rows and columns, moved indexed
+    [..., row, gamma, column] and target [row, column], as
+    [..., gamma, sign] for the signs 1 and -1."""
+    target = target[:, None, :]
+    # -x - y rounds to exactly -(x + y)
+    return np.stack(
+        [np.max(np.abs(moved - target), axis=(-3, -1)), np.max(np.abs(moved + target), axis=(-3, -1))],
+        axis=-1,
+    )
 
 
 def element_symmetry(cls, elem) -> tuple:
@@ -637,7 +698,7 @@ def apriori_check(spec: SystemSpec, sol: FourierSolution, radius: float) -> dict
     terms of component c, and |x| <= R.
     """
     terms = spec._terms
-    degrees = np.count_nonzero(terms.factors < spec.m * spec.n, axis=1)
+    degrees = np.count_nonzero(terms.used, axis=1)
     f_max = np.abs(spec._linear_stack).sum(axis=0) * radius + (
         np.abs(terms.coeffs) * float(radius) ** degrees
     ) @ terms.scatter

@@ -206,6 +206,33 @@ def concatenated_monomials(monomials, args):
     return (monomials.coeffs * np.prod(padded[:, monomials.factors], axis=2)) @ monomials.scatter
 
 
+def full_isotropy_scan(sol, gamma_perms, tol, theta_denominator):
+    """Oracle for `verifier.isotropy_of_trajectory`: the one-pass scan,
+    which maps all 2K+1 rows for every (shift, reversal) and compares every
+    (gamma, sign) candidate on all of them."""
+    from eqdeg.permgroup import p_inv
+    from eqdeg.verifier import DetectedSymmetry
+
+    scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
+    gathers = np.array([p_inv(perm) for perm in gamma_perms], dtype=int).reshape(len(gamma_perms), sol.n)
+    target = sol.coeffs[:, None, :]
+    out = []
+    for num in range(theta_denominator):
+        theta = Fraction(num, theta_denominator)
+        for reverse in (False, True):
+            moved = sol.transformed(2 * np.pi * float(theta), reverse).coeffs[:, gathers]
+            errs = {
+                1: np.max(np.abs(moved - target), axis=(0, 2)),
+                -1: np.max(np.abs(moved + target), axis=(0, 2)),
+            }
+            for i, perm in enumerate(gamma_perms):
+                for sign in (1, -1):
+                    err = float(errs[sign][i])
+                    if err <= tol * scale:
+                        out.append(DetectedSymmetry(theta, reverse, tuple(perm), sign, err))
+    return out
+
+
 def rhs_oracle(spec, args):
     """Oracle: f on rows of args (N, m*n), one block product per delay and
     one product loop per term."""

@@ -292,6 +292,26 @@ def test_verify_note_gives_newtons_message(tmp_path, capsys):
     assert out["note"] == f"Newton did not converge ({out['message']}); report retained"
 
 
+def test_verify_null_cubic_picks_one_half(tmp_path, capsys):
+    # null picks the default for cubic, as for the other system keys
+    outputs = []
+    for cubic in (None, "1/2"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(verify_config(seed_component=1, cubic=cubic)))
+        assert main(["verify", str(path)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_key_given_twice_exits_3(tmp_path, capsys):
+    # json.load alone keeps the later value: row 1 would read 5, not -2
+    path = tmp_path / "cfg.json"
+    mu = '{"1": ["-2"], "1": ["5"], "3": ["-2"]}'
+    path.write_text('{"group": "D3", "delays": 1, "linearization": {"mu": ' + mu + "}}")
+    assert main(["spectrum", str(path)]) == EXIT_INVALID
+    assert "key '1' is given twice" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")
@@ -929,6 +949,12 @@ def s3_config(**table):
             d3_config(linearization={"mu": {"1": ["-2", "-1"], "3": ["-2"]}}),
             "error: component 1: expected 1 delay values\n",
         ),
+        (
+            "spectrum",
+            d3_config(linearization={"mu": {"1": ["-2"], "01": ["5"], "3": ["-2"]}}),
+            "mu key '01' is not a row number",
+        ),
+        ("spectrum", d3_config(linearization={"mu": {"one": ["-2"], "3": ["-2"]}}), "mu key 'one' is not a row number"),
     ],
     ids=[
         "linearization-not-object",
@@ -963,6 +989,8 @@ def s3_config(**table):
         "table-rep-outside-the-group",
         "irreversible-mu-row",
         "mu-row-of-wrong-length",
+        "mu-key-with-a-leading-zero",
+        "mu-key-not-a-number",
     ],
 )
 def test_malformed_config_values_exit_3(tmp_path, capsys, command, config, message):

@@ -128,6 +128,22 @@ def test_mode1_maxima_d6(d6ctx):
         assert got == sorted(fps), l
 
 
+def test_mode1_orbit_types_are_found_once_per_block(monkeypatch):
+    # basic_degree and maximal_orbit_types ask for them at every mode and
+    # conclusion of the bundled analysis; each block's are found once
+    calls = []
+    realised = og._realised
+
+    def counted(cands, k, l):
+        calls.append((k, l))
+        return realised(cands, k, l)
+
+    monkeypatch.setattr(og, "_realised", counted)
+    run_analyze(load_config(bundled_example_path()))
+    assert sorted(l for (k, l) in calls if k == 1) == [0, 3, 4, 5]
+    assert len(set(calls)) == len(calls)
+
+
 def test_fold_functoriality_and_invariants(d6ctx):
     for l in (0, 4):
         for cls in maximal_orbit_types(d6ctx, 1, l):

@@ -11,6 +11,7 @@ from eqdeg.verifier import (
     NewtonReport,
     SpecError,
     SystemSpec,
+    _jacobian_tables,
     _mode_jacobian,
     apriori_check,
     class_matches_symmetries,
@@ -32,6 +33,7 @@ from conftest import (
     basis_matrix,
     concatenated_monomials,
     dense_delayed_arguments,
+    full_isotropy_scan,
     hexagon_delay_matrices,
     projection_matrix,
     rhs_jacobian_oracle,
@@ -462,6 +464,22 @@ def test_newton_with_the_dense_oracle_jacobian_takes_the_same_steps(monkeypatch)
     assert history[-1] < 1e-12 and dense_history[-1] < 1e-12
 
 
+def test_jacobian_tables_are_keyed_by_K_m_and_the_mask():
+    # two K, two m and two masks in one process, each case asked twice,
+    # so a table kept under too coarse a key would serve a later case
+    rng = np.random.default_rng(8)
+    n, cases = 2, []
+    for K, m in itertools.product((4, 7), (3, 5)):
+        jac_pointwise = rng.standard_normal((fft_length(4 * K + 1), n, m * n))
+        for name in ("all", "odd-cos"):
+            cases.append((jac_pointwise, K, row_masks(K)[name]))
+    _jacobian_tables.cache_clear()
+    got = [_mode_jacobian(*case) for case in cases + cases]
+    for case, J in zip(cases + cases, got):
+        _jacobian_tables.cache_clear()
+        assert np.array_equal(J, _mode_jacobian(*case))
+
+
 def test_mode_jacobian_rejects_sin_rows_without_their_cos_rows():
     K = 3
     keep = np.zeros(2 * K + 1, dtype=bool)
@@ -619,6 +637,64 @@ def test_isotropy_scan_equals_a_transformed_loop(symmetric):
         got = isotropy_of_trajectory(sol, perms, tol=tol, theta_denominator=12)
         assert [(s.theta_turns, s.reverse, s.gamma, s.sign, s.error) for s in got] == expected
         assert len(expected) == (12 * 2 * 12 * 2 if tol == np.inf else 1 + symmetric)
+
+
+def scan_entries(syms):
+    return [(s.theta_turns, s.reverse, s.gamma, s.sign, s.error) for s in syms]
+
+
+@pytest.fixture(scope="module")
+def hexagon_orbits():
+    """Newton solutions of the bundled hexagon system at K = 32 and 64."""
+    spec = d6_linear_spec(cubic=0.5)
+    return {K: newton_solve(spec, hexagon_seed(K), tol=1e-12, max_iter=100)[0] for K in (32, 64)}
+
+
+@pytest.mark.parametrize("theta_denominator", [12, 24, 60])
+@pytest.mark.parametrize("K", [32, 64])
+def test_two_stage_scan_equals_the_full_scan_on_the_hexagon_orbit(hexagon_orbits, K, theta_denominator):
+    sol, perms = hexagon_orbits[K], hexagon_perms()
+    got = isotropy_of_trajectory(sol, perms, tol=1e-6, theta_denominator=theta_denominator)
+    assert scan_entries(got) == scan_entries(full_isotropy_scan(sol, perms, 1e-6, theta_denominator))
+    assert len(got) >= 16
+
+
+def test_two_stage_scan_equals_the_full_scan_on_constant_solutions():
+    # at K = 0 there are no mode-1 rows, and the constant row is all the scan has
+    perms = hexagon_perms()
+    values = (np.ones(6), np.array([1.0, -1, 1, -1, 1, -1]), np.random.default_rng(4).standard_normal(6))
+    for K, value, tol in itertools.product((0, 3), values, (1e-7, np.inf)):
+        coeffs = np.zeros((2 * K + 1, 6))
+        coeffs[0] = value
+        sol = FourierSolution(K, coeffs)
+        got = isotropy_of_trajectory(sol, perms, tol=tol, theta_denominator=8)
+        assert scan_entries(got) == scan_entries(full_isotropy_scan(sol, perms, tol, 8)), (K, tol)
+        assert got
+
+
+def test_two_stage_scan_keeps_the_candidates_at_the_tolerance(hexagon_orbits):
+    # the K = 32 orbit scaled to max |coefficient| 1/2, so the scale is 1
+    # and tol * scale is tol itself, then moved on the cos 3 and sin 5 rows
+    # only: candidates that fix the constant, cos 1 and sin 1 rows now miss
+    # by errors near 1e-7 found on higher rows, and tol is set to one of
+    # those errors and to the floats on either side of it
+    K, perms = 32, hexagon_perms()
+    coeffs = hexagon_orbits[K].coeffs / (2 * np.max(np.abs(hexagon_orbits[K].coeffs)))
+    coeffs[[3, K + 5]] += 1e-7 * np.random.default_rng(3).standard_normal((2, 6))
+    sol = FourierSolution(K, coeffs)
+    every = full_isotropy_scan(sol, perms, np.inf, 12)
+    first_rows = full_isotropy_scan(FourierSolution(1, coeffs[[0, 1, K + 1]]), perms, np.inf, 12)
+    near = sorted(full.error for full, first in zip(every, first_rows) if first.error <= 1e-12)
+    missed = [err for err in near if err > 1e-9]
+    assert len(near) == 16 and len(missed) >= 8 and missed[-1] < 1e-5
+    middle = missed[len(missed) // 2]
+    for tol in (middle, np.nextafter(middle, 0), np.nextafter(middle, 1), 1e-12, 1e-5):
+        got = isotropy_of_trajectory(sol, perms, tol=tol, theta_denominator=12)
+        assert scan_entries(got) == scan_entries(full_isotropy_scan(sol, perms, tol, 12)), tol
+    errors = [s.error for s in isotropy_of_trajectory(sol, perms, tol=middle, theta_denominator=12)]
+    assert len(near) - len(missed) < len(errors) < len(near) and middle in errors
+    below = isotropy_of_trajectory(sol, perms, tol=np.nextafter(middle, 0), theta_denominator=12)
+    assert middle not in [s.error for s in below]
 
 
 def test_isotropy_cosine_reversal():
