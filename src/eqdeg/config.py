@@ -122,7 +122,7 @@ def read_verify(data: dict) -> tuple[Config, System]:
         raise ConfigError("verification needs the linearization as 'matrices'")
     values = System(
         seed_row=_system_value(system, "seed_component", 5, integer=True) - 1,
-        cubic=float(_parse_value("1/2" if system.get("cubic") is None else system["cubic"])),
+        cubic=_cubic(system.get("cubic")),
         radius=_system_value(system, "radius", 4.0),
         growth_samples=_system_value(system, "growth_samples", 500, integer=True),
         fourier_modes=_system_value(system, "fourier_modes", 32, integer=True),
@@ -215,6 +215,16 @@ def _system_value(system: dict, key: str, default, integer: bool = False):
     return number
 
 
+def _cubic(value) -> float:
+    """The cubic coefficient as a float, 1/2 when null or absent; a value
+    whose float overflows, such as "1e400", is refused."""
+    number = _parse_value("1/2" if value is None else value)
+    try:
+        return float(number)
+    except OverflowError:
+        raise ConfigError(f"cubic must be within the float range, got {value!r}") from None
+
+
 def _tolerance(value) -> float:
     """A zero-test tolerance: a finite number >= 0, where 0 and null pick
     the default."""
@@ -239,13 +249,20 @@ def _parse_value(v):
     raise ConfigError(f"not a number: {v!r}")
 
 
-def _parse_values(value, depth: int):
-    """Config numbers in lists nested `depth` deep."""
+def _parse_values(value, depth: int, parsed: dict):
+    """Config numbers in lists nested `depth` deep.  parsed maps each
+    string read so far to its number, so a string repeated in the lists
+    is parsed once."""
     if depth == 0:
-        return _parse_value(value)
+        if not isinstance(value, str):
+            return _parse_value(value)
+        number = parsed.get(value)
+        if number is None:
+            number = parsed[value] = _parse_value(value)
+        return number
     if not isinstance(value, list):
         raise ConfigError(f"expected a list of values, got {value!r}")
-    return [_parse_values(v, depth - 1) for v in value]
+    return [_parse_values(v, depth - 1, parsed) for v in value]
 
 
 def _build_linearization(data, table, decomposition, action, tol):
@@ -256,14 +273,14 @@ def _build_linearization(data, table, decomposition, action, tol):
     if not isinstance(lin, dict):
         raise ConfigError("linearization must be an object with 'matrices' or 'mu'")
     if "matrices" in lin:
-        mats = _parse_values(lin["matrices"], 3)
+        mats = _parse_values(lin["matrices"], 3, {})
         if len(mats) != m:
             raise ConfigError(f"expected {m} matrices, got {len(mats)}")
         return LinearizationData.from_matrices(table, decomposition, mats, tol, action), mats
     if "mu" in lin:
         if not isinstance(lin["mu"], dict):
             raise ConfigError("mu must map character rows to lists of values")
-        mu = {}
+        mu, parsed = {}, {}
         for key, row in lin["mu"].items():
             # one spelling per row ("1", not "01"), so no row is given twice
             if not (isinstance(key, str) and key.isascii() and key.isdecimal() and key[0] != "0"):
@@ -271,6 +288,6 @@ def _build_linearization(data, table, decomposition, action, tol):
             l = int(key) - 1
             if not 0 <= l < table.n_irreps:
                 raise ConfigError(f"mu component {key} out of range")
-            mu[l] = tuple(_parse_values(row, 1))
+            mu[l] = tuple(_parse_values(row, 1, parsed))
         return LinearizationData(m=m, mu=mu, tol=tol), None
     raise ConfigError("linearization needs 'matrices' or 'mu'")

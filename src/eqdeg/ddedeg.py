@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, lcm, pi
+from operator import mul
 
 from .basicdeg import GRingElement, degree_product, x_o
 from .chartab import CharacterTable, IsotypicDecomposition
@@ -121,6 +122,7 @@ class LinearizationData:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError("linearization matrices must match the network size")
         require_real_components(table, decomposition)
+        int_mats = [_integer_matrix(mat) for mat in matrices]
         mu: dict[int, tuple] = {}
         for l, mult in enumerate(decomposition.multiplicities):
             if mult == 0:
@@ -131,8 +133,20 @@ class LinearizationData:
                     "isotypic projector is not rational; give the linearization "
                     "in 'mu' form"
                 )
-            cols = [col for col in zip(*_isotypic_projector(table, l, action)) if any(col)]
-            mu[l] = tuple(_scalar_on_component(mat, cols, tol, l) for mat in matrices)
+            # the nonzero columns of |Gamma| / dim times the projector, each
+            # once: equal columns make equal tests
+            int_cols = list(dict.fromkeys(
+                col for col in zip(*_integer_projector(table, l, action)) if any(col)
+            ))
+            if None in int_mats:
+                w = Fraction(table.dims()[l], table.group.order)
+                cols = [tuple(w * c for c in col) for col in int_cols]
+            mu[l] = tuple(
+                _scalar_on_component(mat, cols, tol, l)
+                if int_mat is None
+                else _exact_scalar_on_component(*int_mat, int_cols, l)
+                for mat, int_mat in zip(matrices, int_mats)
+            )
         return LinearizationData(m=len(matrices), mu=mu, tol=tol)
 
     def component_indices(self) -> list[int]:
@@ -141,52 +155,70 @@ class LinearizationData:
 
 def _isotypic_projector(table: CharacterTable, l: int, action=None):
     """Projector onto component l of the action (default: the group's own)."""
-    action = action or (lambda g: g)
+    w = Fraction(table.dims()[l], table.group.order)
+    return [[w * x for x in row] for row in _integer_projector(table, l, action or (lambda g: g))]
+
+
+def _integer_projector(table: CharacterTable, l: int, action):
+    """|Gamma| / dim times the projector onto component l of a rational
+    character: the int matrix sum_g chi_l(g) action(g)."""
     group = table.group
     n = len(action(group.identity))
-    dim = table.dims()[l]
-    proj = [[Fraction(0)] * n for _ in range(n)]
+    proj = [[0] * n for _ in range(n)]
     for g in group.elements:
-        chi = table.rows[l][table.class_of(g)]
-        w = Fraction(dim, group.order) * chi.as_fraction()
+        chi = table.rows[l][table.class_of(g)].as_integer()
         p = action(g)
         for col in range(n):
-            proj[p[col]][col] += w
+            proj[p[col]][col] += chi
     return proj
 
 
 def _scalar_on_component(mat, cols, tol, l):
-    """The scalar mu with mat.P = mu.P, checked on the nonzero columns of
-    the isotypic projector P; mu is read off the first of them.
-
-    An exact matrix is the int matrix A over the common denominator d of
-    its entries, and scaling a column of P keeps mat.P = mu.P, so each
-    column is scaled to ints too: the products A.c are then in int
-    arithmetic and each column is tested as A.c == d.mu.c.
-    """
-    d = 1
-    if all(isinstance(a, (int, Fraction)) for row in mat for a in row):
-        d = lcm(*(a.denominator for row in mat for a in row))
-        mat = [[a.numerator * (d // a.denominator) for a in row] for row in mat]
-        cols = [_integer_column(col) for col in cols]
-        d = Fraction(d)
+    """The scalar mu with mat.P = mu.P for a matrix with a float entry,
+    checked within tol on the nonzero columns of the isotypic projector P;
+    mu is read off the first of them."""
     mu = None
     for col in cols:
         image = [sum(a * c for a, c in zip(row, col)) for row in mat]
         if mu is None:
-            mu = sum(x * c for x, c in zip(image, col)) / (d * sum(c * c for c in col))
-            d_mu = d * mu
+            mu = sum(x * c for x, c in zip(image, col)) / sum(c * c for c in col)
         scale = max(1.0, max(abs(x) for x in image))
-        if not all(_is_zero(x - d_mu * c, tol * scale) for x, c in zip(image, col)):
+        if not all(_is_zero(x - mu * c, tol * scale) for x, c in zip(image, col)):
             raise ScalarityError(
                 f"component {l + 1}: matrix is not scalar on the isotypic block"
             )
     return mu
 
 
-def _integer_column(col) -> list[int]:
-    e = lcm(*(c.denominator for c in col))
-    return [c.numerator * (e // c.denominator) for c in col]
+def _exact_scalar_on_component(int_mat, d, cols, l) -> Fraction:
+    """The scalar mu with mat.P = mu.P for an exact matrix, given as the
+    int matrix A = d.mat over the common denominator d of its entries.
+
+    Scaling a column of P keeps mat.P = mu.P, so cols are P's nonzero
+    columns scaled to ints, as `_integer_projector` gives them; mu is read
+    off the first of them.  With d.mu = p/q in lowest terms, each column c
+    is tested in int arithmetic as q.(A.c) == p.c.
+    """
+    p = None
+    for col in cols:
+        image = [sum(map(mul, row, col)) for row in int_mat]
+        if p is None:
+            d_mu = Fraction(sum(map(mul, image, col)), sum(c * c for c in col))
+            p, q = d_mu.numerator, d_mu.denominator
+        if any(x * q != p * c for x, c in zip(image, col)):
+            raise ScalarityError(
+                f"component {l + 1}: matrix is not scalar on the isotypic block"
+            )
+    return d_mu / d
+
+
+def _integer_matrix(mat) -> tuple[list, int] | None:
+    """An exact matrix as (A, d): its common denominator d and the int
+    matrix A = d.mat; None for a matrix with a float entry."""
+    if not all(isinstance(a, (int, Fraction)) for row in mat for a in row):
+        return None
+    d = lcm(*(a.denominator for row in mat for a in row))
+    return [[a.numerator * (d // a.denominator) for a in row] for row in mat], d
 
 
 def coupling_coefficient(data: LinearizationData, l: int, k: int):

@@ -35,39 +35,44 @@ the tuples they stand for; conjugation by g in Gamma' maps the last term
 by `ctx.conj`.  The walk skips the conjugates that the class's own
 elements repeat: no kappa twist, one reflection axis per orbit of its
 rotations, one g per coset of the Gamma'-parts of its rotations by 0 or
-1/2.  It counts the conjugates equal to the least one, skipped repeats
-included, which gives the Weyl order; the class keeps it from the walk
-that interned it.  Every containment question is read off one `mark`:
+1/2 times the centraliser of its Gamma'-parts.  Of those it sorts only
+the conjugates whose first coset, the reflections at 0, is least.  It
+counts the conjugates equal to the least one, skipped repeats included,
+which gives the Weyl order; the class keeps it from the walk that
+interned it.  Every containment question is read off one `mark`:
 the coefficient of (L) in (L) * (H) is the mark |(G/H)^L| =
 n(L, H) * |W(H)| (tom Dieck, Transformation Groups, IV.1).
 A product of two finite classes walks one g per double coset of the
 Gamma'-parts of their rotation elements, weighted by the coset's size, and
-buckets the meets by reflection offset (`_meets`); what the walk reads
-of a class (rotation codes, reflections, rotation projection, reflection
-index) is built once per class (`_split`).  The mark of two finite
-classes counts the terms of that walk whose meet is all of L, and builds
-no meet.
+buckets the meets by reflection offset (`_meets`).  The mark of two
+finite classes counts the terms of that walk whose meet is all of L, and
+builds no meet.
 
 Classes are interned per context, so they compare by identity, and each
-walked element set maps to its interned class.  Every exact function of a
-context or class that is asked the same question again (code tables per
-grid, coset representatives, Goursat data, walk tables, fixed dimensions,
-character powers, marks, double cosets, candidates, basic degrees) is
-`memoised`: its results live in the one memo of the context, keyed by the
-function and its arguments.  Products are not kept: the running product
-of a degree asks for almost every pair once.
+walked element set maps to its interned class.  What is read of one class
+again and again is built once and kept on the class: its Goursat data
+(`goursat`) and the tables that the products and `fixed_dim` walk
+(`walk`: rotation codes, rotation projection, reflection index).  The
+context keeps the character rows in powers of each root of unity that
+`fixed_dim` sums over.  Every other exact function of a context or of
+several arguments that is asked the same question again (code tables per
+grid, walk representatives, least conjugators, fixed dimensions, marks,
+double cosets, candidates, basic degrees) is `memoised`: its results live
+in the one memo of the context, keyed by the function and its arguments.
+Products are not kept: the running product of a degree asks for almost
+every pair once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import wraps
+from dataclasses import dataclass, field
+from functools import cached_property, reduce, wraps
 from math import gcd, lcm
-from operator import add
+from operator import add, and_
 
 from .chartab import CharacterTable, SignedGroup
 from .cyclotomic import Cyc, _reduce
-from .permgroup import Group, SubgroupClassLattice, parse_cycles, subgroup_lattice
+from .permgroup import Group, SubgroupClassLattice, _mask_members, parse_cycles, subgroup_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +96,7 @@ class GammaContext:
         self.lattice = subgroup_lattice(group)
         self.names = subgroup_names(self.lattice, signed)
         self.memo: dict = {}  # results of the memoised functions
+        self.char_powers: dict = {}  # (l, N) -> row l in the powers of zeta_N, see _mean_char
         self._interned: dict = {}  # classes by key, see make_fin and make_o2
 
     @staticmethod
@@ -211,7 +217,7 @@ class AmalgamatedClass:
                 vectors; "G" itself is the case K = Gamma').
 
     `name` and `fingerprint` read the Goursat parts of a finite class off
-    one walk (`_goursat`) and spell out O(2) x K directly.  make_fin and
+    one walk (`goursat`) and spell out O(2) x K directly.  make_fin and
     make_o2 intern one instance per class and context, so instances
     compare by identity, and each keeps the Weyl order |W(H)| that
     interning found: the key walk's count for a finite class, the
@@ -225,57 +231,72 @@ class AmalgamatedClass:
     key: tuple
     grid: int
     weyl: int
+    # the order of a finite class, |K| for O(2) x K: a class contains
+    # another of its kind only if its size is a multiple of the other's
+    size: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", len(self.elems if self.kind == "fin" else self.K))
 
     # -- structural data ---------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        """The order of a finite class, |K| for O(2) x K: a class contains
-        another of its kind only if its size is a multiple of the other's."""
-        return len(self.elems) if self.kind == "fin" else len(self.K)
-
     def k_part(self) -> frozenset:
-        return self.K if self.kind == "o2" else _goursat(self)[4]
+        return self.K if self.kind == "o2" else self.goursat[4]
+
+    @cached_property
+    def goursat(self) -> tuple:
+        """The Goursat data (d, the rotations in Z, |Z|, R, K) of a finite
+        class from one walk of its elements: H = D_d, Z = {h : (h, e) in
+        Sigma}, R = {x : (e, x) in Sigma} and K the Gamma'-parts, so
+        |L| = |K| / |R|."""
+        e = self.ctx.identity
+        rotations, r, k = set(), set(), set()
+        rz = z = 0
+        for (u, s, g) in self.elems:
+            k.add(g)
+            if s == 1:
+                rotations.add(u)
+                if u == 0:
+                    r.add(g)
+            if g == e:
+                z += 1
+                rz += s == 1
+        return len(rotations), rz, z, frozenset(r), frozenset(k)
+
+    @cached_property
+    def walk(self) -> tuple:
+        """What the products and `fixed_dim` read of a finite class: its
+        rotations (u, +1, g), keyed by the code u * n + g on its own grid;
+        the Gamma'-parts of its rotations; and its reflections (u, -1, x)
+        by their Gamma'-part x."""
+        n = self.ctx.n
+        rot, refl_at = {}, {}
+        for e in self.elems:
+            if e[1] == 1:
+                rot[e[0] * n + e[2]] = e
+            else:
+                refl_at.setdefault(e[2], []).append(e)
+        return rot, frozenset(code % n for code in rot), refl_at
 
     def fingerprint(self) -> tuple:
         """Structural identity used for acceptance matching and reports,
         ("D", |H|, |Z|, |L|, |R|, |K|) for a finite class."""
         if self.kind == "o2":
             return (self.kind, len(self.K))
-        d, _, z, r, k = _goursat(self)
+        d, _, z, r, k = self.goursat
         return ("D", 2 * d, z, len(k) // len(r), len(r), len(k))
 
     def name(self) -> str:
         ctx = self.ctx
         if self.kind == "o2":
             return f"O(2) x {ctx.subgroup_name(self.K)}" if len(self.K) < ctx.n else "G"
-        d, rz, z, r, k = _goursat(self)
+        d, rz, z, r, k = self.goursat
         q = d // rz
         if z > rz:  # the O(2)-side kernel has a reflection
             zname, lname = f"D{rz}", f"Z{q}"
         else:
             zname, lname = f"Z{rz}", "Z2" if q == 1 else f"D{q}"
         return f"D{d} ^{zname} x_{lname} ^{ctx.subgroup_name(r)} {ctx.subgroup_name(k)}"
-
-
-@memoised
-def _goursat(cls: AmalgamatedClass) -> tuple:
-    """The Goursat data (d, the rotations in Z, |Z|, R, K) of a finite class
-    from one walk of its elements: H = D_d, Z = {h : (h, e) in Sigma}, R =
-    {x : (e, x) in Sigma} and K the Gamma'-parts, so |L| = |K| / |R|."""
-    e = cls.ctx.identity
-    rotations, r, k = set(), set(), set()
-    rz = z = 0
-    for (u, s, g) in cls.elems:
-        k.add(g)
-        if s == 1:
-            rotations.add(u)
-            if u == 0:
-                r.add(g)
-        if g == e:
-            z += 1
-            rz += s == 1
-    return len(rotations), rz, z, frozenset(r), frozenset(k)
 
 
 # -- element sets of finite classes: (u, s, g) with t = u/M on a grid of M --
@@ -319,29 +340,80 @@ def _fin_key(ctx: GammaContext, elems: frozenset, grid: int) -> tuple:
       conjugated by g; so the d axes fall into gcd(2, d) orbits, which the
       first gcd(2, d) sorted axes meet once each;
     - for x in R', the Gamma'-parts of the rotation elements with
-      2v = 0 on the grid, entry(b, g x) = entry(b, g): one g per coset g R'.
-    The weight is 2 (d / gcd(2, d)) |R'|.  Per axis, the code of each
-    shifted element without its Gamma'-part is computed once; conjugation
-    by g adds ctx.conj[g] of the Gamma'-parts.  A subgroup without a
-    reflection has an infinite Weyl group and no place in the ring:
-    ValueError.
+      2v = 0 on the grid, entry(b, g x) = entry(b, g);
+    - for c in C(K), the centraliser in Gamma' of the Gamma'-parts K of
+      H, conjugation by c fixes every element of H, so entry(b, g c) =
+      entry(b, g): one g per left coset g Q of Q = R' C(K).
+    The weight is 2 (d / gcd(2, d)) |Q|.  Of the g left, only those that
+    make the first coset least are sorted: after the shift, the
+    reflections at the axis b have the codes conj_g(x) < n and every other
+    element a code >= n, so every entry(b, g) starts with
+    sorted(conj_g(X_b)), X_b = {x : (b, -1, x) in H}, a coset of R of the
+    same size for every axis; an entry can be the least only where that
+    prefix is least (`_least_conjugators`), a union of cosets g Q.  Per
+    axis, the code of each shifted element without its Gamma'-part is
+    computed once; conjugation by g adds ctx.conj[g] of the Gamma'-parts.
+    A subgroup without a reflection has an infinite Weyl group and no place
+    in the ring: ValueError.
     """
-    axes = sorted({u for (u, s, _) in elems if s == -1})
-    if not axes:
+    xs_at: dict = {}  # axis u -> the Gamma'-parts x of the reflections (u, -1, x)
+    r_mask = k_mask = 0  # R' and K as bitmasks over Gamma'
+    for (u, s, x) in elems:
+        k_mask |= 1 << x
+        if s == -1:
+            xs_at.setdefault(u, []).append(x)
+        elif not 2 * u % grid:
+            r_mask |= 1 << x
+    if not xs_at:
         raise ValueError("a finite class needs a reflection in its O(2)-part")
+    axes = sorted(xs_at)
     rank, decode = _grid_codes(ctx, grid)
     n = ctx.n
     bases = axes[: gcd(2, len(axes))]
-    r_prime = frozenset(g for (u, s, g) in elems if s == 1 and 2 * u % grid == 0)
-    tabs = [ctx.conj[h] for h in _coset_reps(ctx, r_prime)]
     gs = [g for (_, _, g) in elems]
+    reps, q_order = _walk_reps(ctx, r_mask, k_mask)
+    firsts = [_least_conjugators(ctx, frozenset(xs_at[b])) for b in bases]
+    least = min(first for first, _ in firsts)
     conjugates = []
-    for b in bases:
+    for b, (first, conjugators) in zip(bases, firsts):
+        if first != least:
+            continue
         high = [(rank[u if s == 1 else (u - b) % grid] * 2 + (s == 1)) * n for (u, s, _) in elems]
-        conjugates += [sorted(map(add, high, map(tab.__getitem__, gs))) for tab in tabs]
+        conjugates += [
+            sorted(map(add, high, map(ctx.conj[h].__getitem__, gs)))
+            for h in reps
+            if conjugators >> h & 1
+        ]
     best = min(conjugates)
-    weight = 2 * len(axes) // len(bases) * len(r_prime)
-    return ("fin", tuple(decode[c] for c in best)), weight * conjugates.count(best)
+    weight = 2 * len(axes) // len(bases) * q_order
+    return ("fin", tuple(map(decode.__getitem__, best))), weight * conjugates.count(best)
+
+
+@memoised
+def _walk_reps(ctx: GammaContext, r_mask: int, k_mask: int) -> tuple:
+    """The g that the key walk takes, the least of each left coset g Q of
+    Q = R' C(K), and |Q|, for R' and K given as bitmasks over Gamma':
+    C(K) centralises K, which holds R', so Q is a group."""
+    cents = _centralisers(ctx)
+    cent = _mask_members(reduce(and_, map(cents.__getitem__, _mask_members(k_mask))))
+    q = frozenset(ctx.mult[r][c] for r in _mask_members(r_mask) for c in cent)
+    return _coset_reps(ctx, q), len(q)
+
+
+@memoised
+def _centralisers(ctx: GammaContext) -> list:
+    """The centraliser in Gamma' of each element as a bitmask, by element."""
+    return [sum(1 << c for c, tab in enumerate(ctx.conj) if tab[x] == x) for x in range(ctx.n)]
+
+
+@memoised
+def _least_conjugators(ctx: GammaContext, xset: frozenset) -> tuple:
+    """The least conjugate of a set X in Gamma', as a sorted list, and the
+    g in Gamma' that conjugate X to it, as a bitmask: the first coset that
+    `_fin_key` reads."""
+    images = [sorted(map(tab.__getitem__, xset)) for tab in ctx.conj]
+    least = min(images)
+    return least, sum(1 << g for g, image in enumerate(images) if image == least)
 
 
 def make_fin(ctx: GammaContext, elems, grid: int) -> AmalgamatedClass:
@@ -422,39 +494,39 @@ def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     """
     ctx = cls.ctx
     if k == 0:
-        return _mean_char(ctx, l, [(0, g) for g in cls.k_part()], 1, 0)
+        return _mean_char(ctx, l, [(0, 1, g) for g in cls.k_part()], 1, 0)
     if cls.kind == "o2":
         return 0
-    rot = [(u, g) for (u, s, g) in cls.elems if s == 1]
-    return _mean_char(ctx, l, rot, cls.grid, k)
+    return _mean_char(ctx, l, cls.walk[0].values(), cls.grid, k)
 
 
-def _mean_char(ctx: GammaContext, l: int, terms, grid: int, k: int) -> int:
-    """The mean of exp(-2*pi*i*k*u/grid) * chi_l(g) over (u, g) in terms,
-    which must be a rational integer.
+def _mean_char(ctx: GammaContext, l: int, elems, grid: int, k: int) -> int:
+    """The mean of exp(-2*pi*i*k*u/grid) * chi_l(g) over the elements
+    (u, s, g) of elems, which must be a rational integer.
 
     With N = lcm(grid, order of row l), each term is chi_l(g) in the powers
     of zeta_N shifted by -k*u*(N/grid); the terms add into one integer
     vector of length N, reduced modulo Phi_N once at the end.
     """
     n = lcm(grid, ctx.char_orders[l])
-    chars = _char_powers(ctx, l, n)
+    chars = ctx.char_powers.get((l, n))
+    if chars is None:
+        chars = ctx.char_powers[l, n] = _char_powers(ctx, l, n)
     step = -k * (n // grid)
     acc = [0] * n
-    for (u, g) in terms:
+    for (u, _, g) in elems:
         shift = step * u
         for (e, c) in chars[g]:
             acc[(e + shift) % n] += c
     total = _reduce(acc, n)
     if any(total[1:]):
         raise ArithmeticError(f"character sum is not rational: {total}")
-    mean, rem = divmod(total[0], len(terms))
+    mean, rem = divmod(total[0], len(elems))
     if rem:
-        raise ArithmeticError(f"non-integer fixed dimension {total[0]}/{len(terms)}")
+        raise ArithmeticError(f"non-integer fixed dimension {total[0]}/{len(elems)}")
     return mean
 
 
-@memoised
 def _char_powers(ctx: GammaContext, l: int, n: int) -> list:
     """chi_l(g) for every g as integer (exponent, coefficient) pairs in the
     powers of zeta_n; n is a multiple of the row's order."""
@@ -732,32 +804,18 @@ def _product_o2(ctx, c_o2, other) -> dict:
     # which for O(2) x K2 gives O(2) x (K2 ∩ g^-1 K g)
     out: dict = {}
     other_k = other.k_part()
+    if other.kind == "fin":
+        rot, _, refl_at = other.walk
     for _, target, _ in _double_cosets(ctx, c_o2.K, other_k):
         if other.kind == "o2":
             cls = make_o2(ctx, other_k & target)
         else:
-            inter = frozenset((u, s, x) for (u, s, x) in other.elems if x in target)
-            if not any(s == -1 for (_, s, _) in inter):
+            refls = [e for x in target for e in refl_at.get(x, ())]
+            if not refls:
                 continue
-            cls = make_fin(ctx, inter, other.grid)
+            cls = make_fin(ctx, [e for e in rot.values() if e[2] in target] + refls, other.grid)
         out[cls] = out.get(cls, 0) + 1
     return out
-
-
-@memoised
-def _split(cls: AmalgamatedClass) -> tuple:
-    """What `_meets` reads of a finite class, built once per class: its
-    rotations (u, +1, g), keyed by the code u * n + g on its own grid; its
-    reflections; the Gamma'-parts of its rotations; and its reflection
-    index, Gamma'-part x -> the parameters u of the reflections (u, -1, x)
-    on its own grid."""
-    n = cls.ctx.n
-    rot = {e[0] * n + e[2]: e for e in cls.elems if e[1] == 1}
-    refl = tuple(e for e in cls.elems if e[1] == -1)
-    refl_at: dict = {}
-    for (u, _, x) in refl:
-        refl_at.setdefault(x, []).append(u)
-    return rot, refl, frozenset(code % n for code in rot), refl_at
 
 
 def _meets(ctx, c1, c2, whole: bool = False):
@@ -778,24 +836,34 @@ def _meets(ctx, c1, c2, whole: bool = False):
     """
     grid, n = lcm(c1.grid, c2.grid), ctx.n
     fa, fb = grid // c1.grid, grid // c2.grid  # coprime: fb | u * fa exactly when fb | u
-    a_rot, a_refl, a_k, _ = _split(c1)
-    b_rot, _, b_k, b_refl_at = _split(c2)
-    for g, _, size in _double_cosets(ctx, a_k, b_k):
+    a_rot, a_k, a_refl_at = c1.walk
+    b_rot, b_k, b_refl_at = c2.walk
+    # the rotation by u / M1 is the one by (u * fa / fb) / M2, on c2's grid
+    # when fb | u: its code there without the Gamma'-part, the Gamma'-part
+    scaled = [(e[0] // fb * fa * n, e[2], e) for e in a_rot.values() if not e[0] % fb]
+    if whole and len(scaled) < len(a_rot):
+        return
+    for g, target, size in _double_cosets(ctx, a_k, b_k):
+        # a rotation (u, +1, x) is kept when g^-1 x g is the Gamma'-part
+        # of a rotation of c2, at u: all are kept only if g^-1 A g <= B
+        if whole and not target <= b_k:
+            continue
         inv_tab = ctx.conj[ctx.inv[g]]
-        # the rotation by u / M1 is the one by (u * fa / fb) / M2
-        rot = [
-            e for e in a_rot.values()
-            if not e[0] % fb and e[0] // fb * fa * n + inv_tab[e[2]] in b_rot
-        ]
+        rot = [e for (code, x, e) in scaled if code + inv_tab[x] in b_rot]
         if whole and len(rot) < len(a_rot):
             continue
-        # a reflection (alpha, c) of the first class meets a rotated copy of
-        # a reflection (beta, b) of the second one's, with g b g^-1 = c, by
+        # a reflection (alpha, -1, x) of the first class meets a rotated
+        # copy of a reflection (beta, -1, g^-1 x g) of the second one's by
         # the offset delta = alpha - beta
         buckets: dict = {}
-        for e in a_refl:
-            for beta in b_refl_at.get(inv_tab[e[2]], ()):
-                buckets.setdefault((e[0] * fa - beta * fb) % grid, []).append(e)
+        for x, es in a_refl_at.items():
+            fs = b_refl_at.get(inv_tab[x])
+            if fs is None:
+                continue
+            for e in es:
+                alpha = e[0] * fa
+                for f in fs:
+                    buckets.setdefault((alpha - f[0] * fb) % grid, []).append(e)
         yield size, rot, buckets.values()
 
 

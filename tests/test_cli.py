@@ -892,6 +892,8 @@ def s3_config(**table):
             "not a finite number: nan",
         ),
         ("verify", verify_config(seed_component=1, cubic=float("nan")), "not a finite number: nan"),
+        ("verify", verify_config(seed_component=1, cubic="1e400"), "cubic must be within the float range"),
+        ("verify", verify_config(seed_component=1, cubic="-1e400"), "cubic must be within the float range"),
         ("analyze", d3_config(options={"k_max": "5"}), "k_max and s are integers"),
         ("analyze", d3_config(representation={"images": 5}), "representation images must be"),
         ("analyze", "group delays linearization", "config must be a JSON object"),
@@ -964,6 +966,8 @@ def s3_config(**table):
         "nan-matrix-entry",
         "nan-mu",
         "nan-cubic",
+        "cubic-beyond-floats",
+        "negative-cubic-beyond-floats",
         "k-max-string",
         "images-not-list",
         "config-is-string",

@@ -94,6 +94,28 @@ def test_exact_matrices_are_tested_in_integers(d6_table):
     assert all(type(v) is F for row in lin.mu.values() for v in row)
 
 
+def test_exact_and_float_matrices_in_one_config(d6_table):
+    # each matrix is converted to ints, or not, on its own: with one bundled
+    # matrix given as floats, the exact ones keep their Fraction mu, the
+    # float one's mu lies within 1e-12 of the exact value, and a non-scalar
+    # int matrix among float ones is still rejected
+    dec = isotypic_multiplicities(permutation_character(d6_table), d6_table)
+    config = load_config(bundled_example_path())
+    mats = [[[F(v) for v in row] for row in mat] for mat in config["linearization"]["matrices"]]
+    exact = LinearizationData.from_matrices(d6_table, dec, mats)
+    floats = [[float(v) for v in row] for row in mats[1]]
+    mixed = LinearizationData.from_matrices(d6_table, dec, [mats[0], floats, *mats[2:]])
+    assert not mixed.exact
+    assert mixed.mu.keys() == exact.mu.keys()
+    for l, row in mixed.mu.items():
+        assert type(row[1]) is float and abs(row[1] - exact.mu[l][1]) <= 1e-12
+        assert all(type(v) is F for j, v in enumerate(row) if j != 1)
+        assert row[:1] + row[2:] == exact.mu[l][:1] + exact.mu[l][2:]
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(6)] for i in range(6)]
+    with pytest.raises(ScalarityError):
+        LinearizationData.from_matrices(d6_table, dec, [floats, swap, floats])
+
+
 def test_exact_matrix_with_two_eigenvalues_on_a_component_is_rejected():
     # every projector column can be an eigenvector while the eigenvalues
     # differ between columns: D2 has two copies of the trivial component,

@@ -386,14 +386,17 @@ def test_canonical_keys_match_tuple_serialisation(code_ctxs, name):
         None,
         three_delay_config("D5", ["-15/2", "-13/4", "-17/3", "-1/3"]),
         three_delay_config("S4", ["-15/2", "-13/4", "-17/3", "-1/3", "-11/2"]),
+        three_delay_config("D4", ["-30"] * 5),
     ],
-    ids=["D6-bundled", "D5", "S4"],
+    ids=["D6-bundled", "D5", "S4", "D4-30"],
 )
 def test_key_walk_matches_the_full_walk(config):
-    # the key walk skips the conjugates that H's own elements repeat; its
-    # key and count must be those of the full walk, for every finite class
-    # an analysis interns: the bundled D6 example, D5 (an odd d has one
-    # axis orbit) and S4 (a non-abelian Gamma')
+    # the key walk skips the conjugates that H's own elements repeat and
+    # sorts only those whose first coset is least; its key and count must
+    # be those of the full walk, for every finite class an analysis
+    # interns: the bundled D6 example, D5 (an odd d has one axis orbit), S4
+    # (a non-abelian Gamma') and D4 with every leading value -30 (classes
+    # on grids up to 20, folded to modes 2-5)
     result = run_analyze(config or load_config(bundled_example_path()))
     ctx = result.ctx
     classes = [c for c in ctx._interned.values() if c.kind == "fin"]
@@ -657,12 +660,13 @@ def test_fin_products_satisfy_the_marks_identity(code_ctxs, name):
 
 
 def test_walk_tables_match_the_elements():
-    # _split builds once per class what _meets reads of it
+    # a class builds once what the products and fixed_dim read of it
     ctx = run_analyze(load_config(bundled_example_path())).ctx
     fins = [c for c in ctx._interned.values() if c.kind == "fin"]
     assert fins
     for cls in fins:
-        rot, refl, rot_k, refl_at = og._split(cls)
+        rot, rot_k, refl_at = cls.walk
+        refl = [e for es in refl_at.values() for e in es]
         assert set(rot.values()) == {e for e in cls.elems if e[1] == 1}
         assert all(code == u * ctx.n + g for code, (u, _, g) in rot.items())
         assert set(refl) == {e for e in cls.elems if e[1] == -1}
@@ -671,8 +675,9 @@ def test_walk_tables_match_the_elements():
         for (u, s, x) in cls.elems:
             if s == -1:
                 expected.setdefault(x, set()).add(u)
-        assert {x: set(us) for x, us in refl_at.items()} == expected, cls.name()
-        assert sum(map(len, refl_at.values())) == len(refl)
+        assert {x: {u for (u, _, _) in es} for x, es in refl_at.items()} == expected, cls.name()
+        assert all(e[2] == x for x, es in refl_at.items() for e in es)
+        assert len(refl) == len(set(refl))
 
 
 def test_weyl_order_walks_no_key(monkeypatch):
