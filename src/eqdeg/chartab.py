@@ -136,12 +136,12 @@ def fixed_space_dim(table: CharacterTable, chi, subgroup) -> int:
 def bundled_table(name: str) -> CharacterTable:
     """The table of a preset name (`parse_preset`) that has one."""
     kind, n = parse_preset(name)
+    # D1 is Z2 on two points and S3 is D3 on three, their rows in one order
+    kind, n = {("D", 1): ("Z", 2), ("S", 3): ("D", 3)}.get((kind, n), (kind, n))
     if kind == "Z" and n <= 12:
         return _cyclic(n)
     if kind == "D" and n <= 12:
         return _dihedral(n)
-    if (kind, n) == ("S", 3):
-        return _symmetric3()
     if (kind, n) == ("S", 4):
         return _symmetric4()
     raise CharacterError(f"no bundled table for {name.strip()}")
@@ -165,14 +165,6 @@ def _cyclic(n: int) -> CharacterTable:
 
 def _dihedral(n: int) -> CharacterTable:
     g = Group.from_name(f"D{n}")
-    if n == 1:
-        z2 = g
-        reps = tuple(sorted(z2.elements))
-        rows = (
-            (Cyc.rational(1), Cyc.rational(1)),
-            (Cyc.rational(1), Cyc.rational(-1)),
-        )
-        return CharacterTable(z2, reps, (1, 1), rows)
     if n == 2:
         rot = next(x for x in g.elements if x[:2] == (1, 0) and x[2:] == (2, 3))
         refl = next(x for x in g.elements if x[:2] == (0, 1) and x[2:] == (3, 2))
@@ -225,18 +217,6 @@ def _dihedral(n: int) -> CharacterTable:
             row.append(Cyc.root_of_unity(j * half, n) * 2)
             rows.append(tuple(row))
     return CharacterTable(g, tuple(reps), tuple(sizes), tuple(rows))
-
-
-def _symmetric3() -> CharacterTable:
-    g = Group.from_name("S3")
-    reps = (g.identity, parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3))
-    r = Cyc.rational
-    rows = (
-        (r(1), r(1), r(1)),
-        (r(1), r(-1), r(1)),
-        (r(2), r(0), r(-1)),
-    )
-    return CharacterTable(g, reps, (1, 3, 2), rows)
 
 
 def _symmetric4() -> CharacterTable:

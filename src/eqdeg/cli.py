@@ -6,7 +6,8 @@ byte-stable across runs: every collection is canonically ordered and no
 timestamps are emitted.
 
 Exit codes: 0 success; 2 degenerate spectrum (a zero block eigenvalue,
-rerun with --s); 3 invalid configuration.
+rerun with --s); 3 invalid input: a malformed command line, an unreadable
+config or --out path, or an invalid configuration.
 """
 
 from __future__ import annotations
@@ -227,7 +228,10 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="numerical corroboration run")
     p_ver.add_argument("config")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2, a degenerate spectrum here
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return _dispatch(args)
     except ValueError as exc:
@@ -238,16 +242,20 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "analyze":
         result = run_analyze(load_config(args.config), k_max=args.kmax, s=args.s, tol=args.tol)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = result.report_json()
         errors = validate_report(payload)
         if errors:
             raise ConfigError("report failed schema validation: " + "; ".join(errors))
-        (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if not args.json_only:
-            text = result.report_text(payload)
-            (out_dir / "report.txt").write_text(text)
+        text = None if args.json_only else result.report_text(payload)
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            if text is not None:
+                (out_dir / "report.txt").write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to --out {out_dir}: {exc}") from exc
+        if text is not None:
             print(text, end="")
         if result.exit_code != EXIT_OK:
             print(f"note: {result.message}", file=sys.stderr)

@@ -57,11 +57,15 @@ def load_config(path_or_dict) -> dict:
     if isinstance(path_or_dict, dict):
         data = path_or_dict
     else:
-        with open(path_or_dict) as fh:
-            try:
-                data = json.load(fh, object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed JSON: {exc}") from exc
+        try:
+            with open(path_or_dict) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path_or_dict}: {exc.strerror}") from exc
+        try:
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("group", "delays", "linearization"):

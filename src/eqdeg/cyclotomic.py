@@ -46,18 +46,13 @@ def _div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 def _reduce(coeffs: list, n: int) -> tuple:
     """Reduce a polynomial in zeta_n modulo Phi_n; return phi(n) coords.
 
     Integer coefficients stay integers (Phi_n is monic with integer
     coefficients); Fraction coefficients stay Fractions."""
-    phi = _phi(n)
     cp = cyclotomic_polynomial(n)
+    phi = len(cp) - 1
     work = list(coeffs) + [Fraction(0)] * max(0, phi - len(coeffs))
     for i in range(len(work) - 1, phi - 1, -1):
         c = work[i]

@@ -54,13 +54,13 @@ again and again is built once and kept on the class: its Goursat data
 (`goursat`) and the tables that the products and `fixed_dim` walk
 (`walk`: rotation codes, rotation projection, reflection index).  The
 context keeps the character rows in powers of each root of unity that
-`fixed_dim` sums over.  Every other exact function of a context or of
-several arguments that is asked the same question again (code tables per
-grid, walk representatives, least conjugators, fixed dimensions, marks,
-double cosets, candidates, basic degrees) is `memoised`: its results live
-in the one memo of the context, keyed by the function and its arguments.
-Products are not kept: the running product of a degree asks for almost
-every pair once.
+`fixed_dim` sums over.  Every exact function of a context that is asked
+the same question again (code tables per grid, walk representatives,
+least conjugators, double cosets, candidates, basic degrees) is
+`memoised`: its results live in the one memo of the context, keyed by the
+function and its other arguments, never a class.  Fixed dimensions, marks
+and products are not kept: almost every one is asked once.  `mark` and
+`class_product` refuse classes of two contexts (`_same_context`).
 """
 
 from __future__ import annotations
@@ -175,31 +175,28 @@ def subgroup_names(lattice: SubgroupClassLattice, signed: SignedGroup | None) ->
 
 
 def memoised(fn):
-    """Keep fn's results in the memo of the context of its first argument.
-
-    The first argument is a GammaContext or a class over one; results are
-    keyed by fn and all its (positional) arguments, so they live and die
-    with the context.  On a miss, a class argument over another context
-    raises ValueError: fn would compute with this context's tables on a
-    class of the other.  A hit needs no check: classes compare by
-    identity, so its key holds the very class objects that passed the
-    check when the entry was stored.  fn never returns None.
-    """
+    """Keep fn's results in the memo of the context that is its first
+    argument, keyed by fn and its other arguments.  No memoised function
+    takes a class, so no argument is checked against the context.  fn
+    never returns None."""
 
     @wraps(fn)
-    def wrapper(*args):
-        first = args[0]
-        ctx = first if isinstance(first, GammaContext) else first.ctx
+    def wrapper(ctx, *args):
         key = (fn, *args)
         result = ctx.memo.get(key)
         if result is None:
-            for arg in args:
-                if isinstance(arg, AmalgamatedClass) and arg.ctx is not ctx:
-                    raise ValueError("classes live over different groups")
-            result = ctx.memo[key] = fn(*args)
+            result = ctx.memo[key] = fn(ctx, *args)
         return result
 
     return wrapper
+
+
+def _same_context(c1, c2) -> GammaContext:
+    """The context of two classes; ValueError for classes of two contexts,
+    which would be read with the first one's tables."""
+    if c2.ctx is not c1.ctx:
+        raise ValueError("classes live over different groups")
+    return c1.ctx
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,7 @@ def _walk_reps(ctx: GammaContext, r_mask: int, k_mask: int) -> tuple:
     cents = _centralisers(ctx)
     cent = _mask_members(reduce(and_, map(cents.__getitem__, _mask_members(k_mask))))
     q = frozenset(ctx.mult[r][c] for r in _mask_members(r_mask) for c in cent)
-    return _coset_reps(ctx, q), len(q)
+    return tuple(min(coset) for coset in _cosets_of(ctx, range(ctx.n), q)), len(q)
 
 
 @memoised
@@ -481,7 +478,6 @@ def fold(cls: AmalgamatedClass, p: int) -> AmalgamatedClass:
 # fixed-space dimensions in the irreducible pieces W_k (x) V_l
 
 
-@memoised
 def fixed_dim(cls: AmalgamatedClass, k: int, l: int) -> int:
     """dim of the fixed subspace of the class inside W_k (x) V_l.
 
@@ -554,7 +550,6 @@ def weyl_order(cls: AmalgamatedClass) -> int:
     return cls.weyl
 
 
-@memoised
 def mark(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
     """The mark |(G/c2)^c1| = n(c1, c2) * |W(c2)|: how many cosets of a
     representative of c2 a representative of c1 fixes.
@@ -566,13 +561,14 @@ def mark(c1: AmalgamatedClass, c2: AmalgamatedClass) -> int:
     rotation of c1 (a reflection with them gives all of c1), and each
     bucket of such a double coset adds 4 * size / |c2|.
     """
+    ctx = _same_context(c1, c2)
     if c1.kind == "o2" and c2.kind == "fin":
         return 0
     if c1.kind == c2.kind and c2.size % c1.size:
         return 0
     if "o2" in (c1.kind, c2.kind):
         return class_product(c1, c2).get(c1, 0)
-    count = sum(size * len(b) for size, _, b in _meets(c1.ctx, c1, c2, whole=True))
+    count = sum(size * len(b) for size, _, b in _meets(ctx, c1, c2, whole=True))
     m, rem = divmod(4 * count, c2.size)
     if rem:
         raise AssertionError("non-integer mark; subgroup data is inconsistent")
@@ -615,12 +611,6 @@ def _cosets_of(ctx, kset, rset) -> list[frozenset]:
         seen |= coset
         cosets.append(coset)
     return cosets
-
-
-@memoised
-def _coset_reps(ctx: GammaContext, rset: frozenset) -> tuple:
-    """The least element of each left coset g R of Gamma'."""
-    return tuple(min(coset) for coset in _cosets_of(ctx, range(ctx.n), rset))
 
 
 def _dihedral_pairings(ctx: GammaContext, kset: frozenset, rset: frozenset):
@@ -768,9 +758,7 @@ def class_product(c1: AmalgamatedClass, c2: AmalgamatedClass) -> dict:
     (G) is the unit, (G) * (H) = (H), and walks nothing.  Nothing is kept:
     the running product of a degree asks for almost every pair once.
     """
-    ctx = c1.ctx
-    if c2.ctx is not ctx:
-        raise ValueError("classes live over different groups")
+    ctx = _same_context(c1, c2)
     if c1.kind == "o2" and len(c1.K) == ctx.n:
         return {c2: 1}
     if c2.kind == "o2" and len(c2.K) == ctx.n:

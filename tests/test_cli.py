@@ -324,6 +324,46 @@ def test_missing_key_exit_code(tmp_path):
     assert main(["analyze", str(path)]) == EXIT_INVALID
 
 
+def test_unreadable_paths_exit_3(tmp_path, capsys):
+    # a missing config, a directory given as the config, an --out that names
+    # a file and an --out whose report.json is a directory are invalid
+    # input, each refused by its path
+    missing = tmp_path / "no-such.json"
+    assert main(["analyze", str(missing)]) == EXIT_INVALID
+    assert f"cannot read config {missing}" in capsys.readouterr().err
+    assert main(["spectrum", str(tmp_path)]) == EXIT_INVALID
+    assert f"cannot read config {tmp_path}" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d1_config()))
+    assert main(["analyze", str(path), "--out", str(path), "--json-only"]) == EXIT_INVALID
+    assert f"cannot write to --out {path}" in capsys.readouterr().err
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "cfg.json", "--kmax", "abc"],
+        ["basic-deg", "D6", "x", "5"],
+        [],
+        ["analyse", "cfg.json"],
+    ],
+    ids=["kmax-not-an-int", "mode-not-an-int", "no-command", "unknown-command"],
+)
+def test_usage_errors_exit_3_not_2(args, capsys):
+    # argparse exits 2, the code of a degenerate spectrum
+    assert main(args) == EXIT_INVALID
+    assert "usage: eqdeg" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["analyze", "--help"]) == EXIT_OK
+    assert "usage: eqdeg analyze" in capsys.readouterr().out
+
+
 def test_lattice_subcommand(capsys):
     assert main(["lattice", "D6"]) == EXIT_OK
     out = capsys.readouterr().out

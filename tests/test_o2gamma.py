@@ -712,6 +712,24 @@ def test_memo_refuses_classes_of_another_context():
                 fn(*pair)
 
 
+def _holds_class(x):
+    return isinstance(x, og.AmalgamatedClass) or (
+        isinstance(x, (tuple, frozenset)) and any(map(_holds_class, x))
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [None, three_delay_config("D4", ["-30"] * 5)], ids=["D6-bundled", "D4-30"]
+)
+def test_memo_keys_hold_no_class(config):
+    # `memoised` checks no argument against its context: that is sound only
+    # while no key holds a class; fixed dimensions and marks are not kept
+    ctx = run_analyze(config or load_config(bundled_example_path())).ctx
+    assert ctx.memo
+    assert not [key[0].__name__ for key in ctx.memo if _holds_class(key[1:])]
+    assert not {"fixed_dim", "mark"} & {key[0].__name__ for key in ctx.memo}
+
+
 # ---------------------------------------------------------------------------
 # numeric isotropy oracle: sample points in each candidate's fixed space and
 # recompute the isotropy with explicit matrices
