@@ -8,7 +8,7 @@ value that has to be an integer is extracted with a hard check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -136,8 +136,11 @@ def fixed_space_dim(table: CharacterTable, chi, subgroup) -> int:
 def bundled_table(name: str) -> CharacterTable:
     """The table of a preset name (`parse_preset`) that has one."""
     kind, n = parse_preset(name)
-    # D1 is Z2 on two points and S3 is D3 on three, their rows in one order
-    kind, n = {("D", 1): ("Z", 2), ("S", 3): ("D", 3)}.get((kind, n), (kind, n))
+    # D1 is Z2 on two points and S3 is D3 on three, their rows in one order.
+    # The table keeps its own group: a config's images follow its generators.
+    alias = {("D", 1): "Z2", ("S", 3): "D3"}.get((kind, n))
+    if alias is not None:
+        return replace(bundled_table(alias), group=Group.from_name(f"{kind}{n}"))
     if kind == "Z" and n <= 12:
         return _cyclic(n)
     if kind == "D" and n <= 12:

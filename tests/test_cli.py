@@ -776,11 +776,20 @@ def test_representation_images_are_checked(tmp_path, capsys, images, message):
 
 
 def test_generator_images_of_the_natural_action_reproduce_it():
-    natural = run_analyze(d3_config())
-    images = [list(g) for g in Group.from_name("D3").generators]
-    imaged = run_analyze(d3_config(representation={"images": images}))
-    assert imaged.config.decomposition == natural.config.decomposition
-    assert report_sha256(imaged) == report_sha256(natural)
+    # images follow the named group's own generators: S3 reads D3's rows but
+    # its generators are a transposition, then a 3-cycle; D1 reads Z2's rows
+    cases = [
+        ("D3", [list(g) for g in Group.from_name("D3").generators], ["1", "3"]),
+        ("S3", ["(1 2)", "(1 2 3)"], ["1", "3"]),
+        ("D1", ["(1 2)"], ["1", "2"]),
+    ]
+    for group, images, rows in cases:
+        mu = {"linearization": {"mu": {row: ["-2"] for row in rows}}}
+        natural = run_analyze(d3_config(group=group, **mu))
+        imaged = run_analyze(d3_config(group=group, representation={"images": images}, **mu))
+        assert imaged.exit_code == natural.exit_code == EXIT_OK, group
+        assert imaged.config.decomposition == natural.config.decomposition, group
+        assert report_sha256(imaged) == report_sha256(natural), group
 
 
 # D3 acting on two nodes through its sign character: the rotation fixes

@@ -380,6 +380,12 @@ def test_canonical_keys_match_tuple_serialisation(code_ctxs, name):
         assert make_fin(ctx, moved, grid) is base, base.name()
 
 
+def _holds_class(x):
+    return isinstance(x, og.AmalgamatedClass) or (
+        isinstance(x, (tuple, frozenset)) and any(map(_holds_class, x))
+    )
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -404,6 +410,11 @@ def test_key_walk_matches_the_full_walk(config):
     for cls in classes:
         walked = og._fin_key(ctx, cls.elems, cls.grid)
         assert walked == full_key_walk(ctx, cls.elems, cls.grid), cls.name()
+    # `memoised` checks no argument against its context: that is sound only
+    # while no key holds a class; fixed dimensions and marks are not kept
+    assert ctx.memo
+    assert not [key[0].__name__ for key in ctx.memo if _holds_class(key[1:])]
+    assert not {"fixed_dim", "mark"} & {key[0].__name__ for key in ctx.memo}
 
 
 def _signed_ctx(name):
@@ -710,24 +721,6 @@ def test_memo_refuses_classes_of_another_context():
         for pair in ((small1, big2), (small2, big1), (big2, small1)):
             with pytest.raises(ValueError, match="different groups"):
                 fn(*pair)
-
-
-def _holds_class(x):
-    return isinstance(x, og.AmalgamatedClass) or (
-        isinstance(x, (tuple, frozenset)) and any(map(_holds_class, x))
-    )
-
-
-@pytest.mark.parametrize(
-    "config", [None, three_delay_config("D4", ["-30"] * 5)], ids=["D6-bundled", "D4-30"]
-)
-def test_memo_keys_hold_no_class(config):
-    # `memoised` checks no argument against its context: that is sound only
-    # while no key holds a class; fixed dimensions and marks are not kept
-    ctx = run_analyze(config or load_config(bundled_example_path())).ctx
-    assert ctx.memo
-    assert not [key[0].__name__ for key in ctx.memo if _holds_class(key[1:])]
-    assert not {"fixed_dim", "mark"} & {key[0].__name__ for key in ctx.memo}
 
 
 # ---------------------------------------------------------------------------
